@@ -288,8 +288,8 @@ def augmented_vs_direct(design: SurfaceDesign, gains: GainSet, variant: str,
     M, H, C = design.annihilator, design.H, design.plant.C
     hc = H @ C
     T = gains.T
-    sampler = DisturbanceSampler(design.plant, T, scenario.disturbance)
     steps = traj.x.shape[0] - 1
+    dk = DisturbanceSampler(design.plant, T, scenario.disturbance).table(0, steps)
     xi = traj.x @ M.T
     s = traj.s_true
     w = traj.u @ (T * design.s_gain).T
@@ -306,7 +306,7 @@ def augmented_vs_direct(design: SurfaceDesign, gains: GainSet, variant: str,
         k0 = 1
     dev = 0.0
     for k in range(k0, steps):
-        d = sampler.at(k)
+        d = dk[k]
         psi = aug.A_aug @ psi + aug.disturbance_vector(M @ d, hc @ d)
         if variant == "aug1":
             ref = np.concatenate([xi[k + 1], s[k + 1], w[k + 1]])

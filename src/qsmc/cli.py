@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import stability_over_T, verify_first_order_memory, \
     verify_second_order_memory
 from .controllers import make_gains
-from .discretization import DisturbanceSampler, difference_diagnostics, discretize
+from .discretization import difference_diagnostics, discretize
 from .errors import AssumptionViolation, ConfigError, DivergenceError
 from .experiments import (DEFAULT_LADDER, METRICS, SweepSpec,
                           aircraft_benchmark, builtin_scenario_path, run_sweep)
@@ -112,13 +112,17 @@ def cmd_run(args) -> int:
     traj = run(sf.scenario)
     out = _outdir(sf)
     stem = f"{_stem(sf)}_{sf.scenario.kind}"
-    csv_path = os.path.join(out, f"{stem}.csv")
-    export_csv(traj, csv_path)
-    summary_path = os.path.join(out, f"{stem}_summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(render_kv(traj.summary))
-    written = [csv_path, summary_path]
-    if args.plot:
+    written = []
+    if "csv" in sf.formats:
+        csv_path = os.path.join(out, f"{stem}.csv")
+        export_csv(traj, csv_path)
+        written.append(csv_path)
+    if "summary" in sf.formats:
+        summary_path = os.path.join(out, f"{stem}_summary.txt")
+        with open(summary_path, "w", encoding="utf-8") as fh:
+            fh.write(render_kv(traj.summary))
+        written.append(summary_path)
+    if args.plot or "svg" in sf.formats:
         written += _emit_plots(traj, out, stem)
     sys.stdout.write(render_kv(traj.summary))
     for path in written:

@@ -14,6 +14,11 @@ the O(T)-expansion matrices
     input_curvature = (input_map - T B) / T^2      (bounded)
 
 which the control laws and the closed-loop analysis are written in terms of.
+
+d[k] is exact as well: every disturbance form is the output of a small
+linear exosystem, so the integral over a sample is one block matrix
+exponential (see DisturbanceSampler).  Adaptive quadrature, Simpson and RK4
+are independent routes kept in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from .errors import ConfigError, DisturbanceRangeError
 from .plant import ContinuousPlant, DisturbanceSignal
 
-# relative split guard: boundary points closer than this to an interval end
-# are not worth splitting at (quadrature sees a zero-length piece otherwise)
+# split guard: a segment boundary closer than this (in seconds) to either end
+# of a sample interval is not split at; the sample is taken as lying wholly
+# in the segment that holds its midpoint
 _EDGE = 1e-13
 
 
@@ -73,18 +78,22 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
 
 
 class DisturbanceSampler:
-    """Quadrature of d[k] = int_0^T exp(A tau) B f((k+1)T - tau) dtau.
+    """Exact d[k] = int_{kT}^{(k+1)T} exp(A ((k+1)T - t)) B f(t) dt.
 
-    The matrix factor exp(A tau) B is cached per quadrature node: the
-    adaptive rule revisits the same tau values for every interior sample, so
-    after the first few samples only the scalar disturbance forms are
-    re-evaluated.  Intervals are split at disturbance segment boundaries and
-    each piece evaluates its owning segment's forms only, so the integrand
-    is smooth on every piece.
+    On one segment every channel form is the output of a linear exosystem,
+    f = E z with z' = S z, so (Van Loan, IEEE TAC 1978)
+
+        int_0^h exp(A (h - s)) B f(a + s) ds
+            = [expm([[A, B E], [0, S]] h)]_12 z(a).
+
+    The top-right block at h = T is one gain per segment, computed here
+    once; a sample inside segment j is then d[k] = G_j z_j(kT).  A sample
+    that straddles a segment boundary is split there: each piece gets its
+    own block exponential and is carried to the end of the sample by
+    exp(A (t1 - b)).  Quadrature survives only as a test oracle.
     """
 
-    def __init__(self, plant: ContinuousPlant, T: float, sig: DisturbanceSignal,
-                 tol: float | None = None):
+    def __init__(self, plant: ContinuousPlant, T: float, sig: DisturbanceSignal):
         if not T > 0:
             raise ConfigError(f"sampling period must be positive, got {T}")
         if sig.m != plant.m:
@@ -93,49 +102,93 @@ class DisturbanceSampler:
         self.plant = plant
         self.T = T
         self.sig = sig
-        self.tol = tol if tol is not None else 1e-12 * (1 + np.linalg.norm(plant.B))
-        self._eab_cache: dict = {}
-        self._dk_cache: dict = {}
+        self._starts = np.array([seg.t_start for seg in sig.segments])
+        self._exo = []
+        for seg in sig.segments:
+            S = block_diag(*(f.exo_S for f in seg.forms))
+            E = block_diag(*(np.reshape(f.exo_E, (1, -1)) for f in seg.forms))
+            self._exo.append((S, E) if S.size else None)
+        self._gain = [self._block(j, T) for j in range(len(self._exo))]
 
-    def _eab(self, tau: float) -> np.ndarray:
-        v = self._eab_cache.get(tau)
-        if v is None:
-            v = expm(self.plant.A * tau) @ self.plant.B
-            self._eab_cache[tau] = v
-        return v
+    def _block(self, j: int, h: float):
+        """[expm([[A, B E_j], [0, S_j]] h)]_12, or None for a zero segment."""
+        if self._exo[j] is None:
+            return None
+        S, E = self._exo[j]
+        n, q = self.plant.n, S.shape[0]
+        blk = np.zeros((n + q, n + q))
+        blk[:n, :n] = self.plant.A
+        blk[:n, n:] = self.plant.B @ E
+        blk[n:, n:] = S
+        return expm(blk * h)[:n, n:]
+
+    def _z(self, j: int, t: np.ndarray) -> np.ndarray:
+        return np.hstack([f.exo_z(t) for f in self.sig.segments[j].forms])
+
+    def covers(self, k: int) -> bool:
+        """Whether the disturbance is defined over all of sample k."""
+        return k >= 0 and (k + 1) * self.T <= self.sig.t_end + _EDGE
+
+    def table(self, k0: int, k1: int) -> np.ndarray:
+        """d[k0..k1) as the rows of a (k1 - k0, n) array."""
+        if k1 < k0:
+            raise ConfigError(f"empty sample range [{k0}, {k1})")
+        T = self.T
+        t0 = np.arange(k0, k1) * T
+        t1 = np.arange(k0 + 1, k1 + 1) * T
+        outside = np.flatnonzero((t0 < 0) | (t1 > self.sig.t_end + _EDGE))
+        if outside.size:
+            k = k0 + int(outside[0])
+            raise DisturbanceRangeError(
+                f"sample {k} covers [{k * T}, {(k + 1) * T}), "
+                f"outside [0, {self.sig.t_end})")
+        out = np.zeros((k1 - k0, self.plant.n))
+        straddle = np.zeros(k1 - k0, dtype=bool)
+        for b in self._starts[1:]:
+            straddle |= (t1 - b > _EDGE) & (t1 - b < T - _EDGE)
+        seg = np.searchsorted(self._starts, t1 - 0.5 * T, side="right") - 1
+        for j, gain in enumerate(self._gain):
+            rows = np.flatnonzero((seg == j) & ~straddle)
+            if gain is not None and rows.size:
+                out[rows] = _apply(gain, self._z(j, t0[rows]))
+        for i in np.flatnonzero(straddle):
+            out[i] = self._split(t0[i], t1[i])
+        return out
 
     def at(self, k: int) -> np.ndarray:
-        cached = self._dk_cache.get(k)
-        if cached is not None:
-            return cached
+        return self.table(k, k + 1)[0]
+
+    def _split(self, t0: float, t1: float) -> np.ndarray:
+        """d over [t0, t1), cut at the segment boundaries inside it."""
         T = self.T
-        t1 = (k + 1) * T
-        if k < 0 or t1 - T < 0 or t1 > self.sig.t_end + _EDGE:
-            raise DisturbanceRangeError(
-                f"sample {k} covers [{t1 - T}, {t1}), outside [0, {self.sig.t_end})")
-        # tau runs backwards through the interval: tau = t1 - t
-        cuts = [0.0, T]
-        for b in self.sig.boundaries_within(t1 - T, t1):
-            tau_b = t1 - b
-            if _EDGE < tau_b < T - _EDGE:
-                cuts.append(tau_b)
-        cuts = sorted(set(cuts))
+        cuts = [t0] + [b for b in self._starts[1:]
+                       if _EDGE < t1 - b < T - _EDGE] + [t1]
         total = np.zeros(self.plant.n)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid_t = t1 - 0.5 * (lo + hi)
-            seg = self.sig.segment_index(min(mid_t, np.nextafter(self.sig.t_end, 0)))
-            val, _ = quad_vec(
-                lambda tau: self._eab(tau) @ self.sig.value_in_segment(seg, t1 - tau),
-                lo, hi, epsabs=self.tol, epsrel=1e-13)
-            total += val
-        self._dk_cache[k] = total
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            j = int(np.searchsorted(self._starts, 0.5 * (a + b), side="right")) - 1
+            gain = self._block(j, b - a)
+            if gain is None:
+                continue
+            piece = _apply(gain, self._z(j, np.array([a])))[0]
+            if b < t1:
+                piece = expm(self.plant.A * (t1 - b)) @ piece
+            total += piece
         return total
 
 
+def _apply(gain: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Rows of Z @ gain.T, summed in a fixed order so that a row does not
+    depend on how many rows are computed with it."""
+    out = np.zeros((Z.shape[0], gain.shape[0]))
+    for j in range(gain.shape[1]):
+        out += Z[:, j, None] * gain[:, j]
+    return out
+
+
 def sampled_disturbance(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,
-                        k: int, tol: float | None = None) -> np.ndarray:
+                        k: int) -> np.ndarray:
     """One-shot d[k]; loops should hold a DisturbanceSampler instead."""
-    return DisturbanceSampler(plant, T, sig, tol=tol).at(k)
+    return DisturbanceSampler(plant, T, sig).at(k)
 
 
 def matched_residual_split(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,

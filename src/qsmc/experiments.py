@@ -7,17 +7,15 @@ of log(metric) against log(T).  Expected slopes: surface bound 1 (mm1),
 2 (mm2, m1), 3 (m2); input peak 0 for the contraction laws and -1 for the
 deadbeat baselines.
 
-Sweep points run in parallel (QSMC_THREADS caps the pool); per-period
-disturbance quadratures are shared across controllers through a sampler
-cache keyed by period.
+Sweep points run one after another.  The sampled disturbance d[k] is exact
+and cheap (one block exponential per segment and period, then one vectorized
+table per run), so each period builds its own sampler and nothing is cached.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,16 +31,6 @@ from .surface import build_surface
 
 DEFAULT_LADDER = (0.02, 0.01, 0.005, 0.0025)
 METRICS = ("s_bound", "x_bound", "u_peak")
-
-
-def _max_workers() -> int:
-    env = os.environ.get("QSMC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"QSMC_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -86,18 +74,10 @@ class ScalingReport:
         return {p.T: p.value for p in self.points}
 
 
-_sampler_cache: dict = {}
-
-
 def shared_sampler(plant, T, sig) -> DisturbanceSampler:
-    """Process-wide cache so all controllers at one period reuse the same
-    disturbance quadratures.  Keyed by identity of the immutable inputs."""
-    key = (id(plant), float(T), id(sig))
-    smp = _sampler_cache.get(key)
-    if smp is None:
-        smp = DisturbanceSampler(plant, T, sig)
-        _sampler_cache[key] = smp
-    return smp
+    """The sampler every run at one period uses; building it computes the
+    per-segment d[k] gains once."""
+    return DisturbanceSampler(plant, T, sig)
 
 
 def _sweep_point(scenario: Scenario, beta: float, T: float, metric: str,
@@ -135,11 +115,9 @@ def run_sweep(spec: SweepSpec) -> ScalingReport:
         else:
             raise ConfigError("no beta available for the sweep")
     window = spec.window or default_steady_window(base.disturbance, base.horizon)
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        points = list(pool.map(
-            lambda T: _sweep_point(base, beta, T, spec.metric, window),
-            spec.T_values))
-    points.sort(key=lambda pt: pt.T, reverse=True)
+    # T_values is sorted longest period first
+    points = [_sweep_point(base, beta, T, spec.metric, window)
+              for T in spec.T_values]
     good = [(p.T, p.value) for p in points if p.certified and p.value and p.value > 0]
     slope = half = None
     if len(good) >= 2:
@@ -208,6 +186,7 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
     window = default_steady_window(base.disturbance, base.horizon)
     runs = {}
     peaks: dict = {k: [] for k in BENCH_KINDS}
+    sampler = shared_sampler(base.plant, base.T, base.disturbance)
     for si, seed in enumerate(seeds):
         spec = base.noise
         if noise:
@@ -219,7 +198,7 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
         for kind in BENCH_KINDS:
             sc = base.with_(kind=kind, noise=spec)
             t0 = time.perf_counter()
-            traj = run(sc, sampler=shared_sampler(sc.plant, sc.T, sc.disturbance))
+            traj = run(sc, sampler=sampler)
             dt = time.perf_counter() - t0
             peaks[kind].append(traj.u_peak)
             if si == 0:

@@ -9,7 +9,7 @@ form per channel so values, derivatives and derivative bounds are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,12 @@ def validate_plant(plant: ContinuousPlant) -> ValidationReport:
 #
 # Each form knows its value, derivative and sup-norms of the first two
 # derivatives; the sups are global (amplitude-based), hence valid on any
-# sub-interval.
+# sub-interval.  Each is also the output of a linear exosystem
+#
+#     z' = exo_S z,   f = exo_E . z,
+#
+# and exo_z(t) gives its state at an array of times as a (len(t), q) array;
+# the sampled disturbance d[k] is computed exactly from these.
 
 @dataclass(frozen=True)
 class ZeroForm:
@@ -108,6 +113,11 @@ class ZeroForm:
 
     sup_d1 = 0.0
     sup_d2 = 0.0
+    exo_S = np.zeros((0, 0))
+    exo_E = np.zeros(0)
+
+    def exo_z(self, t: np.ndarray) -> np.ndarray:
+        return np.zeros((len(t), 0))
 
     def token(self) -> str:
         return "zero"
@@ -125,6 +135,11 @@ class ConstForm:
 
     sup_d1 = 0.0
     sup_d2 = 0.0
+    exo_S = np.zeros((1, 1))
+    exo_E = np.ones(1)
+
+    def exo_z(self, t: np.ndarray) -> np.ndarray:
+        return np.full((len(t), 1), self.level)
 
     def token(self) -> str:
         return f"const {self.level!r}"
@@ -152,6 +167,19 @@ class SinForm:
     def sup_d2(self) -> float:
         return abs(self.amp * self.omega ** 2)
 
+    # z = (offset, amp sin(theta), amp cos(theta)), theta = omega t + phase
+    @property
+    def exo_S(self) -> np.ndarray:
+        w = self.omega
+        return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, w], [0.0, -w, 0.0]])
+
+    exo_E = np.array([1.0, 1.0, 0.0])
+
+    def exo_z(self, t: np.ndarray) -> np.ndarray:
+        th = self.omega * t + self.phase
+        return np.column_stack((np.full(len(t), self.offset),
+                                self.amp * np.sin(th), self.amp * np.cos(th)))
+
     def token(self) -> str:
         return f"sin {self.offset!r} {self.amp!r} {self.omega!r} {self.phase!r}"
 
@@ -176,6 +204,18 @@ class CosForm:
     @property
     def sup_d2(self) -> float:
         return abs(self.amp * self.omega ** 2)
+
+    # z = (amp cos(omega t), amp sin(omega t))
+    @property
+    def exo_S(self) -> np.ndarray:
+        w = self.omega
+        return np.array([[0.0, -w], [w, 0.0]])
+
+    exo_E = np.array([1.0, 0.0])
+
+    def exo_z(self, t: np.ndarray) -> np.ndarray:
+        th = self.omega * t
+        return np.column_stack((self.amp * np.cos(th), self.amp * np.sin(th)))
 
     def token(self) -> str:
         return f"cos {self.amp!r} {self.omega!r}"

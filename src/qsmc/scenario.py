@@ -35,6 +35,7 @@ from .simulate import Scenario
 
 _SECTIONS = ("plant", "surface", "controller", "timing", "disturbance",
              "noise", "outputs")
+OUTPUT_FORMATS = ("csv", "summary", "svg")
 
 
 class ScenarioError(ConfigError):
@@ -270,6 +271,12 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     # --- outputs ---
     out_dir = take("outputs", "directory", default="out")
     formats = tuple(take("outputs", "formats", default="csv summary").split())
+    for token in formats:
+        if token not in OUTPUT_FORMATS:
+            raise ScenarioError(
+                f"unknown output format {token!r}; expected some of "
+                f"{' '.join(OUTPUT_FORMATS)}", "outputs", "formats",
+                where("outputs", "formats"))
 
     for section in _SECTIONS:
         for key in data[section]:

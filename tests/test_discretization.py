@@ -1,12 +1,16 @@
 """Discretization oracles.
 
 Closed-form cases (nilpotent and zero drift) are exact; the generic path is
-cross-checked against two independent integrators: composite Simpson on the
-convolution integral and fine-step RK4 on the state equation itself.
+cross-checked against three independent integrators: adaptive quadrature
+and composite Simpson on the convolution integral, and fine-step RK4 on the
+state equation itself.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
@@ -14,23 +18,45 @@ from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
                   difference_diagnostics, discretize, matched_residual_split,
                   sampled_disturbance, zero_signal)
 from qsmc.errors import DisturbanceRangeError
-from qsmc.plant import ConstForm, SinForm, ZeroForm
+from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
 from conftest import T_BENCH
 
 
-def _simpson_dk(plant, T, sig, k, panels=2000):
-    """Composite Simpson on d[k], split at interior segment boundaries."""
+def _pieces(sig, T, k):
+    """(lo, hi, segment) in tau = (k+1)T - t, cut at the interior segment
+    boundaries farther than 1e-13 from both ends of the sample."""
     t1 = (k + 1) * T
     cuts = [0.0, T]
     for b in sig.boundaries_within(t1 - T, t1):
         if 1e-13 < t1 - b < T - 1e-13:
             cuts.append(t1 - b)
     cuts = sorted(set(cuts))
+    seg_end = np.nextafter(sig.t_end, 0)
+    return [(lo, hi, sig.segment_index(min(t1 - 0.5 * (lo + hi), seg_end)))
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def quad_dk(plant, T, sig, k):
+    """Adaptive Gauss-Kronrod quadrature (quad_vec) on d[k], one piece per
+    segment the sample touches."""
+    t1 = (k + 1) * T
+    epsabs = 1e-12 * (1 + np.linalg.norm(plant.B))
     total = np.zeros(plant.n)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = t1 - 0.5 * (lo + hi)
-        seg = sig.segment_index(min(mid, np.nextafter(sig.t_end, 0)))
+    for lo, hi, seg in _pieces(sig, T, k):
+        val, _ = quad_vec(
+            lambda tau: expm(plant.A * tau) @ plant.B
+            @ sig.value_in_segment(seg, t1 - tau),
+            lo, hi, epsabs=epsabs, epsrel=1e-13)
+        total += val
+    return total
+
+
+def _simpson_dk(plant, T, sig, k, panels=2000):
+    """Composite Simpson on d[k], split at interior segment boundaries."""
+    t1 = (k + 1) * T
+    total = np.zeros(plant.n)
+    for lo, hi, seg in _pieces(sig, T, k):
         taus, h = np.linspace(lo, hi, 2 * panels + 1, retstep=True)
         vals = np.array([expm(plant.A * tau) @ plant.B
                          @ sig.value_in_segment(seg, t1 - tau) for tau in taus])
@@ -149,6 +175,20 @@ def test_zero_disturbance_is_zero(bench_plant):
     assert np.allclose(sampler.at(123), 0.0, atol=1e-15)
 
 
+def test_exact_vs_quadrature(bench_plant, bench_signal):
+    # every kind of sample of the benchmark signal: zero, constant and
+    # sinusoidal segments, the step at t = 10 on a sample edge (T = 0.01)
+    # and inside a sample (T = 0.03), and the join at 5 pi inside a sample
+    for T, ks in ((T_BENCH, (0, 999, 1000, 1300, 1569, 1570, 1571, 1999)),
+                  (0.03, (333, 400, 523, 524, 600))):
+        sampler = DisturbanceSampler(bench_plant, T, bench_signal)
+        table = sampler.table(0, max(ks) + 1)
+        for k in ks:
+            ref = quad_dk(bench_plant, T, bench_signal, k)
+            assert np.linalg.norm(table[k] - ref) <= 1e-12 * np.linalg.norm(ref), \
+                (T, k)
+
+
 def test_quadrature_vs_simpson(bench_plant, bench_signal):
     # smooth sinusoid segment, t in [16.00, 16.01)
     k = 1600
@@ -182,7 +222,6 @@ def test_sampler_determinism(bench_plant, bench_signal):
     b = DisturbanceSampler(bench_plant, T_BENCH, bench_signal)
     for k in (0, 999, 1000, 1600):
         assert np.array_equal(a.at(k), b.at(k))
-    # cache returns the same answer on repeat
     assert np.array_equal(a.at(1600), a.at(1600))
 
 
@@ -204,14 +243,78 @@ def test_sampler_config_checks(bench_plant):
         DisturbanceSampler(bench_plant, 0.01, zero_signal(3))
 
 
+# --- randomized differential test of the exact route -------------------------
+
+# levels and amplitudes are zero or at least 1e-6 in size: near the bottom
+# of the float range d[k] underflows and no route keeps relative accuracy
+_size = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+_forms = st.one_of(
+    st.builds(ConstForm, _size),
+    st.builds(SinForm, _size, _size, st.floats(0.1, 20.0),
+              st.floats(-np.pi, np.pi)),
+    st.builds(CosForm, _size, st.floats(0.1, 20.0)),
+)
+# offsets (in seconds) from a grid point kT that put a segment boundary on a
+# sample edge or within the 1e-13 split guard of one
+_NEAR_EDGE = (0.0, 4e-14, -4e-14, 9e-14, -9e-14)
+
+
+@st.composite
+def _dk_cases(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = rng.standard_normal((n, n))
+    margin = draw(st.floats(0.1, 2.0))
+    A = M - (np.max(np.linalg.eigvals(M).real) + margin) * np.eye(n)
+    plant = ContinuousPlant(A, rng.standard_normal((n, m)), np.eye(n))
+    T = draw(st.floats(0.005, 0.2))
+    grid = sorted(draw(st.sets(st.integers(1, 12), max_size=2)))
+    starts = [0.0]
+    for kb in grid:
+        if draw(st.booleans()):     # strictly inside sample kb
+            starts.append(kb * T + draw(st.floats(0.05, 0.95)) * T)
+        else:
+            starts.append(kb * T + draw(st.sampled_from(_NEAR_EDGE)))
+    ends = starts[1:] + [np.inf]
+    segs = [Segment(a, b, tuple(draw(_forms) for _ in range(m)))
+            for a, b in zip(starts, ends)]
+    return plant, T, DisturbanceSignal(segs), (grid[-1] if grid else 0) + 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_dk_cases(), window=st.tuples(st.integers(0, 15), st.integers(0, 15)))
+def test_exact_dk_differential(case, window):
+    plant, T, sig, K = case
+    sampler = DisturbanceSampler(plant, T, sig)
+    table = sampler.table(0, K)
+    ref = np.array([quad_dk(plant, T, sig, k) for k in range(K)])
+    assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a row does not depend on the window it was computed in
+    k0, k1 = sorted(min(w, K) for w in window)
+    part = sampler.table(k0, k1)
+    for k in range(k0, k1):
+        assert sampler.at(k).tobytes() == part[k - k0].tobytes() \
+            == table[k].tobytes()
+    # a constant disturbance is a held input
+    levels = np.array([f.value(0.0) for f in sig.segments[0].forms])
+    const = DisturbanceSampler(plant, T, constant_signal(levels)).table(0, K)
+    held = discretize(plant, T).input_map @ levels
+    assert np.allclose(const, held, rtol=1e-12, atol=1e-12 * np.max(np.abs(held)))
+
+
 # --- matched part and residual ---------------------------------------------
 
 class _Ramp:
-    """f(t) = t; not part of the scenario grammar, duck-typed for tests."""
+    """f(t) = t; not part of the scenario grammar, duck-typed for tests.
+    Its exosystem is z = (t, 1), z' = S z with S = [[0, 1], [0, 0]]."""
     sup_d1 = 1.0
     sup_d2 = 0.0
+    exo_S = np.array([[0.0, 1.0], [0.0, 0.0]])
+    exo_E = np.array([1.0, 0.0])
     def value(self, t): return t
     def deriv(self, t): return 1.0
+    def exo_z(self, t): return np.column_stack((t, np.ones_like(t)))
     def spec(self): return "ramp"
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from qsmc import (ConfigError, SweepSpec, aircraft_benchmark,
                   builtin_scenario_path, load_aircraft_scenario, run_sweep)
-from qsmc.experiments import _max_workers, shared_sampler
+from qsmc.experiments import shared_sampler
 
 # frozen from the first validated runs of the shipped benchmark; regression
 # anchors, not external truth
@@ -29,22 +29,15 @@ def test_spec_validation(bench_scenario):
     assert spec.T_values == (0.02, 0.01, 0.005, 0.0025)
 
 
-def test_max_workers_env(monkeypatch):
-    monkeypatch.setenv("QSMC_THREADS", "3")
-    assert _max_workers() == 3
-    monkeypatch.setenv("QSMC_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        _max_workers()
-    monkeypatch.delenv("QSMC_THREADS")
-    assert _max_workers() >= 1
-
-
-def test_shared_sampler_cache(bench_scenario):
-    a = shared_sampler(bench_scenario.plant, 0.01, bench_scenario.disturbance)
-    b = shared_sampler(bench_scenario.plant, 0.01, bench_scenario.disturbance)
-    c = shared_sampler(bench_scenario.plant, 0.02, bench_scenario.disturbance)
-    assert a is b
-    assert a is not c
+def test_separate_parses_give_bit_equal_d_tables():
+    # two parses of one file share no objects, yet their d sequences agree
+    # to the last bit
+    a = load_aircraft_scenario().scenario
+    b = load_aircraft_scenario().scenario
+    assert a.disturbance is not b.disturbance
+    da = shared_sampler(a.plant, a.T, a.disturbance).table(0, a.steps)
+    db = shared_sampler(b.plant, b.T, b.disturbance).table(0, b.steps)
+    assert da.tobytes() == db.tobytes()
 
 
 def test_sweep_surface_bound_first_order(bench_scenario):

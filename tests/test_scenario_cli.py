@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -172,6 +173,27 @@ def test_cli_run_plots(tmp_path):
         assert svg.exists()
         body = svg.read_text()
         assert body.startswith("<svg") and "polyline" in body
+
+
+def test_cli_run_honours_formats(tmp_path):
+    shipped = builtin_scenario_path("aircraft")
+    shutil.copy(os.path.join(os.path.dirname(shipped), "aircraft.plant"), tmp_path)
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "formats = csv summary" in text
+    svg_only = tmp_path / "aircraft.scn"
+    svg_only.write_text(text.replace("formats = csv summary", "formats = svg"))
+    out = tmp_path / "o"
+    res = cli("run", str(svg_only), "--horizon", "1.0", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aircraft_mm1_s.svg", "aircraft_mm1_u.svg", "aircraft_mm1_x.svg"]
+    bogus = tmp_path / "bogus.scn"
+    bogus.write_text(text.replace("formats = csv summary", "formats = csv bogus"))
+    res = cli("run", str(bogus), "--out", str(tmp_path / "b"))
+    assert res.returncode == 2
+    assert "'bogus'" in res.stderr
+    assert not (tmp_path / "b").exists()
 
 
 def test_cli_run_controller_override(tmp_path):
