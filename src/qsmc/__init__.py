@@ -13,8 +13,9 @@ from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
                        check_memory_spectrum, memory_block, stability_over_T,
                        variant_for_kind, verify_first_order_memory,
                        verify_second_order_memory)
-from .controllers import (KINDS, WARMUP, ControllerState, GainSet,
-                          equivalent_control, make_gains, reconstruct_g_prev)
+from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
+                          equivalent_control, law_taps, make_gains,
+                          reconstruct_g_prev)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
                              difference_diagnostics, discretize,
                              matched_residual_split, sampled_disturbance)
@@ -32,7 +33,7 @@ from .scenario import ScenarioError, ScenarioFile, parse_scenario_file, \
     parse_scenario_text
 from .simulate import (Scenario, Trajectory, csv_header,
                        default_steady_window, export_csv,
-                       measure_quasi_sliding, run)
+                       measure_quasi_sliding, run, run_batch)
 from .surface import (CertReport, NormalForm, SurfaceDesign, build_surface,
                       certify_surface_over_T, from_normal_coords,
                       input_annihilator, to_normal_coords)
@@ -44,7 +45,7 @@ __all__ = [
     "BenchmarkRun", "CertReport", "ConfigError", "ContinuousPlant",
     "ControllerState", "DiffReport", "DiscretePlant", "DisturbanceRangeError",
     "DisturbanceSampler", "DisturbanceSignal", "DivergenceError", "GainSet",
-    "KINDS", "NoiseSpec", "NormalForm", "ScalingReport", "Scenario",
+    "KINDS", "LawTaps", "NoiseSpec", "NormalForm", "ScalingReport", "Scenario",
     "ScenarioError", "ScenarioFile", "Segment", "SpectrumReport",
     "StabilityReport", "StabilityRow", "SurfaceDesign", "SweepPoint",
     "SweepSpec", "Trajectory", "ValidationReport", "WARMUP",
@@ -53,10 +54,10 @@ __all__ = [
     "charpoly", "check_memory_spectrum", "constant_signal", "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",
     "equivalent_control", "evaluate_disturbance", "export_csv",
-    "from_normal_coords", "input_annihilator", "invariant_zeros",
+    "from_normal_coords", "input_annihilator", "invariant_zeros", "law_taps",
     "load_aircraft_scenario", "make_gains", "matched_residual_split",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
-    "parse_scenario_text", "reconstruct_g_prev", "run", "run_sweep",
+    "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_sweep",
     "sampled_disturbance", "stability_over_T", "to_normal_coords",
     "validate_plant", "variant_for_kind", "verify_first_order_memory",
     "verify_second_order_memory", "zero_signal",

@@ -14,8 +14,11 @@ implementable laws replace g[k] by delayed reconstructions:
     second-order (mm2):  g[k] ~ 2 g[k-1] - g[k-2] -> residual O(T^3)
 
 Folding the reconstruction into the law gives recursions in (s, u) history
-alone; both the folded ("recursive") and explicit ("estimate") forms are
-implemented and agree to rounding.  The deadbeat baselines m1/m2 are the
+alone.  Every law is built once as its taps (law_taps): the coefficients of
+u[k] = sum_i K_i s[k-i] + sum_j C_j u[k-j].  The folded ("recursive") taps
+and the explicit ("estimate") taps, composed from the equivalent-control
+lead and the reconstruction matrices, are derived independently and agree
+to rounding.  The deadbeat baselines m1/m2 are the
 same recursions evaluated at alpha = 0 (target s[k+1] = 0); their gain
 grows like 1/T, which is the behavior the contraction target removes.
 """
@@ -74,25 +77,100 @@ def make_gains(design: SurfaceDesign, alpha: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# primitive laws
+# primitive laws, each also available as the matrices that evaluate it
+
+def _eq_terms(gains: GainSet, alpha: float):
+    """equivalent_control as (lead, E): u[k] = lead s[k] + E g[k]."""
+    T = gains.T
+    m = gains.s_gain.shape[0]
+    E = -(1.0 / T) * gains.gain
+    return E @ ((1.0 - alpha) * np.eye(m) + T * gains.drift_from_s), E
+
+
+def _reconstruction(gains: GainSet):
+    """reconstruct_g_prev as (R0, R1, Ru):
+    g[k-1] = R0 s[k] + R1 s[k-1] + Ru u[k-1]."""
+    T = gains.T
+    m = gains.s_gain.shape[0]
+    return np.eye(m), -(np.eye(m) + T * gains.drift_from_s), -T * gains.s_gain
+
 
 def equivalent_control(gains: GainSet, s_k: np.ndarray, g_k: np.ndarray) -> np.ndarray:
     """Ideal law given the true g[k]; oracle/analysis use only (g[k] is not
     available online).  With the exact g the surface contracts exactly:
     s[k+1] = alpha s[k]."""
-    T, a = gains.T, gains.alpha
-    m = gains.s_gain.shape[0]
-    lead = (1.0 - a) * np.eye(m) + T * gains.drift_from_s
-    return -(1.0 / T) * gains.gain @ (lead @ s_k + g_k)
+    lead, E = _eq_terms(gains, gains.alpha)
+    return lead @ s_k + E @ g_k
 
 
 def reconstruct_g_prev(gains: GainSet, s_k, s_km1, u_km1) -> np.ndarray:
     """Exact g[k-1] from observed history: algebraic inversion of the
     one-step surface update."""
-    T = gains.T
+    R0, R1, Ru = _reconstruction(gains)
+    return R0 @ s_k + R1 @ s_km1 + Ru @ u_km1
+
+
+# ---------------------------------------------------------------------------
+# control laws as taps
+
+# weights of the delayed reconstructions in each law's estimate of g[k]
+_EXTRAPOLATION = {"m1": (1.0,), "mm1": (1.0,), "m2": (2.0, -1.0), "mm2": (2.0, -1.0)}
+
+
+@dataclass(frozen=True)
+class LawTaps:
+    """One control law as coefficients:
+
+        u[k] = sum_i K[i] s[k-i] + sum_j C[j-1] u[k-j] (+ K_g g[k], eq only)
+
+    for k >= warmup, and u[k] = 0 before.  The simulator splits the eq
+    oracle's g[k] = T drift_from_xi xi[k] + H C d[k] into taps on x[k] and
+    d[k]."""
+    K: tuple
+    C: tuple
+    warmup: int
+    K_g: np.ndarray | None = None
+
+
+def law_taps(gains: GainSet, kind: str, form: str = "recursive") -> LawTaps:
+    """Taps of one law.  The recursive form is the hand-folded recursion;
+    the estimate form is composed from the equivalent-control lead and the
+    reconstruct_g_prev matrices, so the two are independent derivations
+    that agree to rounding."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown controller kind {kind!r}")
+    if form not in ("recursive", "estimate"):
+        raise ConfigError(f"unknown controller form {form!r}")
+    # deadbeat baselines run the same recursions at alpha = 0
+    a = 0.0 if kind in ("m1", "m2") else gains.alpha
+    if kind == "eq":
+        lead, E = _eq_terms(gains, a)
+        return LawTaps((lead,), (), WARMUP[kind], K_g=E)
     m = gains.s_gain.shape[0]
-    step = np.eye(m) + T * gains.drift_from_s
-    return s_k - step @ s_km1 - T * gains.s_gain @ u_km1
+    if form == "recursive":
+        I = np.eye(m)
+        cpl = gains.T * gains.drift_from_s
+        E = -(1.0 / gains.T) * gains.gain
+        if kind in ("m1", "mm1"):
+            K = (E @ ((2.0 - a) * I + cpl), -E @ (I + cpl))
+            C = (I,)
+        else:
+            K = (E @ ((3.0 - a) * I + cpl), -E @ (3.0 * I + 2.0 * cpl),
+                 E @ (I + cpl))
+            C = (2.0 * I, -I)
+        return LawTaps(K, C, WARMUP[kind])
+    # estimate: u[k] = lead s[k] + E sum_j w_j g[k-j], each g[k-j] rebuilt
+    # from (s[k-j+1], s[k-j], u[k-j])
+    lead, E = _eq_terms(gains, a)
+    R0, R1, Ru = _reconstruction(gains)
+    weights = _EXTRAPOLATION[kind]
+    K = [lead] + [np.zeros((m, m)) for _ in weights]
+    C = []
+    for j, w in enumerate(weights, start=1):
+        K[j - 1] = K[j - 1] + w * (E @ R0)
+        K[j] = K[j] + w * (E @ R1)
+        C.append(w * (E @ Ru))
+    return LawTaps(tuple(K), tuple(C), WARMUP[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +179,8 @@ def reconstruct_g_prev(gains: GainSet, s_k, s_km1, u_km1) -> np.ndarray:
 @dataclass
 class ControllerState:
     """Single-owner mutable controller; sees only the measured switching
-    vector, never the plant state."""
+    vector, never the plant state.  Evaluates its law's taps one step at a
+    time (the simulator evaluates the same taps for many runs at once)."""
     kind: str
     gains: GainSet
     form: str = "recursive"   # recursive | estimate
@@ -112,10 +191,7 @@ class ControllerState:
     u_km2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown controller kind {self.kind!r}")
-        if self.form not in ("recursive", "estimate"):
-            raise ConfigError(f"unknown controller form {self.form!r}")
+        self.taps = law_taps(self.gains, self.kind, self.form)
         m = self.gains.s_gain.shape[0]
         zero = np.zeros(m)
         self.s_km1 = zero.copy() if self.s_km1 is None else self.s_km1
@@ -132,57 +208,20 @@ class ControllerState:
         """Consume s[k], emit u[k], advance history.  g_k is accepted only
         by the oracle kind 'eq'."""
         s_k = np.asarray(s_k, dtype=float)
-        if self.k < WARMUP[self.kind]:
+        taps = self.taps
+        if self.k < taps.warmup:
             u = np.zeros_like(s_k)
-        elif self.kind == "eq":
-            if g_k is None:
-                raise ConfigError("kind 'eq' needs the oracle g[k]")
-            u = equivalent_control(self.gains, s_k, g_k)
-        elif self.kind in ("m1", "mm1"):
-            u = (_mm1_recursive if self.form == "recursive" else _mm1_estimate)(
-                self.gains, self.alpha_eff, s_k, self.s_km1, self.u_km1)
         else:
-            u = (_mm2_recursive if self.form == "recursive" else _mm2_estimate)(
-                self.gains, self.alpha_eff, s_k, self.s_km1, self.s_km2,
-                self.u_km1, self.u_km2)
+            u = sum(Ki @ si for Ki, si in zip(taps.K, (s_k, self.s_km1, self.s_km2)))
+            u = u + sum(Cj @ uj for Cj, uj in zip(taps.C, (self.u_km1, self.u_km2)))
+            if taps.K_g is not None:
+                if g_k is None:
+                    raise ConfigError("kind 'eq' needs the oracle g[k]")
+                u = u + taps.K_g @ g_k
         self.s_km2, self.s_km1 = self.s_km1, s_k
         self.u_km2, self.u_km1 = self.u_km1, u
         self.k += 1
         return u
-
-
-def _lead(gains: GainSet, scalar: float):
-    m = gains.s_gain.shape[0]
-    return scalar * np.eye(m) + gains.T * gains.drift_from_s
-
-
-def _mm1_recursive(gains, a, s_k, s_km1, u_km1):
-    T = gains.T
-    return -(1.0 / T) * gains.gain @ (
-        _lead(gains, 2.0 - a) @ s_k - _lead(gains, 1.0) @ s_km1) + u_km1
-
-
-def _mm1_estimate(gains, a, s_k, s_km1, u_km1):
-    g_prev = reconstruct_g_prev(gains, s_k, s_km1, u_km1)
-    T = gains.T
-    return -(1.0 / T) * gains.gain @ (_lead(gains, 1.0 - a) @ s_k + g_prev)
-
-
-def _mm2_recursive(gains, a, s_k, s_km1, s_km2, u_km1, u_km2):
-    T = gains.T
-    m = gains.s_gain.shape[0]
-    mid = 3.0 * np.eye(m) + 2.0 * T * gains.drift_from_s
-    return (-(1.0 / T) * gains.gain @ (
-        _lead(gains, 3.0 - a) @ s_k - mid @ s_km1 + _lead(gains, 1.0) @ s_km2)
-        + 2.0 * u_km1 - u_km2)
-
-
-def _mm2_estimate(gains, a, s_k, s_km1, s_km2, u_km1, u_km2):
-    g1 = reconstruct_g_prev(gains, s_k, s_km1, u_km1)
-    g2 = reconstruct_g_prev(gains, s_km1, s_km2, u_km2)
-    T = gains.T
-    return -(1.0 / T) * gains.gain @ (
-        _lead(gains, 1.0 - a) @ s_k + 2.0 * g1 - g2)
 
 
 # spec-facing aliases: single steps of the two proposed laws and the two

@@ -18,11 +18,14 @@ class AssumptionViolation(RuntimeError):
 class DivergenceError(RuntimeError):
     """Closed-loop state escaped the overflow guard."""
 
-    def __init__(self, step: int, norm: float):
-        super().__init__(f"state norm {norm:.3e} exceeded guard at step {step}")
+    def __init__(self, step: int, norm: float, run: int | None = None):
+        where = "" if run is None else f" in run {run}"
+        super().__init__(f"state norm {norm:.3e} exceeded guard at step {step}{where}")
         self.step = step
         self.norm = norm
+        self.run = run
 
 
-class DisturbanceRangeError(ValueError):
-    """Disturbance evaluated outside its defined time range."""
+class DisturbanceRangeError(ConfigError):
+    """Disturbance evaluated outside its defined time range (a scenario
+    whose disturbance does not cover its horizon)."""

@@ -277,6 +277,23 @@ class DisturbanceSignal:
         seg = self.segments[self.segment_index(t)]
         return np.array([f.value(t) for f in seg.forms])
 
+    def values(self, t) -> np.ndarray:
+        """value at every time of an array, as a (len(t), m) array; each
+        segment is evaluated in one call through its forms' exosystems."""
+        t = np.asarray(t, dtype=float)
+        outside = np.flatnonzero(~((t >= 0.0) & (t < self.t_end)))
+        if outside.size:
+            raise DisturbanceRangeError(
+                f"t = {t[outside[0]]} outside defined range [0, {self.t_end})")
+        starts = np.array([seg.t_start for seg in self.segments])
+        owner = np.searchsorted(starts, t, side="right") - 1
+        out = np.empty((len(t), self.m))
+        for j, seg in enumerate(self.segments):
+            rows = np.flatnonzero(owner == j)
+            for c, f in enumerate(seg.forms):
+                out[rows, c] = f.exo_z(t[rows]) @ f.exo_E
+        return out
+
     def value_in_segment(self, idx: int, t: float) -> np.ndarray:
         # analytic continuation of one segment's forms; used by integrators
         # that must not see the jump at a segment boundary
@@ -343,10 +360,16 @@ class NoiseStream:
         self._gen = Xoshiro256StarStar(spec.seed)
 
     def sample(self, p: int) -> np.ndarray:
+        return self.table(1, p)[0]
+
+    def table(self, rows: int, p: int) -> np.ndarray:
+        """The next `rows` samples of p values as a (rows, p) array, in the
+        draw order of `rows` successive sample(p) calls."""
         if self.spec.kind == "none" or self.spec.halfwidth == 0.0:
-            return np.zeros(p)
+            return np.zeros((rows, p))
         a = self.spec.halfwidth
-        return np.array([self._gen.symmetric(a) for _ in range(p)])
+        draws = [self._gen.symmetric(a) for _ in range(rows * p)]
+        return np.array(draws).reshape(rows, p)
 
 
 # ---------------------------------------------------------------------------

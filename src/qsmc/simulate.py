@@ -16,6 +16,12 @@ it too sees only smooth integrands.
 The controller is handed the measured switching vector s[k] = H y[k]
 only - y[k] carries the measurement noise - while the noiseless
 s_true[k] = H C x[k] is logged in parallel for analysis.
+
+Every control law is a set of taps (controllers.law_taps), so the whole
+closed loop is one linear recursion.  run_batch steps R runs that share
+plant, period, surface, horizon and disturbance as one stacked recursion;
+run is a batch of one.  Noise is drawn as one table per distinct noise
+spec before the loop, and y, s_true and f are filled after it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import ControllerState, make_gains
+from .controllers import law_taps, make_gains
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
 from .plant import ContinuousPlant, DisturbanceSignal, NoiseSpec, zero_signal
@@ -107,80 +113,148 @@ def default_steady_window(sig: DisturbanceSignal, horizon: float):
     return (horizon * (1 - _WINDOW_FRACTION), horizon)
 
 
+# fields every run of a batch shares; kind, form, alpha, beta, noise and
+# x0 may differ from run to run
+_SHARED = ("plant", "T", "H", "horizon", "disturbance", "record_intersample",
+           "substeps")
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, ContinuousPlant):
+        return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "ABC")
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 def run(scenario: Scenario, sampler: DisturbanceSampler | None = None) -> Trajectory:
     """Simulate the closed loop; deterministic for a fixed noise seed."""
-    plant, T = scenario.plant, scenario.T
+    return run_batch([scenario], sampler)[0]
+
+
+def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
+    """Simulate R closed loops that share plant, T, H, horizon and
+    disturbance as one stacked recursion; returns their trajectories in
+    order, each deterministic for a fixed noise seed.
+
+    Each run's record of sample k is one row z[k] = [s, u, x, d, v] (v the
+    measurement noise).  Its law's taps become one row block W that reads
+    the rows of samples k-2..k, so a step of all runs is
+    s = z Ms, u = W (z[k-2], z[k-1], z[k]), x[k+1] = z Mx.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise ConfigError("run_batch needs at least one scenario")
+    base = scenarios[0]
+    for sc in scenarios[1:]:
+        for name in _SHARED:
+            if not _same(getattr(base, name), getattr(sc, name)):
+                raise ConfigError(f"scenarios in one batch must share {name}")
+    plant, T, sig, steps = base.plant, base.T, base.disturbance, base.steps
     disc = discretize(plant, T)
-    design = build_surface(plant, disc, scenario.H)  # raises if assumptions fail
-    gains = make_gains(design, alpha=scenario.alpha, beta=scenario.beta)
-    controller = ControllerState(kind=scenario.kind, gains=gains, form=scenario.form)
+    design = build_surface(plant, disc, base.H)  # raises if assumptions fail
+    taps = [law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta), sc.kind, sc.form)
+            for sc in scenarios]
     if sampler is None:
-        sampler = DisturbanceSampler(plant, T, scenario.disturbance)
-    noise = scenario.noise.stream()
+        sampler = DisturbanceSampler(plant, T, sig)
+    # the eq oracle feeds d[k] into u[k], so it also reads d[steps]
+    eq = any(tp.K_g is not None for tp in taps)
+    dk = sampler.table(0, steps + 1 if eq else steps)
+
+    R, n, m, p = len(scenarios), plant.n, plant.m, plant.p
     hc = design.H @ plant.C
+    cs, cu = slice(0, m), slice(m, 2 * m)
+    cx, cd = slice(2 * m, 2 * m + n), slice(2 * m + n, 2 * m + 2 * n)
+    cv = slice(2 * m + 2 * n, 2 * m + 2 * n + p)
+    w = 2 * m + 2 * n + p
+    # two leading zero rows stand for the history before sample 0
+    Z = np.zeros((R, steps + 3, w))
+    Z[:, 2:2 + len(dk), cd] = dk
+    noise: dict = {}
+    for r, sc in enumerate(scenarios):
+        if sc.noise not in noise:
+            noise[sc.noise] = sc.noise.stream().table(steps + 1, p)
+        Z[r, 2:, cv] = noise[sc.noise]
+        Z[r, 2, cx] = sc.x0
+    Ms = np.zeros((w, m))                  # s = H (C x + v)
+    Ms[cx] = hc.T
+    Ms[cv] = design.H.T
+    Mx = np.zeros((w, n))                  # x+ = state_map x + input_map u + d
+    Mx[cu] = disc.input_map.T
+    Mx[cx] = disc.state_map.T
+    Mx[cd] = np.eye(n)
 
-    steps = scenario.steps
-    # the eq oracle also reads d[steps], for the input logged at the last
-    # sample, and takes it as zero when the disturbance ends before then
-    dk = sampler.table(0, steps + 1 if sampler.covers(steps) else steps)
-    n, m, p = plant.n, plant.m, plant.p
-    X = np.empty((steps + 1, n))
-    Y = np.empty((steps + 1, p))
-    S = np.empty((steps + 1, m))
-    St = np.empty((steps + 1, m))
-    U = np.empty((steps + 1, m))
-    F = np.empty((steps + 1, m))
-    inter_t: list = []
-    inter_x: list = []
+    def lag(i, cols):
+        """Columns of sample k-i's `cols` in the window of samples k-2..k."""
+        return slice((2 - i) * w + cols.start, (2 - i) * w + cols.stop)
 
-    x = scenario.x0.copy()
-    xi_prev = None
-    for k in range(steps + 1):
-        nx = np.max(np.abs(x))
-        if not np.isfinite(nx) or nx > _OVERFLOW:
-            raise DivergenceError(k, float(nx))
-        y = plant.C @ x + noise.sample(p)
-        s_meas = design.H @ y
-        X[k] = x
-        Y[k] = y
-        S[k] = s_meas
-        St[k] = hc @ x
-        F[k] = scenario.disturbance.value(k * T) if k * T < scenario.disturbance.t_end \
-            else scenario.disturbance.value(np.nextafter(scenario.disturbance.t_end, 0))
-        if scenario.kind == "eq":
-            # oracle law: g[k] from ground truth (reduced state + actual d[k])
-            g_k = None
-            if controller.k >= 1:
-                xi = design.annihilator @ x
-                d_s = hc @ dk[k] if k < len(dk) else np.zeros(m)
-                g_k = T * design.drift_from_xi @ xi + d_s
-            u = controller.step(s_meas, g_k=g_k)
-        else:
-            u = controller.step(s_meas)
-        U[k] = u
-        if k < steps:
-            if scenario.record_intersample:
-                x = _advance_rk4(plant, scenario.disturbance, x, u, k * T, T,
-                                 scenario.substeps, inter_t, inter_x)
+    W = np.zeros((R, m, 3 * w))
+    for r, tp in enumerate(taps):
+        for i, K in enumerate(tp.K):
+            W[r, :, lag(i, cs)] = K
+        for j, C in enumerate(tp.C, start=1):
+            W[r, :, lag(j, cu)] = C
+        if tp.K_g is not None:
+            # g[k] = T drift_from_xi xi[k] + H C d[k], xi = annihilator x
+            W[r, :, lag(0, cx)] = T * tp.K_g @ design.drift_from_xi @ design.annihilator
+            W[r, :, lag(0, cd)] = tp.K_g @ hc
+    warmup = np.array([tp.warmup for tp in taps])
+    rk4 = base.record_intersample
+    inter_t: list = [[] for _ in scenarios]
+    inter_x: list = [[] for _ in scenarios]
+
+    # a diverging run overflows harmlessly; it is reported after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            Z[:, k + 2, cs] = Z[:, k + 2] @ Ms
+            u = (W @ Z[:, k:k + 3].reshape(R, 3 * w, 1))[:, :, 0]
+            if k < 2:
+                u[warmup > k] = 0.0
+            Z[:, k + 2, cu] = u
+            if k == steps:
+                break
+            if rk4:
+                for r in range(R):
+                    Z[r, k + 3, cx] = _advance_rk4(
+                        plant, sig, Z[r, k + 2, cx], u[r], k * T, T,
+                        base.substeps, inter_t[r], inter_x[r])
             else:
-                x = disc.state_map @ x + disc.input_map @ u + dk[k]
+                Z[:, k + 3, cx] = Z[:, k + 2] @ Mx
+        X = Z[:, 2:, cx].copy()
+        norms = np.max(np.abs(X), axis=2)
+        bad = ~(norms <= _OVERFLOW)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        r = int(np.argmax(bad[:, k]))
+        raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None)
 
-    traj = Trajectory(T=T, k=np.arange(steps + 1), t=np.arange(steps + 1) * T,
-                      x=X, y=Y, s=S, s_true=St, u=U, f=F)
-    if scenario.record_intersample:
-        traj.inter_t = np.array(inter_t)
-        traj.inter_x = np.array(inter_x)
-    window = default_steady_window(scenario.disturbance, scenario.horizon)
-    traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
-                    "kind": scenario.kind, "window": window}
-    if window[1] <= scenario.horizon + 1e-12 and window[0] >= 0:
-        try:
-            sb, xb = measure_quasi_sliding(traj, window)
-            traj.summary["s_bound"] = sb
-            traj.summary["x_bound"] = xb
-        except ConfigError:
-            pass
-    return traj
+    S, U = Z[:, 2:, cs].copy(), Z[:, 2:, cu].copy()
+    Y = X @ plant.C.T
+    Y += Z[:, 2:, cv]
+    del Z
+    St = X @ hc.T
+    t = np.arange(steps + 1) * T
+    # past its end the disturbance holds its last defined value
+    F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
+    window = default_steady_window(sig, base.horizon)
+    trajs = []
+    for r, sc in enumerate(scenarios):
+        traj = Trajectory(T=T, k=np.arange(steps + 1), t=t.copy(), x=X[r], y=Y[r],
+                          s=S[r], s_true=St[r], u=U[r], f=F.copy())
+        if rk4:
+            traj.inter_t = np.array(inter_t[r])
+            traj.inter_x = np.array(inter_x[r])
+        traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
+                        "kind": sc.kind, "window": window}
+        if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
+            try:
+                sb, xb = measure_quasi_sliding(traj, window)
+                traj.summary["s_bound"] = sb
+                traj.summary["x_bound"] = xb
+            except ConfigError:
+                pass
+        trajs.append(traj)
+    return trajs
 
 
 def _advance_rk4(plant, sig, x, u, t0, T, substeps, inter_t, inter_x):

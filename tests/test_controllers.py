@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsmc import (ConfigError, ControllerState, GainSet, equivalent_control,
-                  make_gains, reconstruct_g_prev, run)
+                  law_taps, make_gains, reconstruct_g_prev, run)
 from qsmc.controllers import step_m1, step_mm1, step_mm2
 
 from conftest import ALPHA_BENCH, BETA_BENCH, T_BENCH
@@ -174,6 +174,32 @@ def test_second_order_law_tracks_ideal_with_extrapolated_g():
     u2 = st.step(s2)
     ideal = equivalent_control(gains, s2, 2 * g1 - g0)
     assert np.allclose(u2, ideal, atol=1e-12)
+
+
+# --- taps --------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["m1", "m2", "mm1", "mm2"])
+def test_recursive_and_estimate_taps_agree(kind):
+    # the hand-folded taps and the ones composed from the equivalent-control
+    # lead and the reconstruction are two derivations of one law
+    gains = random_gains(seed=21)
+    rec = law_taps(gains, kind, "recursive")
+    est = law_taps(gains, kind, "estimate")
+    assert len(rec.K) == len(est.K) == rec.warmup + 1
+    assert len(rec.C) == len(est.C) == rec.warmup
+    scale = max(np.max(np.abs(K)) for K in rec.K)
+    for a, b in zip(rec.K + rec.C, est.K + est.C):
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+
+def test_eq_taps_are_the_equivalent_control():
+    gains = random_gains(seed=22)
+    taps = law_taps(gains, "eq")
+    rng = np.random.default_rng(23)
+    s, g = rng.standard_normal(2), rng.standard_normal(2)
+    assert taps.C == () and taps.warmup == 1
+    assert np.allclose(taps.K[0] @ s + taps.K_g @ g,
+                       equivalent_control(gains, s, g), rtol=1e-14, atol=0)
 
 
 # --- two-form equivalence over the shipped benchmark ------------------------

@@ -196,6 +196,22 @@ def test_cli_run_honours_formats(tmp_path):
     assert not (tmp_path / "b").exists()
 
 
+def test_cli_short_disturbance_exit_2(tmp_path):
+    # a disturbance that ends before the horizon is a configuration error
+    shipped = builtin_scenario_path("aircraft")
+    shutil.copy(os.path.join(os.path.dirname(shipped), "aircraft.plant"), tmp_path)
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "15.707963267948966 inf :" in text
+    short = tmp_path / "short.scn"
+    short.write_text(text.replace("15.707963267948966 inf :", "15.707963267948966 18 :"))
+    res = cli("run", str(short), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr
+    assert "sample 1800" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_run_controller_override(tmp_path):
     out = tmp_path / "o"
     res = cli("run", "aircraft", "--controller", "m2", "--horizon", "1.0",

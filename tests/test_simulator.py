@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qsmc import (ConfigError, DivergenceError, NoiseSpec, Scenario,
-                  csv_header, default_steady_window, export_csv,
+from qsmc import (ConfigError, DisturbanceRangeError, DivergenceError,
+                  NoiseSpec, Scenario, constant_signal, csv_header,
+                  default_steady_window, export_csv,
                   measure_quasi_sliding, run, zero_signal)
 
 from conftest import (ALPHA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH, X0_BENCH)
@@ -88,6 +89,18 @@ def test_equivalent_control_contracts_in_closed_loop(bench_scenario):
     # after warmup every step contracts exactly: s[k+1] = alpha s[k]
     resid = s[2:] - ALPHA_BENCH * s[1:-1]
     assert np.max(np.abs(resid)) <= 1e-9
+
+
+def test_eq_needs_the_disturbance_at_the_last_sample(bench_scenario):
+    # eq feeds d[k] into u[k], so at the last sample it reads d[steps]; a
+    # disturbance that ends at the horizon does not cover that sample
+    sc = bench_scenario.with_(disturbance=constant_signal([0.5, -0.2], t_end=2.0),
+                              horizon=2.0)
+    with pytest.raises(DisturbanceRangeError, match="sample 200 "):
+        run(sc.with_(kind="eq"))
+    traj = run(sc)   # mm1 needs d[0..199] only
+    # past its end the f column holds the disturbance's last defined value
+    assert traj.f[-1].tolist() == [0.5, -0.2]
 
 
 # --- exact map vs RK4 substepping ---------------------------------------------
