@@ -14,8 +14,8 @@ from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
                        variant_for_kind, verify_first_order_memory,
                        verify_second_order_memory)
 from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
-                          equivalent_control, law_taps, make_gains,
-                          reconstruct_g_prev)
+                          closed_loop, equivalent_control, law_taps,
+                          make_gains, reconstruct_g_prev)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
                              difference_diagnostics, discretize,
                              matched_residual_split, sampled_disturbance)
@@ -51,7 +51,8 @@ __all__ = [
     "SweepSpec", "Trajectory", "ValidationReport", "WARMUP",
     "Xoshiro256StarStar", "aircraft_benchmark", "augmented_vs_direct",
     "build_aug", "build_surface", "builtin_scenario_path", "certify_surface_over_T",
-    "charpoly", "check_memory_spectrum", "constant_signal", "csv_header",
+    "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
+    "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",
     "equivalent_control", "evaluate_disturbance", "export_csv",
     "from_normal_coords", "input_annihilator", "invariant_zeros", "law_taps",

@@ -14,6 +14,11 @@ lambda^{3m} (lambda-alpha)^m (aug2) for any coupling and any T - verified
 here through characteristic-polynomial coefficients because the zero
 eigenvalues of the aug2 block are defective (Jordan blocks of size 3) and
 generic eigensolvers scatter them.
+
+The simulator runs each law as controllers.closed_loop, a second
+derivation on the lifted state [x; s[k-1]; s[k-2]; u[k-1]; u[k-2]]; its
+characteristic polynomial is lambda^extra times that of A_aug, and
+stability_over_T reports its spectral radius for every kind.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import GainSet, make_gains
+from .controllers import (GainSet, closed_loop, law_taps, make_gains,
+                          spectral_radius)
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError
 from .surface import SurfaceDesign, build_surface
@@ -201,6 +207,9 @@ class StabilityRow:
     # away from the defective zero group of the aug2 memory block)
     conditioned_dist_aug1: float
     conditioned_dist_aug2: float
+    # spectral radius of the simulated closed loop (controllers.closed_loop)
+    # per kind; m1/m2 run at alpha = 0, which neither augmented variant covers
+    rho_cl: dict
 
     @property
     def certified(self) -> bool:
@@ -237,10 +246,15 @@ def _cluster_distances(aug: AugmentedSystem):
     return d_all, d_cond
 
 
+# the implementable laws; eq is an oracle that reads the true g[k]
+CL_KINDS = ("m1", "m2", "mm1", "mm2")
+
+
 def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport:
-    """Spectral radii of both augmented variants per period.  With beta
-    given, alpha is recomputed per T (fixed contraction rate in time); with
-    alpha given it is held constant."""
+    """Spectral radii of both augmented variants and of every kind's
+    simulated closed loop per period.  With beta given, alpha is recomputed
+    per T (fixed contraction rate in time); with alpha given it is held
+    constant."""
     if alpha is None and beta is None:
         raise ConfigError("need alpha or beta")
     rows = []
@@ -254,10 +268,11 @@ def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport
         dist2, cdist2 = _cluster_distances(a2)
         rows.append(StabilityRow(
             T=T, alpha=gains.alpha,
-            rho_aug1=float(np.max(np.abs(np.linalg.eigvals(a1.A_aug)))),
-            rho_aug2=float(np.max(np.abs(np.linalg.eigvals(a2.A_aug)))),
+            rho_aug1=spectral_radius(a1.A_aug), rho_aug2=spectral_radius(a2.A_aug),
             cluster_dist_aug1=dist1, cluster_dist_aug2=dist2,
-            conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2))
+            conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2,
+            rho_cl={kind: spectral_radius(closed_loop(design, law_taps(gains, kind))[0])
+                    for kind in CL_KINDS}))
     certified = [r.T for r in rows if r.certified]
     return StabilityReport(rows=tuple(rows),
                            largest_certified=max(certified) if certified else None)

@@ -153,7 +153,8 @@ def cmd_verify(args) -> int:
         "stability": [{"T": r.T, "alpha": r.alpha, "rho_aug1": r.rho_aug1,
                        "rho_aug2": r.rho_aug2,
                        "cluster_dist_aug1": r.cluster_dist_aug1,
-                       "cluster_dist_aug2": r.cluster_dist_aug2}
+                       "cluster_dist_aug2": r.cluster_dist_aug2,
+                       "rho_cl": r.rho_cl}
                       for r in stab.rows],
         "largest_certified_T": stab.largest_certified,
     }

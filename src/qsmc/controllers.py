@@ -21,6 +21,8 @@ lead and the reconstruction matrices, are derived independently and agree
 to rounding.  The deadbeat baselines m1/m2 are the
 same recursions evaluated at alpha = 0 (target s[k+1] = 0); their gain
 grows like 1/T, which is the behavior the contraction target removes.
+closed_loop turns a law's taps and the plant into the one closed-loop
+matrix that the simulator runs and the stability analysis inspects.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class LawTaps:
 
         u[k] = sum_i K[i] s[k-i] + sum_j C[j-1] u[k-j] (+ K_g g[k], eq only)
 
-    for k >= warmup, and u[k] = 0 before.  The simulator splits the eq
+    for k >= warmup, and u[k] = 0 before.  closed_loop splits the eq
     oracle's g[k] = T drift_from_xi xi[k] + H C d[k] into taps on x[k] and
     d[k]."""
     K: tuple
@@ -171,6 +173,63 @@ def law_taps(gains: GainSet, kind: str, form: str = "recursive") -> LawTaps:
         K[j] = K[j] + w * (E @ R1)
         C.append(w * (E @ Ru))
     return LawTaps(tuple(K), tuple(C), WARMUP[kind])
+
+
+def spectral_radius(A: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+
+def lifted_slices(n: int, m: int) -> tuple:
+    """Where x, s[k-1], s[k-2], u[k-1] and u[k-2] sit in the lifted state."""
+    return (slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m),
+            slice(n + 2 * m, n + 3 * m), slice(n + 3 * m, n + 4 * m))
+
+
+def closed_loop(design: SurfaceDesign, taps: LawTaps | None = None):
+    """One law's closed loop as a linear recursion on the lifted state
+
+        psi[k] = [x[k], s[k-1], s[k-2], u[k-1], u[k-2]]      (n + 4m)
+        psi[k+1] = A_cl psi[k] + B_d d[k] + B_v v[k],
+
+    where s[k] = H (C x[k] + v[k]) is the measured switching vector and v[k]
+    the measurement noise; returns (A_cl, B_d, B_v).  psi[k+1] carries s[k]
+    and u[k], the sample-k values a run logs.  With taps None the law rows
+    are zeroed (u[k] = 0): the loop that the warm-up samples follow."""
+    disc, H, C = design.disc, design.H, design.plant.C
+    m, p = H.shape
+    n = C.shape[1]
+    hc = H @ C
+    N = n + 4 * m
+    xs, s1, s2, u1, u2 = lifted_slices(n, m)
+    A = np.zeros((N, N))
+    A[xs, xs] = disc.state_map
+    A[s1, xs] = hc                       # s[k] = H C x[k] + H v[k]
+    A[s2, s1] = np.eye(m)
+    A[u2, u1] = np.eye(m)
+    B_d = np.zeros((N, n))
+    B_d[xs] = np.eye(n)
+    B_v = np.zeros((N, p))
+    B_v[s1] = H
+    if taps is None:
+        return A, B_d, B_v
+    # u[k] = law psi[k] + law_d d[k] + law_v v[k], fed to u[k]'s row and,
+    # through input_map, to x[k+1]
+    law = np.zeros((m, N))
+    law[:, xs] = taps.K[0] @ hc
+    for K, cols in zip(taps.K[1:], (s1, s2)):
+        law[:, cols] = K
+    for Cj, cols in zip(taps.C, (u1, u2)):
+        law[:, cols] = Cj
+    law_d = np.zeros((m, n))
+    law_v = taps.K[0] @ H
+    if taps.K_g is not None:
+        # the eq oracle's g[k] = T drift_from_xi xi[k] + H C d[k], xi = M x
+        law[:, xs] += design.T * taps.K_g @ design.drift_from_xi @ design.annihilator
+        law_d = taps.K_g @ hc
+    feed = np.zeros((N, m))
+    feed[xs] = disc.input_map
+    feed[u1] = np.eye(m)
+    return A + feed @ law, B_d + feed @ law_d, B_v + feed @ law_v
 
 
 # ---------------------------------------------------------------------------

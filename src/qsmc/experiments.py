@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import build_aug, variant_for_kind
-from .controllers import make_gains
+from .controllers import make_gains, spectral_radius
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
 from .scenario import ScenarioFile, parse_scenario_file
@@ -88,7 +88,7 @@ def _sweep_point(scenario: Scenario, beta: float, T: float, metric: str,
         design = build_surface(sc.plant, discretize(sc.plant, T), sc.H)
         gains = make_gains(design, beta=beta)
         aug = build_aug(design, gains, variant_for_kind(sc.kind))
-        rho = float(np.max(np.abs(np.linalg.eigvals(aug.A_aug))))
+        rho = spectral_radius(aug.A_aug)
         if rho >= 1.0:
             return SweepPoint(T, None, False, f"spectral radius {rho:.4f} >= 1")
         traj = run(sc, sampler=shared_sampler(sc.plant, T, sc.disturbance))

@@ -375,6 +375,12 @@ class NoiseStream:
 # ---------------------------------------------------------------------------
 # invariant zeros
 
+def random_surface_map(gen: Xoshiro256StarStar, m: int, p: int) -> np.ndarray:
+    """An m x p surface map with entries uniform on [-1, 1), drawn row by
+    row from gen."""
+    return np.array([[gen.symmetric(1.0) for _ in range(p)] for _ in range(m)])
+
+
 def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815,
                     tol: float = 1e-6):
     """Transmission zeros of (A, B, C) via the reduced sliding dynamics.
@@ -392,7 +398,7 @@ def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815
     attempts = 0
     while len(spectra) < draws and attempts < 50 * draws:
         attempts += 1
-        H = np.array([[gen.symmetric(1.0) for _ in range(p)] for _ in range(m)])
+        H = random_surface_map(gen, m, p)
         try:
             design = build_surface_raw(plant, H)
         except Exception:

@@ -147,7 +147,7 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         if key is None:
             continue
         if section == "disturbance" and key == "segment":
-            segments.append(_parse_segment(value, i))
+            segments.append((i, _parse_segment(value, i)))
             continue
         if key in data[section]:
             raise ScenarioError(f"duplicate key {key!r}", section, key, i)
@@ -244,14 +244,23 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     # --- disturbance ---
     disturbance = None
     if segments:
-        seg_sorted = sorted(segments, key=lambda s: s.t_start)
+        segments.sort(key=lambda ls: ls[1].t_start)
+        seg_sorted = tuple(seg for _, seg in segments)
         if any(len(s.forms) != plant.m for s in seg_sorted):
             raise ScenarioError(
                 f"each segment needs {plant.m} channel forms", "disturbance", "segment")
         try:
-            disturbance = DisturbanceSignal(tuple(seg_sorted))
+            disturbance = DisturbanceSignal(seg_sorted)
         except ConfigError as exc:
             raise ScenarioError(str(exc), "disturbance", "segment") from None
+        t_end = disturbance.t_end
+        if t_end < horizon:
+            # the first sample whose hold interval leaves the segments
+            k = int(math.floor(t_end / T + 1e-9))
+            raise ScenarioError(
+                f"segments end at t = {t_end}, before the horizon {horizon}: "
+                f"sample {k} covers [{k * T}, {(k + 1) * T}) with no disturbance",
+                "disturbance", "segment", segments[-1][0])
 
     # --- noise ---
     noise_kind = take("noise", "kind", default="none").lower()

@@ -18,10 +18,13 @@ only - y[k] carries the measurement noise - while the noiseless
 s_true[k] = H C x[k] is logged in parallel for analysis.
 
 Every control law is a set of taps (controllers.law_taps), so the whole
-closed loop is one linear recursion.  run_batch steps R runs that share
+closed loop is one linear recursion psi[k+1] = A_cl psi[k] + drive[k] on a
+lifted state (controllers.closed_loop).  run_batch runs R runs that share
 plant, period, surface, horizon and disturbance as one stacked recursion;
 run is a batch of one.  Noise is drawn as one table per distinct noise
-spec before the loop, and y, s_true and f are filled after it.
+spec and the drive of every sample is known before the loop, which steps
+the warm-up samples one at a time and the rest as a blocked scan that
+advances all blocks together; y, s_true and f are filled after it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import law_taps, make_gains
+from .controllers import (closed_loop, law_taps, lifted_slices, make_gains,
+                          spectral_radius)
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
 from .plant import ContinuousPlant, DisturbanceSignal, NoiseSpec, zero_signal
 from .surface import build_surface
 
 _OVERFLOW = 1e12
+
+# samples per block of the blocked scan: a batch takes 2 BLOCK + steps/BLOCK
+# Python iterations and pads its last block with up to BLOCK - 1 samples
+BLOCK = 16
 
 # default steady-state measurement window: the last fifth of a segment
 _WINDOW_FRACTION = 0.2
@@ -137,10 +145,10 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
     disturbance as one stacked recursion; returns their trajectories in
     order, each deterministic for a fixed noise seed.
 
-    Each run's record of sample k is one row z[k] = [s, u, x, d, v] (v the
-    measurement noise).  Its law's taps become one row block W that reads
-    the rows of samples k-2..k, so a step of all runs is
-    s = z Ms, u = W (z[k-2], z[k-1], z[k]), x[k+1] = z Mx.
+    Each run is psi[k+1] = A_cl psi[k] + drive[k] on the lifted state of
+    controllers.closed_loop, with drive[k] = B_d d[k] + B_v v[k] known for
+    every sample before the loop.  The warm-up samples (and every sample of
+    the RK4 route) are stepped one at a time; the rest is a blocked scan.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -157,70 +165,53 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
             for sc in scenarios]
     if sampler is None:
         sampler = DisturbanceSampler(plant, T, sig)
-    # the eq oracle feeds d[k] into u[k], so it also reads d[steps]
+    # the eq oracle feeds d[k] into u[k], so it also reads d[steps]; without
+    # it d[steps] only moves x[steps + 1], which is not kept
     eq = any(tp.K_g is not None for tp in taps)
     dk = sampler.table(0, steps + 1 if eq else steps)
 
     R, n, m, p = len(scenarios), plant.n, plant.m, plant.p
-    hc = design.H @ plant.C
-    cs, cu = slice(0, m), slice(m, 2 * m)
-    cx, cd = slice(2 * m, 2 * m + n), slice(2 * m + n, 2 * m + 2 * n)
-    cv = slice(2 * m + 2 * n, 2 * m + 2 * n + p)
-    w = 2 * m + 2 * n + p
-    # two leading zero rows stand for the history before sample 0
-    Z = np.zeros((R, steps + 3, w))
-    Z[:, 2:2 + len(dk), cd] = dk
+    loops = [closed_loop(design, tp) for tp in taps]
+    A = np.stack([lp[0] for lp in loops])
+    warm = closed_loop(design)
+    warmup = np.array([tp.warmup for tp in taps])
+    rk4 = base.record_intersample
+    # samples stepped one at a time; the scan takes the rest in blocks
+    stepped = steps + 1 if rk4 else min(int(warmup.max()), steps + 1)
+    blocks = -(-(steps + 1 - stepped) // BLOCK)
+    # psi[k] is row k; drive[k] is written into row k + 1 and the
+    # recursion adds A_cl psi[k] onto it
+    psi = np.zeros((R, stepped + blocks * BLOCK + 1, A.shape[1]))
     noise: dict = {}
     for r, sc in enumerate(scenarios):
         if sc.noise not in noise:
             noise[sc.noise] = sc.noise.stream().table(steps + 1, p)
-        Z[r, 2:, cv] = noise[sc.noise]
-        Z[r, 2, cx] = sc.x0
-    Ms = np.zeros((w, m))                  # s = H (C x + v)
-    Ms[cx] = hc.T
-    Ms[cv] = design.H.T
-    Mx = np.zeros((w, n))                  # x+ = state_map x + input_map u + d
-    Mx[cu] = disc.input_map.T
-    Mx[cx] = disc.state_map.T
-    Mx[cd] = np.eye(n)
-
-    def lag(i, cols):
-        """Columns of sample k-i's `cols` in the window of samples k-2..k."""
-        return slice((2 - i) * w + cols.start, (2 - i) * w + cols.stop)
-
-    W = np.zeros((R, m, 3 * w))
-    for r, tp in enumerate(taps):
-        for i, K in enumerate(tp.K):
-            W[r, :, lag(i, cs)] = K
-        for j, C in enumerate(tp.C, start=1):
-            W[r, :, lag(j, cu)] = C
-        if tp.K_g is not None:
-            # g[k] = T drift_from_xi xi[k] + H C d[k], xi = annihilator x
-            W[r, :, lag(0, cx)] = T * tp.K_g @ design.drift_from_xi @ design.annihilator
-            W[r, :, lag(0, cd)] = tp.K_g @ hc
-    warmup = np.array([tp.warmup for tp in taps])
-    rk4 = base.record_intersample
+        v = noise[sc.noise]
+        drive = psi[r, 1:steps + 2]
+        wu = min(warmup[r], steps + 1)
+        for rows, (_, B_d, B_v) in ((slice(0, wu), warm), (slice(wu, None), loops[r])):
+            np.matmul(v[rows], B_v.T, out=drive[rows])
+            d = dk[rows]
+            drive[rows][:len(d)] += d @ B_d.T
+        psi[r, 0, :n] = sc.x0
     inter_t: list = [[] for _ in scenarios]
     inter_x: list = [[] for _ in scenarios]
+    # psi[k] holds x[k]; psi[k + 1] holds s[k] and u[k]
+    xs, ss, _, us, _ = lifted_slices(n, m)
 
     # a diverging run overflows harmlessly; it is reported after the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            Z[:, k + 2, cs] = Z[:, k + 2] @ Ms
-            u = (W @ Z[:, k:k + 3].reshape(R, 3 * w, 1))[:, :, 0]
-            if k < 2:
-                u[warmup > k] = 0.0
-            Z[:, k + 2, cu] = u
-            if k == steps:
-                break
-            if rk4:
+        for k in range(stepped):
+            Ak = np.where((warmup > k)[:, None, None], warm[0], A)
+            psi[:, k + 1] += (Ak @ psi[:, k, :, None])[:, :, 0]
+            if rk4 and k < steps:
                 for r in range(R):
-                    Z[r, k + 3, cx] = _advance_rk4(
-                        plant, sig, Z[r, k + 2, cx], u[r], k * T, T,
+                    psi[r, k + 1, xs] = _advance_rk4(
+                        plant, sig, psi[r, k, xs], psi[r, k + 1, us], k * T, T,
                         base.substeps, inter_t[r], inter_x[r])
-            else:
-                Z[:, k + 3, cx] = Z[:, k + 2] @ Mx
-        X = Z[:, 2:, cx].copy()
+        if blocks:
+            _blocked_scan(A, psi[:, stepped:], blocks)
+        X = psi[:, :steps + 1, xs].copy()
         norms = np.max(np.abs(X), axis=2)
         bad = ~(norms <= _OVERFLOW)
     if bad.any():
@@ -228,10 +219,13 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
         r = int(np.argmax(bad[:, k]))
         raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None)
 
-    S, U = Z[:, 2:, cs].copy(), Z[:, 2:, cu].copy()
+    S = psi[:, 1:steps + 2, ss].copy()
+    U = psi[:, 1:steps + 2, us].copy()
+    del psi
+    hc = design.H @ plant.C
     Y = X @ plant.C.T
-    Y += Z[:, 2:, cv]
-    del Z
+    for r, sc in enumerate(scenarios):
+        Y[r] += noise[sc.noise]
     St = X @ hc.T
     t = np.arange(steps + 1) * T
     # past its end the disturbance holds its last defined value
@@ -245,7 +239,9 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
             traj.inter_t = np.array(inter_t[r])
             traj.inter_x = np.array(inter_x[r])
         traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
-                        "kind": sc.kind, "window": window}
+                        "kind": sc.kind, "window": window,
+                        "rho_cl": spectral_radius(A[r]),
+                        "warmup": int(warmup[r])}
         if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
             try:
                 sb, xb = measure_quasi_sliding(traj, window)
@@ -255,6 +251,39 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
                 pass
         trajs.append(traj)
     return trajs
+
+
+def _blocked_scan(A, psi, blocks):
+    """Advance psi[j+1] = A psi[j] + (row j+1 as given) over `blocks`
+    blocks of BLOCK samples, in place; psi is (R, blocks BLOCK + 1, N) with
+    row 0 the start state.
+
+    A chunked linear scan in three passes, each vectorized over all blocks:
+    step every block from zero through its drives to get its response at
+    its last sample; carry the block-start states c_b with A^L, one product
+    per block; then step every block from c_b through its drives again,
+    writing each sample over its drive.  Only the carry uses a power of A.
+    A high-gain law makes A strongly non-normal, and a power formed by
+    double products carries errors of eps |A| |A^(L-1)|, far above
+    eps |A^L|; A^L is therefore formed in numpy's long double (80-bit
+    extended on x86-64) and rounded once."""
+    R, _, N = A.shape
+    L = BLOCK
+    drives = psi[:, 1:].reshape(R, blocks, L, N, copy=False)
+    A_t = A.transpose(0, 2, 1)
+    end = drives[:, :, 0].copy()
+    for j in range(1, L):
+        end = end @ A_t
+        end += drives[:, :, j]
+    carry = np.linalg.matrix_power(A.astype(np.longdouble), L).astype(float)
+    start = np.empty((R, blocks, N))
+    start[:, 0] = psi[:, 0]
+    for b in range(blocks - 1):
+        start[:, b + 1] = (carry @ start[:, b, :, None])[:, :, 0] + end[:, b]
+    prev = start
+    for j in range(L):
+        drives[:, :, j] += prev @ A_t
+        prev = drives[:, :, j]
 
 
 def _advance_rk4(plant, sig, x, u, t0, T, substeps, inter_t, inter_x):

@@ -218,3 +218,46 @@ def test_augmented_vs_direct_guards(bench_design, bench_gains, bench_scenario):
                                  noise=NoiseSpec(kind="uniform", halfwidth=0.005))
     with pytest.raises(ConfigError):
         augmented_vs_direct(bench_design, bench_gains, "aug1", noisy)
+
+
+# --- the simulated closed loop against the augmented recursion ----------------
+
+# lambda powers by which the lifted loop [x, s[k-1], s[k-2], u[k-1], u[k-2]]
+# (n + 4m = 12) exceeds the augmented one (n + m resp. n + 3m)
+EXTRA_ZEROS = {"m1": 6, "mm1": 6, "m2": 2, "mm2": 2}
+
+
+@pytest.mark.parametrize("T", [0.02, 0.01, 0.005, 0.0025])
+@pytest.mark.parametrize("kind", ["m1", "m2", "mm1", "mm2"])
+def test_closed_loop_charpoly_matches_augmented(bench_plant, T, kind):
+    # two derivations of one loop: the lifted matrix the simulator runs,
+    # assembled from the taps in plant coordinates, and the hand-assembled
+    # A_aug in normal coordinates.  Coefficients, not eigenvalues: the zero
+    # roots are defective.
+    from qsmc import build_surface, closed_loop, discretize, law_taps
+    design = build_surface(bench_plant, discretize(bench_plant, T), H_BENCH)
+    gains = make_gains(design, beta=BETA_BENCH)
+    A_cl = closed_loop(design, law_taps(gains, kind))[0]
+    # the deadbeat baselines run at alpha = 0
+    aug_gains = make_gains(design, alpha=0.0) if kind in ("m1", "m2") else gains
+    A_aug = build_aug(design, aug_gains, variant_for_kind(kind)).A_aug
+    extra = A_cl.shape[0] - A_aug.shape[0]
+    assert extra == EXTRA_ZEROS[kind]
+    got = charpoly(A_cl)
+    want = np.concatenate([charpoly(A_aug), np.zeros(extra)])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rho_cl = np.max(np.abs(np.linalg.eigvals(A_cl)))
+    rho_aug = np.max(np.abs(np.linalg.eigvals(A_aug)))
+    assert abs(rho_cl - rho_aug) <= 1e-13
+
+
+def test_stability_reports_closed_loop_radius(bench_plant):
+    rep = stability_over_T(bench_plant, H_BENCH, [0.02, 0.01], beta=BETA_BENCH)
+    for row in rep.rows:
+        assert set(row.rho_cl) == {"m1", "m2", "mm1", "mm2"}
+        # mm1/mm2 run at the row's alpha, which is what rho_aug1/2 cover
+        assert row.rho_cl["mm1"] == pytest.approx(row.rho_aug1, abs=1e-13)
+        assert row.rho_cl["mm2"] == pytest.approx(row.rho_aug2, abs=1e-13)
+        assert all(0.0 < rho < 1.0 for rho in row.rho_cl.values())
+    unstable = stability_over_T(bench_plant, H_UNSTABLE, [0.01], alpha=ALPHA_BENCH)
+    assert all(rho > 1.0 for rho in unstable.rows[0].rho_cl.values())

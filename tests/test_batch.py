@@ -2,21 +2,27 @@
 
 `loop_oracle` is the simulator's former step loop: one scenario at a time,
 one ControllerState.step, one NoiseStream.sample and one
-DisturbanceSignal.value call per sample.  `run_batch` evaluates the same
-law taps for many runs at once, draws noise as one table and fills the
-measured and logged columns after the loop; the two must agree to rounding.
+DisturbanceSignal.value call per sample.  `run_batch` runs every law as its
+lifted closed-loop matrix for many runs at once, advances them as a blocked
+scan, draws noise as one table and fills the measured and logged columns
+after the loop; the two must agree to rounding.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsmc import (WARMUP, ConfigError, ControllerState, DisturbanceRangeError,
-                  DisturbanceSampler, DivergenceError, NoiseSpec, build_surface,
-                  constant_signal, discretize, make_gains, run, zero_signal)
-from qsmc.plant import NoiseStream
-from qsmc.simulate import run_batch
+from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
+                  ControllerState, DisturbanceRangeError, DisturbanceSampler,
+                  DisturbanceSignal, DivergenceError, NoiseSpec, Scenario,
+                  Segment, Xoshiro256StarStar, build_surface, closed_loop,
+                  constant_signal, discretize, law_taps, make_gains, run,
+                  zero_signal)
+from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
+from qsmc.simulate import _OVERFLOW, BLOCK, run_batch
 
 from conftest import H_UNSTABLE
 
@@ -168,3 +174,169 @@ def test_values_reject_times_outside(bench_signal):
         bench_signal.values(np.array([-1e-9]))
     assert short.values(np.array([0.0, math.nextafter(2.0, 0)])).tolist() == \
         [[1.0, 2.0], [1.0, 2.0]]
+
+
+# --- block edges of the scan -----------------------------------------------
+
+# moves from the first sample, so d[steps] is not d[steps - 1]
+_MOVING = DisturbanceSignal([Segment(0.0, math.inf, (SinForm(0.5, 1.0, 3.0, 0.2),
+                                                     CosForm(0.7, 2.0)))])
+
+
+def _assert_matches_oracle(sc, traj, tol=1e-12):
+    ref = loop_oracle(sc)
+    tag = (sc.kind, sc.form, sc.steps)
+    for key in ("x", "u", "s", "s_true", "y"):
+        assert np.max(np.abs(getattr(traj, key) - ref[key])) <= tol, (key,) + tag
+    assert not np.any(traj.u[:WARMUP[sc.kind]]), tag
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, BLOCK + 1, BLOCK + 2, BLOCK + 3,
+                                     5 * BLOCK + 7])
+def test_batch_block_edges(bench_scenario, samples):
+    base = bench_scenario.with_(horizon=(samples - 0.5) * bench_scenario.T,
+                                disturbance=_MOVING)
+    assert base.steps + 1 == samples
+    mixed = [base.with_(kind=kind, noise=_noise(seed))
+             for kind in KINDS for seed in SEEDS]
+    # a batch whose warm-up is one sample long shifts every block by one
+    short = [base.with_(kind=kind, noise=_noise(7)) for kind in ("eq", "mm1")]
+    for batch in (mixed, short):
+        for sc, traj in zip(batch, run_batch(batch)):
+            _assert_matches_oracle(sc, traj)
+
+
+def test_eq_input_reads_last_disturbance_sample(bench_scenario):
+    # u[steps] of the eq oracle carries K_g H C d[steps]: a disturbance
+    # sample no x row is kept for
+    sc = bench_scenario.with_(kind="eq", horizon=(BLOCK + 2.5) * bench_scenario.T,
+                              disturbance=_MOVING)
+    traj = run(sc)
+    _assert_matches_oracle(sc, traj)
+    design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
+    taps = law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta), "eq")
+    d_last = DisturbanceSampler(sc.plant, sc.T, _MOVING).table(sc.steps, sc.steps + 1)[0]
+    assert np.linalg.norm(taps.K_g @ design.H @ sc.plant.C @ d_last) > 1e-3
+
+
+def _first_bad(x):
+    norms = np.max(np.abs(x), axis=1)
+    return int(np.argmax(~(norms <= _OVERFLOW)))
+
+
+@pytest.mark.parametrize("offset", [1, BLOCK, BLOCK // 2],
+                         ids=["first", "last", "inside"])
+def test_batch_divergence_on_block_edges(bench_scenario, offset):
+    # an mm1 batch steps its one warm-up sample alone, so the scan's blocks
+    # hold x[k] for k = 1 + b BLOCK + (1..BLOCK); scale x0 so the first
+    # state past the guard is a block's first, last or a middle sample
+    unstable = bench_scenario.with_(kind="mm1", H=H_UNSTABLE,
+                                    disturbance=zero_signal(2))
+    norms = np.max(np.abs(loop_oracle(unstable)["x"]), axis=1)
+    record = np.maximum.accumulate(norms)
+    k = next(k for k in range(1100, unstable.steps)
+             if (k - 1 - WARMUP["mm1"]) % BLOCK == offset - 1
+             and norms[k] > 1.01 * record[k - 1])
+    # the loop is linear and unforced: norms scale with x0
+    scale = _OVERFLOW / math.sqrt(norms[k] * record[k - 1])
+    target = unstable.with_(x0=scale * unstable.x0)
+    assert _first_bad(loop_oracle(target)["x"]) == k
+    with pytest.raises(DivergenceError) as err:
+        run_batch([target.with_(x0=1e-3 * target.x0), target])
+    assert err.value.step == k
+    assert err.value.run == 1
+
+
+# --- random admissible plants ------------------------------------------------
+
+def _random_loop(seed):
+    """(scenario, A_cl): a stable closed loop of a random plant with
+    m <= p < n and a surface drawn as invariant_zeros draws it; draws with
+    cond(H C B) > 1e8, a singular sampled coupling or rho(A_cl) >= 1 are
+    redrawn."""
+    rng = np.random.default_rng(seed)
+    gen = Xoshiro256StarStar(seed)
+    while True:
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n))
+        p = int(rng.integers(m, n))
+        plant = ContinuousPlant(rng.standard_normal((n, n)),
+                                rng.standard_normal((n, m)),
+                                rng.standard_normal((p, n)))
+        H = random_surface_map(gen, m, p)
+        if np.linalg.cond(H @ plant.C @ plant.B) > 1e8:
+            continue
+        T = float(rng.uniform(0.005, 0.1))
+        try:
+            design = build_surface(plant, discretize(plant, T), H)
+        except AssumptionViolation:
+            continue
+        kind = str(rng.choice(KINDS))
+        form = str(rng.choice(FORMS))
+        alpha = float(rng.uniform(0.0, 0.99))
+        A_cl = closed_loop(design, law_taps(make_gains(design, alpha=alpha), kind, form))[0]
+        if np.max(np.abs(np.linalg.eigvals(A_cl))) >= 1.0:
+            continue
+        samples = int(rng.integers(1, 8 * BLOCK))
+        forms = tuple(SinForm(*rng.uniform([-1.0, 0.0, 0.1, 0.0], [1.0, 2.0, 5.0, 6.0]))
+                      for _ in range(m))
+        sc = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=(samples - 0.5) * T,
+                      disturbance=DisturbanceSignal([Segment(0.0, math.inf, forms)]),
+                      noise=NoiseSpec(kind="uniform", halfwidth=0.01, seed=seed),
+                      alpha=alpha, x0=rng.standard_normal(n), form=form)
+        return sc, A_cl
+
+
+def _wide_recursion(sc):
+    """(x, u) of the lifted recursion stepped one sample at a time in long
+    double: the scan's reference without its rounding."""
+    plant = sc.plant
+    design = build_surface(plant, discretize(plant, sc.T), sc.H)
+    taps = law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta), sc.kind, sc.form)
+    law = [M.astype(np.longdouble) for M in closed_loop(design, taps)]
+    warm = [M.astype(np.longdouble) for M in closed_loop(design)]
+    dk = DisturbanceSampler(plant, sc.T, sc.disturbance).table(0, sc.steps + 1)
+    v = sc.noise.stream().table(sc.steps + 1, plant.p)
+    n, m = plant.n, plant.m
+    psi = np.zeros(n + 4 * m, dtype=np.longdouble)
+    psi[:n] = sc.x0
+    xs, us = [], []
+    for k in range(sc.steps + 1):
+        A, B_d, B_v = warm if k < taps.warmup else law
+        xs.append(psi[:n])
+        psi = A @ psi + B_d @ dk[k] + B_v @ v[k]
+        us.append(psi[n + 2 * m:n + 3 * m])
+    return np.array(xs, dtype=float), np.array(us, dtype=float)
+
+
+def _rounding_unit(A_cl, scale):
+    """eps times the largest infinity norm of A_cl^0..A_cl^BLOCK times the
+    run's largest magnitude: the rounding of one product with a power."""
+    power, largest = np.eye(len(A_cl)), 1.0
+    for _ in range(BLOCK):
+        power = A_cl @ power
+        largest = max(largest, np.linalg.norm(power, np.inf))
+    return np.finfo(float).eps * largest * scale
+
+
+# Over 2,000 draws the scan stayed within 2.1 units of the long-double
+# recursion and within 32 of the oracle, whose own rounding reaches 32
+# units; with A^L formed by double products the scan reached 116.
+_WIDE_UNITS = 10.0
+_ORACLE_UNITS = 100.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=1333)  # high-gain, non-normal: a double-formed A^L loses 2 digits
+def test_batch_matches_oracle_on_random_plants(seed):
+    sc, A_cl = _random_loop(seed)
+    traj = run_batch([sc])[0]
+    ref = loop_oracle(sc)
+    unit = _rounding_unit(A_cl, max(1.0, *(np.max(np.abs(ref[key]))
+                                           for key in ("x", "u", "s"))))
+    for key in ("x", "u", "s", "s_true", "y"):
+        assert np.max(np.abs(getattr(traj, key) - ref[key])) <= _ORACLE_UNITS * unit, key
+    x, u = _wide_recursion(sc)
+    assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit
+    assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit

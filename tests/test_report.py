@@ -67,3 +67,19 @@ def test_line_plot_constant_series(tmp_path):
     path = tmp_path / "flat.svg"
     line_plot([("c", t, np.zeros(10))], "flat", path)
     assert path.read_text().startswith("<svg")
+
+
+def test_closed_loop_keys_round_trip(bench_scenario):
+    # Trajectory.summary and the verify stability rows carry the closed
+    # loop's spectral radius; both survive render_kv/parse_kv exactly
+    from qsmc import run, stability_over_T
+    traj = run(bench_scenario.with_(kind="m2", horizon=1.0))
+    parsed = parse_kv(render_kv(traj.summary))
+    assert float(parsed["rho_cl"]) == traj.summary["rho_cl"]
+    assert int(parsed["warmup"]) == traj.summary["warmup"] == 2
+    row = stability_over_T(bench_scenario.plant, bench_scenario.H, [0.01],
+                           beta=3.0).rows[0]
+    parsed = parse_kv(render_kv({"stability": [{"rho_cl": row.rho_cl}]}))
+    for kind, rho in row.rho_cl.items():
+        assert float(parsed[f"stability.0.rho_cl.{kind}"]) == rho
+    assert row.rho_cl["m2"] == traj.summary["rho_cl"]

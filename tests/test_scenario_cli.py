@@ -352,3 +352,49 @@ def test_cli_benchmark(tmp_path):
 def test_cli_rejects_unknown_controller():
     res = cli("run", "aircraft", "--controller", "pid")
     assert res.returncode == 2
+
+
+def test_parse_rejects_disturbance_short_of_horizon():
+    text = MINIMAL + """
+[disturbance]
+segment = 0 0.4 : const 1.0
+segment = 0.4 0.75 : zero
+"""
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    last = text.splitlines().index("segment = 0.4 0.75 : zero") + 1
+    assert err.value.section == "disturbance"
+    assert err.value.line == last
+    assert "sample 75" in str(err.value)
+    # segments that reach the horizon exactly are enough
+    parse_scenario_text(text.replace("0.75 : zero", "1.0 : zero"))
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_cli_short_disturbance_rejected_at_parse(tmp_path, command):
+    shipped = builtin_scenario_path("aircraft")
+    shutil.copy(os.path.join(os.path.dirname(shipped), "aircraft.plant"), tmp_path)
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    short_text = text.replace("15.707963267948966 inf :", "15.707963267948966 18 :")
+    line = short_text.splitlines().index(
+        next(ln for ln in short_text.splitlines() if "15.707963267948966 18 :" in ln)) + 1
+    short = tmp_path / "short.scn"
+    short.write_text(short_text)
+    res = cli(command, str(short), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "section [disturbance]" in res.stderr
+    assert f"line {line}" in res.stderr
+    assert "certified" not in res.stdout
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_verify_reports_closed_loop_radius():
+    res = cli("verify", "aircraft")
+    assert res.returncode == 0, res.stderr
+    from qsmc.report import parse_kv
+    kv = parse_kv(res.stdout)
+    rows = {k.split(".")[1] for k in kv if k.startswith("stability.")}
+    for row in rows:
+        for kind in ("m1", "m2", "mm1", "mm2"):
+            assert 0.0 < float(kv[f"stability.{row}.rho_cl.{kind}"]) < 1.0
