@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
     report = {
         "kind": rep.kind, "metric": rep.metric, "window": rep.window,
         "points": [{"T": p.T, "value": p.value, "certified": p.certified,
-                    "flagged": p.flagged} for p in rep.points],
+                    "flagged": p.flagged, "rho_cl": p.rho_cl} for p in rep.points],
         "slope": rep.slope, "half_width": rep.half_width, "band": band,
     }
     in_band = (rep.slope is not None and band is not None

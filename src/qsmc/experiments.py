@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import build_aug, variant_for_kind
-from .controllers import make_gains, spectral_radius
+from .controllers import closed_loop, law_taps, make_gains, spectral_radius
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
 from .scenario import ScenarioFile, parse_scenario_file
@@ -59,6 +58,7 @@ class SweepPoint:
     value: float | None
     certified: bool
     flagged: str | None = None
+    rho_cl: float | None = None   # gate radius; None if the surface failed
 
 
 @dataclass(frozen=True)
@@ -83,25 +83,26 @@ def shared_sampler(plant, T, sig) -> DisturbanceSampler:
 def _sweep_point(scenario: Scenario, beta: float, T: float, metric: str,
                  window) -> SweepPoint:
     sc = scenario.with_(T=T, alpha=None, beta=beta)
-    # gate: surface assumption + unit-circle radius before trusting the metric
+    # gate: surface assumption + unit-circle radius of the loop that runs
+    # (the rho_cl that run_batch reports) before trusting the metric
+    rho = None
     try:
         design = build_surface(sc.plant, discretize(sc.plant, T), sc.H)
         gains = make_gains(design, beta=beta)
-        aug = build_aug(design, gains, variant_for_kind(sc.kind))
-        rho = spectral_radius(aug.A_aug)
+        rho = spectral_radius(closed_loop(design, law_taps(gains, sc.kind, sc.form))[0])
         if rho >= 1.0:
-            return SweepPoint(T, None, False, f"spectral radius {rho:.4f} >= 1")
+            return SweepPoint(T, None, False, f"spectral radius {rho:.4f} >= 1", rho)
         traj = run(sc, sampler=shared_sampler(sc.plant, T, sc.disturbance))
     except DivergenceError as exc:
-        return SweepPoint(T, None, False, f"diverged: {exc}")
+        return SweepPoint(T, None, False, f"diverged: {exc}", rho)
     except ConfigError as exc:
-        return SweepPoint(T, None, False, str(exc))
+        return SweepPoint(T, None, False, str(exc), rho)
     if metric == "u_peak":
         value = traj.u_peak
     else:
         s_bound, x_bound = measure_quasi_sliding(traj, window)
         value = s_bound if metric == "s_bound" else x_bound
-    return SweepPoint(T, float(value), True)
+    return SweepPoint(T, float(value), True, rho_cl=rho)
 
 
 def run_sweep(spec: SweepSpec) -> ScalingReport:

@@ -364,12 +364,12 @@ class NoiseStream:
 
     def table(self, rows: int, p: int) -> np.ndarray:
         """The next `rows` samples of p values as a (rows, p) array, in the
-        draw order of `rows` successive sample(p) calls."""
+        draw order of `rows` successive sample(p) calls: one lane draw
+        (Xoshiro256StarStar.symmetric_table) of rows * p values, bit-equal
+        to as many scalar symmetric calls."""
         if self.spec.kind == "none" or self.spec.halfwidth == 0.0:
             return np.zeros((rows, p))
-        a = self.spec.halfwidth
-        draws = [self._gen.symmetric(a) for _ in range(rows * p)]
-        return np.array(draws).reshape(rows, p)
+        return self._gen.symmetric_table(rows * p, self.spec.halfwidth).reshape(rows, p)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ class NoiseStream:
 def random_surface_map(gen: Xoshiro256StarStar, m: int, p: int) -> np.ndarray:
     """An m x p surface map with entries uniform on [-1, 1), drawn row by
     row from gen."""
-    return np.array([[gen.symmetric(1.0) for _ in range(p)] for _ in range(m)])
+    return gen.symmetric_table(m * p, 1.0).reshape(m, p)
 
 
 def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815,

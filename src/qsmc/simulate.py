@@ -342,17 +342,15 @@ def csv_header(n: int, p: int, m: int) -> str:
 
 
 def export_csv(traj: Trajectory, path) -> None:
+    """Write the trajectory as CSV: k, then every float column in repr form
+    (the shortest string that reads back to the same double)."""
     n = traj.x.shape[1]
     p = traj.y.shape[1]
     m = traj.u.shape[1]
+    cols = np.hstack([traj.t[:, None], traj.x, traj.y, traj.s, traj.s_true,
+                      traj.u, traj.f]).tolist()
+    lines = [csv_header(n, p, m)]
+    lines += [f"{k:d}," + ",".join(map(repr, row))
+              for k, row in zip(traj.k.tolist(), cols)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_header(n, p, m) + "\n")
-        for i in range(traj.x.shape[0]):
-            row = ([f"{traj.k[i]:d}", repr(float(traj.t[i]))]
-                   + [repr(float(v)) for v in traj.x[i]]
-                   + [repr(float(v)) for v in traj.y[i]]
-                   + [repr(float(v)) for v in traj.s[i]]
-                   + [repr(float(v)) for v in traj.s_true[i]]
-                   + [repr(float(v)) for v in traj.u[i]]
-                   + [repr(float(v)) for v in traj.f[i]])
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")

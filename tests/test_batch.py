@@ -1,11 +1,11 @@
 """The stacked closed-loop recursion against a per-step oracle.
 
 `loop_oracle` is the simulator's former step loop: one scenario at a time,
-one ControllerState.step, one NoiseStream.sample and one
-DisturbanceSignal.value call per sample.  `run_batch` runs every law as its
-lifted closed-loop matrix for many runs at once, advances them as a blocked
-scan, draws noise as one table and fills the measured and logged columns
-after the loop; the two must agree to rounding.
+one ControllerState.step, p scalar Xoshiro256StarStar.symmetric draws and
+one DisturbanceSignal.value call per sample.  `run_batch` runs every law as
+its lifted closed-loop matrix for many runs at once, advances them as a
+blocked scan, draws noise as one table and fills the measured and logged
+columns after the loop; the two must agree to rounding.
 """
 
 import math
@@ -31,6 +31,16 @@ FORMS = ("recursive", "estimate")
 SEEDS = (5, 20260815)
 
 
+def scalar_noise(spec, rows, p):
+    """rows x p noise of spec, one scalar symmetric draw at a time in the
+    order the simulator reads it (independent of the lane draw)."""
+    if spec.kind == "none" or spec.halfwidth == 0.0:
+        return np.zeros((rows, p))
+    gen = Xoshiro256StarStar(spec.seed)
+    return np.array([[gen.symmetric(spec.halfwidth) for _ in range(p)]
+                     for _ in range(rows)])
+
+
 def loop_oracle(scenario):
     """(x, u, y, s, s_true, f) of one run, stepped sample by sample."""
     plant, T = scenario.plant, scenario.T
@@ -38,16 +48,16 @@ def loop_oracle(scenario):
     design = build_surface(plant, disc, scenario.H)
     gains = make_gains(design, alpha=scenario.alpha, beta=scenario.beta)
     controller = ControllerState(kind=scenario.kind, gains=gains, form=scenario.form)
-    noise = scenario.noise.stream()
     hc = design.H @ plant.C
     sig = scenario.disturbance
     steps = scenario.steps
     sampler = DisturbanceSampler(plant, T, sig)
     dk = sampler.table(0, steps + 1 if scenario.kind == "eq" else steps)
+    v = scalar_noise(scenario.noise, steps + 1, plant.p)
     rows = {key: [] for key in ("x", "u", "y", "s", "s_true", "f")}
     x = scenario.x0.copy()
     for k in range(steps + 1):
-        y = plant.C @ x + noise.sample(plant.p)
+        y = plant.C @ x + v[k]
         s_meas = design.H @ y
         g_k = None
         if scenario.kind == "eq" and controller.k >= 1:
@@ -112,11 +122,13 @@ def test_identical_batches_bit_equal(bench_scenario):
     NoiseSpec(kind="uniform", halfwidth=2.5, seed=2 ** 64 - 1),
 ])
 def test_noise_table_matches_successive_samples(spec):
+    ref = scalar_noise(spec, 57, 3)
     table = NoiseStream(spec).table(57, 3)
     stream = NoiseStream(spec)
     rows = np.array([stream.sample(3) for _ in range(57)])
     assert table.shape == (57, 3)
-    assert table.tobytes() == rows.tobytes()
+    assert table.tobytes() == ref.tobytes()
+    assert rows.tobytes() == ref.tobytes()
 
 
 def test_batch_divergence_names_first_bad_run(bench_scenario):

@@ -1,9 +1,17 @@
 """Generator vectors are frozen from hand computation of the reference
-algorithms (64-bit splitmix seeding, xoshiro256** output scrambler)."""
+algorithms (64-bit splitmix seeding, xoshiro256** output scrambler).  The
+scalar route (next_u64/uniform/symmetric) is the oracle for the lane draw
+(symmetric_table)."""
+
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qsmc.plant import NoiseSpec, NoiseStream
 from qsmc.rng import Xoshiro256StarStar, _rotl, _splitmix64
 
 
@@ -81,3 +89,55 @@ def test_u64_in_range(seed):
     for _ in range(256):
         v = gen.next_u64()
         assert 0 <= v < 2**64
+
+
+# --- lane draw against the scalar route ---------------------------------------
+
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 700), seed=SEEDS, halfwidth=st.sampled_from([0.005, 2.5]))
+@example(n=0, seed=0, halfwidth=0.005)
+@example(n=1, seed=2 ** 64 - 1, halfwidth=2.5)
+@example(n=63, seed=0, halfwidth=0.005)
+@example(n=64, seed=0, halfwidth=0.005)
+@example(n=65, seed=2 ** 64 - 1, halfwidth=0.005)
+@example(n=127, seed=0, halfwidth=2.5)
+@example(n=128, seed=20260815, halfwidth=0.005)
+@example(n=129, seed=2 ** 64 - 1, halfwidth=2.5)
+def test_lane_draw_matches_scalar_draws(n, seed, halfwidth):
+    lanes, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    table = lanes.symmetric_table(n, halfwidth)
+    ref = np.array([scalar.symmetric(halfwidth) for _ in range(n)])
+    assert table.dtype == np.float64 and table.shape == (n,)
+    assert table.tobytes() == ref.tobytes()
+    # the stream continues where n scalar draws leave it
+    assert lanes._s == scalar._s
+    assert lanes.next_u64() == scalar.next_u64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=st.integers(0, 300), second=st.integers(0, 300), seed=SEEDS)
+def test_successive_tables_equal_one_table(first, second, seed):
+    split, whole = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    parts = np.concatenate([split.symmetric_table(first, 0.005),
+                            split.symmetric_table(second, 0.005)])
+    assert parts.tobytes() == whole.symmetric_table(first + second, 0.005).tobytes()
+    assert split._s == whole._s
+
+
+def test_noise_table_frozen_digest():
+    # SHA-256 of the table as drawn by the scalar route before the lane draw
+    table = NoiseStream(NoiseSpec("uniform", 0.005, 20260815)).table(2001, 3)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "a38100dd353c05946db6025c759faa1b7bdfb7a85a79b401ca8ca31415f38087")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lane_draw_raises_no_overflow_warning(n):
+    # uint64 products wrap by design; on numpy scalars they would warn
+    gen = Xoshiro256StarStar(2 ** 64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gen.symmetric_table(n, 0.005)

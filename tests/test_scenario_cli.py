@@ -398,3 +398,22 @@ def test_cli_verify_reports_closed_loop_radius():
     for row in rows:
         for kind in ("m1", "m2", "mm1", "mm2"):
             assert 0.0 < float(kv[f"stability.{row}.rho_cl.{kind}"]) < 1.0
+
+
+def test_sweep_gate_is_verify_closed_loop_radius(capsys):
+    # an m1 rung is gated on the loop that runs (alpha = 0), the radius
+    # verify prints as rho_cl.m1, not on the contraction-alpha augmented one
+    from qsmc.cli import main
+    from qsmc.report import parse_kv
+    assert main(["verify", "aircraft"]) == 0
+    verify = parse_kv(capsys.readouterr().out)
+    row = next(k.split(".")[1] for k, v in verify.items()
+               if k.startswith("stability.") and k.endswith(".T") and float(v) == 0.0025)
+    assert main(["sweep", "aircraft", "--controller", "m1",
+                 "--ladder", "0.01,0.005,0.0025"]) == 0
+    sweep = parse_kv(capsys.readouterr().out)
+    assert float(sweep["points.2.T"]) == 0.0025
+    assert sweep["points.2.certified"] == "true"
+    gate = float(sweep["points.2.rho_cl"])
+    assert gate == float(verify[f"stability.{row}.rho_cl.m1"])
+    assert gate != float(verify[f"stability.{row}.rho_aug1"])

@@ -195,6 +195,34 @@ def test_csv_header_layout():
     assert csv_header(2, 2, 1) == "k,t,x1,x2,y1,y2,s1,strue1,u1,f1"
 
 
+def csv_oracle(traj, path):
+    """The former row-by-row writer: one repr(float(v)) per value."""
+    n, p, m = traj.x.shape[1], traj.y.shape[1], traj.u.shape[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(csv_header(n, p, m) + "\n")
+        for i in range(traj.x.shape[0]):
+            row = ([f"{traj.k[i]:d}", repr(float(traj.t[i]))]
+                   + [repr(float(v)) for v in traj.x[i]]
+                   + [repr(float(v)) for v in traj.y[i]]
+                   + [repr(float(v)) for v in traj.s[i]]
+                   + [repr(float(v)) for v in traj.s_true[i]]
+                   + [repr(float(v)) for v in traj.u[i]]
+                   + [repr(float(v)) for v in traj.f[i]])
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseSpec(),
+    NoiseSpec(kind="uniform", halfwidth=0.005, seed=20260815),
+])
+def test_csv_bytes_match_row_writer(tmp_path, bench_scenario, noise):
+    traj = run(bench_scenario.with_(noise=noise))
+    stacked, rows = tmp_path / "stacked.csv", tmp_path / "rows.csv"
+    export_csv(traj, stacked)
+    csv_oracle(traj, rows)
+    assert stacked.read_bytes() == rows.read_bytes()
+
+
 def test_csv_round_trip(tmp_path, bench_scenario):
     traj = run(bench_scenario.with_(horizon=0.2))
     path = tmp_path / "out.csv"
