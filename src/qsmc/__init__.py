@@ -18,7 +18,7 @@ from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
                           make_gains, reconstruct_g_prev)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
                              difference_diagnostics, discretize,
-                             matched_residual_split, sampled_disturbance)
+                             matched_residual_split)
 from .errors import (AssumptionViolation, ConfigError, DisturbanceRangeError,
                      DivergenceError)
 from .experiments import (BenchmarkReport, BenchmarkRun, ScalingReport,
@@ -26,8 +26,8 @@ from .experiments import (BenchmarkReport, BenchmarkRun, ScalingReport,
                           builtin_scenario_path, load_aircraft_scenario,
                           run_sweep)
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec, Segment,
-                    ValidationReport, constant_signal, evaluate_disturbance,
-                    invariant_zeros, validate_plant, zero_signal)
+                    ValidationReport, constant_signal, invariant_zeros,
+                    validate_plant, zero_signal)
 from .rng import Xoshiro256StarStar
 from .scenario import ScenarioError, ScenarioFile, parse_scenario_file, \
     parse_scenario_text
@@ -54,12 +54,12 @@ __all__ = [
     "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
     "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",
-    "equivalent_control", "evaluate_disturbance", "export_csv",
+    "equivalent_control", "export_csv",
     "from_normal_coords", "input_annihilator", "invariant_zeros", "law_taps",
     "load_aircraft_scenario", "make_gains", "matched_residual_split",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
     "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_sweep",
-    "sampled_disturbance", "stability_over_T", "to_normal_coords",
+    "stability_over_T", "to_normal_coords",
     "validate_plant", "variant_for_kind", "verify_first_order_memory",
     "verify_second_order_memory", "zero_signal",
 ]

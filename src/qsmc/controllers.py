@@ -281,26 +281,3 @@ class ControllerState:
         self.u_km2, self.u_km1 = self.u_km1, u
         self.k += 1
         return u
-
-
-# spec-facing aliases: single steps of the two proposed laws and the two
-# deadbeat baselines, operating on an explicit state object
-
-def step_mm1(state: ControllerState, s_k) -> np.ndarray:
-    assert state.kind == "mm1"
-    return state.step(s_k)
-
-
-def step_mm2(state: ControllerState, s_k) -> np.ndarray:
-    assert state.kind == "mm2"
-    return state.step(s_k)
-
-
-def step_m1(state: ControllerState, s_k) -> np.ndarray:
-    assert state.kind == "m1"
-    return state.step(s_k)
-
-
-def step_m2(state: ControllerState, s_k) -> np.ndarray:
-    assert state.kind == "m2"
-    return state.step(s_k)

@@ -185,12 +185,6 @@ def _apply(gain: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sampled_disturbance(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,
-                        k: int) -> np.ndarray:
-    """One-shot d[k]; loops should hold a DisturbanceSampler instead."""
-    return DisturbanceSampler(plant, T, sig).at(k)
-
-
 def matched_residual_split(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,
                            k: int, sampler: DisturbanceSampler | None = None):
     """Split d[k] into the held-input part and the sampling residual.

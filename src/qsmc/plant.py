@@ -317,10 +317,6 @@ class DisturbanceSignal:
         return pts
 
 
-def evaluate_disturbance(sig: DisturbanceSignal, t: float) -> np.ndarray:
-    return sig.value(t)
-
-
 def constant_signal(levels, t_end=math.inf) -> DisturbanceSignal:
     forms = tuple(ConstForm(float(v)) for v in np.atleast_1d(levels))
     return DisturbanceSignal((Segment(0.0, t_end, forms),))

@@ -2,6 +2,11 @@
 
 Hand-emitted paths, no plotting dependency; diagnostic quality only.  One
 polyline per series, simple linear axes with a handful of ticks.
+
+Each series' points come from one numpy transform into pixel space and one
+bulk `%.2f` format of the interleaved coordinates.  The transform keeps the
+operation order of the scalar `sx`/`sy` used for the ticks, so every point
+is the same float64 and the same text as a per-point writer would give.
 """
 
 from __future__ import annotations
@@ -90,7 +95,13 @@ def line_plot(series, title: str, path, xlabel: str = "t", ylabel: str = "") -> 
     # series
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        if x_hi > x_lo:
+            px = _ML + iw * (xs - x_lo) / (x_hi - x_lo)
+        else:
+            px = np.full(len(xs), float(_ML))
+        py = _MT + ih * (1.0 - (ys - y_lo) / (y_hi - y_lo))
+        flat = np.column_stack([px, py]).ravel().tolist()
+        pts = ("%.2f,%.2f " * len(xs) % tuple(flat))[:-1]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         lx = _ML + iw - 110

@@ -3,7 +3,6 @@ import pytest
 
 from qsmc import (ConfigError, ControllerState, GainSet, equivalent_control,
                   law_taps, make_gains, reconstruct_g_prev, run)
-from qsmc.controllers import step_m1, step_mm1, step_mm2
 
 from conftest import ALPHA_BENCH, BETA_BENCH, T_BENCH
 
@@ -131,19 +130,6 @@ def test_alpha_eff(bench_gains):
     assert ControllerState(kind="m2", gains=bench_gains).alpha_eff == 0.0
     assert ControllerState(kind="mm1", gains=bench_gains).alpha_eff == ALPHA_BENCH
     assert ControllerState(kind="eq", gains=bench_gains).alpha_eff == ALPHA_BENCH
-
-
-def test_step_aliases(bench_gains):
-    rng = np.random.default_rng(9)
-    s0, s1 = rng.standard_normal(2), rng.standard_normal(2)
-    st_a = ControllerState(kind="mm1", gains=bench_gains)
-    st_b = ControllerState(kind="mm1", gains=bench_gains)
-    assert np.array_equal(step_mm1(st_a, s0), st_b.step(s0))
-    assert np.array_equal(step_mm1(st_a, s1), st_b.step(s1))
-    with pytest.raises(AssertionError):
-        step_mm2(st_a, s0)
-    st_m1 = ControllerState(kind="m1", gains=bench_gains)
-    step_m1(st_m1, s0)
 
 
 def test_first_order_law_tracks_ideal_with_lagged_g():

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
                   DisturbanceSignal, Segment, constant_signal,
                   difference_diagnostics, discretize, matched_residual_split,
-                  sampled_disturbance, zero_signal)
+                  zero_signal)
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
@@ -35,6 +35,11 @@ def _pieces(sig, T, k):
     seg_end = np.nextafter(sig.t_end, 0)
     return [(lo, hi, sig.segment_index(min(t1 - 0.5 * (lo + hi), seg_end)))
             for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def sampled_disturbance(plant, T, sig, k):
+    """One-shot d[k] from a fresh DisturbanceSampler."""
+    return DisturbanceSampler(plant, T, sig).at(k)
 
 
 def quad_dk(plant, T, sig, k):

@@ -105,6 +105,22 @@ def test_benchmark_runtime_budget():
         assert brun.runtime < 5.0, (kind, brun.runtime)
 
 
+def test_benchmark_runtime_averages_every_seed(monkeypatch):
+    # batches of 1 s, 3 s and 5 s: 9 s over 3 seeds x 4 kinds
+    ticks = iter([0.0, 1.0, 10.0, 13.0, 20.0, 25.0])
+    fake = type("FakeTime", (), {"perf_counter": staticmethod(lambda: next(ticks))})
+    monkeypatch.setattr("qsmc.experiments.time", fake)
+    rep = aircraft_benchmark(noise=True, seeds=(1, 2, 3))
+    assert next(ticks, None) is None
+    assert {k: r.runtime for k, r in rep.runs.items()} == {
+        k: 0.75 for k in ("m1", "m2", "mm1", "mm2")}
+
+
+def test_benchmark_needs_a_seed():
+    with pytest.raises(ConfigError):
+        aircraft_benchmark(seeds=())
+
+
 def test_scenario_loader_round_trip():
     sf = load_aircraft_scenario()
     assert sf.scenario.kind == "mm1"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qsmc import (ConfigError, ContinuousPlant, DisturbanceSignal, NoiseSpec,
-                  Segment, constant_signal, evaluate_disturbance,
-                  invariant_zeros, validate_plant, zero_signal)
+                  Segment, constant_signal, invariant_zeros, validate_plant,
+                  zero_signal)
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
@@ -79,10 +79,10 @@ def test_form_derivative_matches_finite_difference():
 # --- piecewise signal ------------------------------------------------------
 
 def test_benchmark_signal_values(bench_signal):
-    assert np.allclose(evaluate_disturbance(bench_signal, 5.0), [0.0, 0.0])
-    assert np.allclose(evaluate_disturbance(bench_signal, 12.0), [2.0, -0.5])
+    assert np.allclose(bench_signal.value(5.0), [0.0, 0.0])
+    assert np.allclose(bench_signal.value(12.0), [2.0, -0.5])
     expect = [1.0 + np.sin(0.5 * 20.0), 0.5 * np.cos(20.0)]
-    assert np.allclose(evaluate_disturbance(bench_signal, 20.0), expect)
+    assert np.allclose(bench_signal.value(20.0), expect)
 
 
 def test_signal_half_open_boundaries(bench_signal):
