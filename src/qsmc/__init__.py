@@ -33,7 +33,8 @@ from .scenario import ScenarioError, ScenarioFile, parse_scenario_file, \
     parse_scenario_text
 from .simulate import (Scenario, Trajectory, csv_header,
                        default_steady_window, export_csv,
-                       measure_quasi_sliding, run, run_batch)
+                       measure_quasi_sliding, run, run_batch,
+                       run_batches)
 from .surface import (CertReport, NormalForm, SurfaceDesign, build_surface,
                       certify_surface_over_T, from_normal_coords,
                       input_annihilator, to_normal_coords)
@@ -58,7 +59,7 @@ __all__ = [
     "from_normal_coords", "input_annihilator", "invariant_zeros", "law_taps",
     "load_aircraft_scenario", "make_gains", "matched_residual_split",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
-    "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_sweep",
+    "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_batches", "run_sweep",
     "stability_over_T", "to_normal_coords",
     "validate_plant", "variant_for_kind", "verify_first_order_memory",
     "verify_second_order_memory", "zero_signal",

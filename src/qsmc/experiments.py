@@ -25,7 +25,7 @@ from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
 from .scenario import ScenarioFile, parse_scenario_file
 from .simulate import (Scenario, Trajectory, default_steady_window,
-                       measure_quasi_sliding, run, run_batch)
+                       measure_quasi_sliding, run, run_batches)
 from .surface import build_surface
 
 DEFAULT_LADDER = (0.02, 0.01, 0.005, 0.0025)
@@ -182,8 +182,11 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
                        scenario_file: ScenarioFile | None = None) -> BenchmarkReport:
     """All four controllers on the shipped scenario under one shared noise
     realization per seed; peaks reported per kind, medianed over seeds.
-    Each seed is one run_batch of the four kinds, and a run's runtime is
-    the total run_batch wall time over all seeds divided by seeds x kinds."""
+    Each seed is one batch of the four kinds, and every seed's batch comes
+    from one run_batches, which builds what the seeds share once and draws
+    all their noise tables together.  A run's runtime is the total time of
+    the batches' next() calls, the first one included, divided by
+    seeds x kinds.  Only the first seed's trajectories are kept."""
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigError("benchmark needs at least one seed")
@@ -192,9 +195,8 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
     window = default_steady_window(base.disturbance, base.horizon)
     runs = {}
     peaks: dict = {k: [] for k in BENCH_KINDS}
-    sampler = shared_sampler(base.plant, base.T, base.disturbance)
-    batch_s = 0.0
-    for si, seed in enumerate(seeds):
+    batches = []
+    for seed in seeds:
         spec = base.noise
         if noise:
             spec = replace(spec, kind="uniform", seed=int(seed))
@@ -203,15 +205,12 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
         else:
             spec = replace(spec, kind="none", seed=int(seed))
         # one stacked batch per seed: the four kinds share its noise draw
-        batch = [base.with_(kind=kind, noise=spec) for kind in BENCH_KINDS]
-        t0 = time.perf_counter()
-        trajs = run_batch(batch, sampler=sampler)
-        batch_s += time.perf_counter() - t0
-        for kind, traj in zip(BENCH_KINDS, trajs):
-            peaks[kind].append(traj.u_peak)
-        if si == 0:
-            firsts = trajs
-        del trajs, traj   # free this seed's batch before the next one runs
+        batches.append([base.with_(kind=kind, noise=spec) for kind in BENCH_KINDS])
+    gen = run_batches(batches, shared_sampler(base.plant, base.T, base.disturbance))
+    firsts, batch_s = _next_batch(gen, peaks)
+    for _ in seeds[1:]:
+        # the helper's locals, this batch included, die when it returns
+        batch_s += _next_batch(gen, peaks)[1]
     # the first batch runs cold; averaging over every batch steadies the figure
     runtime = batch_s / (len(seeds) * len(BENCH_KINDS))
     for kind, traj in zip(BENCH_KINDS, firsts):
@@ -222,3 +221,14 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
     medians = {k: float(np.median(v)) for k, v in peaks.items()}
     return BenchmarkReport(noise=noise, seeds=seeds, runs=runs,
                            peak_median=medians, window=window)
+
+
+def _next_batch(gen, peaks: dict) -> tuple:
+    """(trajectories, seconds) of the next batch of an aircraft_benchmark
+    run_batches; appends each kind's peak input to peaks."""
+    t0 = time.perf_counter()
+    trajs = next(gen)
+    elapsed = time.perf_counter() - t0
+    for kind, traj in zip(BENCH_KINDS, trajs):
+        peaks[kind].append(traj.u_peak)
+    return trajs, elapsed

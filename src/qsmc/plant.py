@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DisturbanceRangeError
-from .rng import Xoshiro256StarStar
+from .rng import Xoshiro256StarStar, symmetric_tables
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +360,21 @@ class NoiseStream:
 
     def table(self, rows: int, p: int) -> np.ndarray:
         """The next `rows` samples of p values as a (rows, p) array, in the
-        draw order of `rows` successive sample(p) calls: one lane draw
-        (Xoshiro256StarStar.symmetric_table) of rows * p values, bit-equal
-        to as many scalar symmetric calls."""
-        if self.spec.kind == "none" or self.spec.halfwidth == 0.0:
-            return np.zeros((rows, p))
-        return self._gen.symmetric_table(rows * p, self.spec.halfwidth).reshape(rows, p)
+        draw order of `rows` successive sample(p) calls; see noise_tables."""
+        return noise_tables([self], rows, p)[0]
+
+
+def noise_tables(streams, rows: int, p: int) -> list:
+    """streams[i].table(rows, p) for every stream, as if taken one after
+    another: the uniform streams draw their rows * p values in one
+    lockstep lane draw (rng.symmetric_tables), bit-equal to as many scalar
+    symmetric calls; a noise-free stream gives zeros and draws nothing."""
+    live = [st.spec.kind != "none" and st.spec.halfwidth != 0.0 for st in streams]
+    drawn = iter(symmetric_tables(
+        [st._gen for st, on in zip(streams, live) if on], rows * p,
+        [st.spec.halfwidth for st, on in zip(streams, live) if on]))
+    return [next(drawn).reshape(rows, p) if on else np.zeros((rows, p))
+            for on in live]
 
 
 # ---------------------------------------------------------------------------

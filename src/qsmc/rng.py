@@ -7,13 +7,17 @@ generator is specified here rather than delegated to a library: xoshiro256**
 
 Two routes give the same bits.  `next_u64`/`uniform`/`symmetric` step one
 draw at a time on Python integers; they are the reference that the published
-test vectors pin.  `symmetric_table` draws n values in lanes: the state
-transition is linear over GF(2), a 256 x 256 bit matrix M, so the start of
-every 64-draw chunk follows from the one before by one jump with M^64
-(Blackman & Vigna, "Scrambled linear pseudorandom number generators", ACM
-TOMS 2021, jump functions).  All chunks then advance in lockstep on a
-(4, lanes) uint64 array and are scrambled and converted as the scalar route
-does.
+test vectors pin.  `symmetric_tables` draws n values of each of G
+generators in lanes: the state transition is linear over GF(2), a 256 x 256
+bit matrix M, so the start of every 64-draw chunk follows from the
+generator's state by jumps (Blackman & Vigna, "Scrambled linear
+pseudorandom number generators", ACM TOMS 2021, jump functions).  The
+starts come from a doubling ladder of jumps M^(64 2^r), each a nibble table
+built once per process, applied to every start known so far, so G
+generators of `lanes` chunks take about log2(lanes) vectorized jumps.  All
+chunks of all generators then advance in lockstep on one (4, G lanes)
+uint64 array and are scrambled and converted as the scalar route does.
+`symmetric_table` is the draw of one generator.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_CHUNK = 64   # draws per lane; the jump matrix is M^_CHUNK
+_CHUNK = 64   # draws per lane; rung 0 of the jump ladder is M^_CHUNK
 
 
 def _splitmix64(state: int):
@@ -57,21 +61,101 @@ def _lane_step(s: np.ndarray) -> None:
 
 
 _BIT = np.arange(64, dtype=np.uint64)
+_NIBBLE = np.arange(0, 64, 4, dtype=np.uint64)   # shifts of a word's 16 nibbles
+_ROW = np.arange(0, 1024, 16)[:, None]   # row of nibble position q, value 0
+
+
+def _nibble_table(columns: np.ndarray) -> np.ndarray:
+    """A GF(2) matrix given by its 256 columns (shape (256, 4)) as a
+    (64, 16, 4) table: entry [q, v] is the image of the state whose only
+    set bits are the nibble v at bits 4 q..4 q + 3 (word q // 16), the XOR
+    of the columns that v selects."""
+    cols = columns.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for v in range(1, 16):
+        low = v & -v
+        table[:, v] = table[:, v ^ low] ^ cols[:, low.bit_length() - 1]
+    return table
+
+
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The matrix of a nibble table applied to each row of a (K, 4) uint64
+    array of states: the XOR of the 64 entries their nibbles select."""
+    nibbles = ((states[:, :, None] >> _NIBBLE) & np.uint64(15)).reshape(-1, 64)
+    # (64, K, 4), so that the XOR runs over the leading axis
+    picked = np.take(table.reshape(1024, 4), nibbles.T.astype(np.intp) + _ROW,
+                     axis=0)
+    return np.bitwise_xor.reduce(picked, axis=0)
 
 
 @functools.cache
-def _jump_columns() -> np.ndarray:
-    """M^64 as its 256 columns, shape (256, 4): row 64 w + i is the state
-    reached after 64 steps from the basis state whose only set bit is bit i
-    of word w.  Built by stepping all 256 basis states as lanes."""
-    basis = np.zeros((4, 256), dtype=np.uint64)
-    for w in range(4):
-        basis[w, 64 * w:64 * (w + 1)] = np.uint64(1) << _BIT
-    for _ in range(_CHUNK):
-        _lane_step(basis)
-    columns = np.ascontiguousarray(basis.T)
-    columns.setflags(write=False)   # shared by every caller in the process
-    return columns
+def _jump_ladder(r: int) -> np.ndarray:
+    """Rung r of the jump ladder: M^(64 2^r) as a nibble table.  Rung 0 is
+    built by stepping the 256 basis states 64 times as lanes; rung r + 1
+    squares rung r by applying it to its own columns (column 4 q + b is
+    entry [q, 2^b])."""
+    if r == 0:
+        basis = np.zeros((4, 256), dtype=np.uint64)
+        for w in range(4):
+            basis[w, 64 * w:64 * (w + 1)] = np.uint64(1) << _BIT
+        for _ in range(_CHUNK):
+            _lane_step(basis)
+        columns = basis.T
+    else:
+        below = _jump_ladder(r - 1)
+        columns = _jump(below, below[:, [1, 2, 4, 8]].reshape(256, 4))
+    table = _nibble_table(columns)
+    table.setflags(write=False)   # shared by every caller in the process
+    return table
+
+
+def symmetric_tables(gens, n: int, halfwidths) -> np.ndarray:
+    """The next n symmetric(halfwidths[g]) draws of every generator
+    gens[g] as one (G, n) array, bit for bit, leaving each stream where n
+    symmetric calls would.
+
+    Draw 64 j + i of a generator is output i of its lane j, whose start is
+    64 j steps past the generator's state.  The starts come from a doubling
+    ladder: with the first 2^r starts of every generator known, rung r
+    (M^(64 2^r)) carries all of them at once to the next 2^r, so about
+    log2(lanes) rungs give every start.  The lanes of all generators then
+    advance together for min(n, 64) steps; the last lane of each holds its
+    draw n - 1, so its state after draw n is that stream's next state."""
+    G = len(gens)
+    if n == 0 or G == 0:
+        return np.empty((G, n))
+    lanes = -(-n // _CHUNK)
+    starts = np.empty((G, lanes, 4), dtype=np.uint64)
+    starts[:, 0] = [gen._s for gen in gens]
+    known, r = 1, 0
+    while known < lanes:
+        new = min(known, lanes - known)
+        starts[:, known:known + new] = _jump(
+            _jump_ladder(r), starts[:, :new].reshape(-1, 4)).reshape(G, new, 4)
+        known, r = known + new, r + 1
+    s = np.ascontiguousarray(starts.reshape(-1, 4).T)
+    steps = min(n, _CHUNK)
+    last = n - _CHUNK * (lanes - 1)   # draws taken from each last lane
+    # out[g, 64 j + i] is output i of lane j of generator g
+    out = np.empty((G * lanes, _CHUNK), dtype=np.uint64)
+    for i in range(steps):
+        # the ** scrambler, rotl(s1 * 5, 7) * 9, as in next_u64
+        out[:, i] = _lane_rotl(s[1] * np.uint64(5), 7) * np.uint64(9)
+        _lane_step(s)
+        if i + 1 == last:
+            for gen, state in zip(gens, s[:, lanes - 1::lanes].T.tolist()):
+                gen._s = state
+    # top 53 bits to [0, 1), then to [-h, h], in place and in the scalar
+    # route's operation order
+    out >>= np.uint64(11)
+    draws = out.view(np.float64)
+    np.copyto(draws, out, casting="unsafe")
+    draws *= 2.0 ** -53
+    draws *= 2.0
+    draws -= 1.0
+    draws = draws.reshape(G, lanes * _CHUNK)[:, :n]
+    draws *= np.asarray(halfwidths, dtype=np.float64)[:, None]
+    return draws
 
 
 class Xoshiro256StarStar:
@@ -108,32 +192,6 @@ class Xoshiro256StarStar:
 
     def symmetric_table(self, n: int, halfwidth: float) -> np.ndarray:
         """The next n symmetric(halfwidth) draws as one float array, bit for
-        bit, leaving the stream where n symmetric calls would.
-
-        Draw 64 j + i is output i of lane j, whose start is 64 j steps past
-        the current state (j jumps with M^64).  The lanes advance together;
-        the last one holds draw n - 1, so its state after draw n is the
-        stream's next state."""
-        if n == 0:
-            return np.empty(0)
-        lanes = -(-n // _CHUNK)
-        jump = _jump_columns()
-        starts = np.empty((lanes, 4), dtype=np.uint64)
-        starts[0] = np.array(self._s, dtype=np.uint64)
-        for j in range(1, lanes):
-            # M^64 start[j - 1]: XOR of the columns its set bits select
-            bits = ((starts[j - 1][:, None] >> _BIT) & np.uint64(1)).astype(bool)
-            starts[j] = np.bitwise_xor.reduce(jump[bits.ravel()], axis=0)
-        s = np.ascontiguousarray(starts.T)
-        steps = min(n, _CHUNK)
-        last = n - _CHUNK * (lanes - 1)   # draws taken from the last lane
-        out = np.empty((steps, lanes), dtype=np.uint64)
-        for i in range(steps):
-            # the ** scrambler, rotl(s1 * 5, 7) * 9, as in next_u64
-            out[i] = _lane_rotl(s[1] * np.uint64(5), 7) * np.uint64(9)
-            _lane_step(s)
-            if i + 1 == last:
-                self._s = [int(w) for w in s[:, -1]]
-        draws = out.T.ravel()[:n]
-        uniform = (draws >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return (2.0 * uniform - 1.0) * halfwidth
+        bit, leaving the stream where n symmetric calls would: the lane
+        draw of symmetric_tables for this generator alone."""
+        return symmetric_tables([self], n, [halfwidth])[0]

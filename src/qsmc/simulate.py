@@ -19,27 +19,32 @@ s_true[k] = H C x[k] is logged in parallel for analysis.
 
 Every control law is a set of taps (controllers.law_taps), so the whole
 closed loop is one linear recursion psi[k+1] = A_cl psi[k] + drive[k] on a
-lifted state (controllers.closed_loop).  run_batch runs R runs that share
-plant, period, surface, horizon and disturbance as one stacked recursion;
-run is a batch of one.  Noise is drawn as one table per distinct noise
-spec and the drive of every sample is known before the loop, which steps
-the warm-up samples one at a time and the rest as a blocked scan that
-advances all blocks together; y, s_true and f are filled after it.
+lifted state (controllers.closed_loop).  run_batches takes several batches
+of runs that share plant, period, surface, horizon and disturbance, builds
+what they share once (discretization, surface, each distinct law's loop,
+the d table, the f column and one lockstep draw of every distinct noise
+spec's table) and then yields each batch as one stacked recursion;
+run_batch is a run_batches of one batch and run a batch of one.  The drive
+of every sample is known before the loop, which steps the warm-up samples
+one at a time and the rest as a blocked scan that advances all blocks
+together; y, s_true and f are filled after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .controllers import (closed_loop, law_taps, lifted_slices, make_gains,
-                          spectral_radius)
+from .controllers import (LawTaps, closed_loop, law_taps, lifted_slices,
+                          make_gains, spectral_radius)
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
-from .plant import ContinuousPlant, DisturbanceSignal, NoiseSpec, zero_signal
-from .surface import build_surface
+from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
+                    noise_tables, zero_signal)
+from .surface import SurfaceDesign, build_surface
 
 _OVERFLOW = 1e12
 
@@ -143,38 +148,106 @@ def run(scenario: Scenario, sampler: DisturbanceSampler | None = None) -> Trajec
 def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
     """Simulate R closed loops that share plant, T, H, horizon and
     disturbance as one stacked recursion; returns their trajectories in
-    order, each deterministic for a fixed noise seed.
+    order, each deterministic for a fixed noise seed.  A batch of one
+    run_batches."""
+    return next(run_batches([scenarios], sampler))
 
-    Each run is psi[k+1] = A_cl psi[k] + drive[k] on the lifted state of
-    controllers.closed_loop, with drive[k] = B_d d[k] + B_v v[k] known for
-    every sample before the loop.  The warm-up samples (and every sample of
-    the RK4 route) are stepped one at a time; the rest is a blocked scan.
-    """
-    scenarios = list(scenarios)
-    if not scenarios:
+
+class _Law(NamedTuple):
+    """What every run of one (kind, form, alpha, beta) shares."""
+    taps: LawTaps
+    loop: tuple          # closed_loop: (A_cl, B_d, B_v)
+    carry: np.ndarray    # A_cl^BLOCK, formed in long double (see _blocked_scan)
+    rho: float           # spectral radius of A_cl
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """What every batch of one run_batches call shares."""
+    base: Scenario
+    design: SurfaceDesign
+    laws: dict           # (kind, form, alpha, beta) -> _Law
+    warm: tuple          # closed_loop with the law rows zeroed
+    dk: np.ndarray       # d[0..steps], or d[0..steps) when no run is eq
+    noise: dict          # noise spec -> (steps + 1, p) table
+    t: np.ndarray
+    F: np.ndarray
+    window: tuple
+
+
+def _law_key(sc: Scenario) -> tuple:
+    return (sc.kind, sc.form, sc.alpha, sc.beta)
+
+
+def run_batches(batches, sampler: DisturbanceSampler | None = None):
+    """Yield the trajectories of each batch of scenarios in turn, each list
+    equal to run_batch of that batch alone.
+
+    Every run of every batch must share plant, T, H, horizon and
+    disturbance; that is checked before anything runs.  What the batches
+    share is then built once: the discretization and surface, each
+    distinct law's taps, closed loop, blocked-scan carry and spectral
+    radius, the d[k] table, the noise table of every distinct noise spec
+    (one lockstep lane draw, rng.symmetric_tables), the f column and the
+    steady window.  Each batch is psi[k+1] = A_cl psi[k] + drive[k] on the
+    lifted state of controllers.closed_loop, with drive[k] = B_d d[k] +
+    B_v v[k] known for every sample before the loop; the warm-up samples
+    (and every sample of the RK4 route) are stepped one at a time and the
+    rest is a blocked scan.  Only one batch's working arrays are alive at
+    a time."""
+    batches = [list(batch) for batch in batches]
+    if not batches or not all(batches):
         raise ConfigError("run_batch needs at least one scenario")
-    base = scenarios[0]
-    for sc in scenarios[1:]:
+    runs = [sc for batch in batches for sc in batch]
+    base = runs[0]
+    for sc in runs[1:]:
         for name in _SHARED:
             if not _same(getattr(base, name), getattr(sc, name)):
                 raise ConfigError(f"scenarios in one batch must share {name}")
     plant, T, sig, steps = base.plant, base.T, base.disturbance, base.steps
     disc = discretize(plant, T)
     design = build_surface(plant, disc, base.H)  # raises if assumptions fail
-    taps = [law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta), sc.kind, sc.form)
-            for sc in scenarios]
+    laws = {}
+    for sc in runs:
+        key = _law_key(sc)
+        if key not in laws:
+            taps = law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta),
+                            sc.kind, sc.form)
+            loop = closed_loop(design, taps)
+            carry = np.linalg.matrix_power(loop[0].astype(np.longdouble),
+                                           BLOCK).astype(float)
+            laws[key] = _Law(taps, loop, carry, spectral_radius(loop[0]))
     if sampler is None:
         sampler = DisturbanceSampler(plant, T, sig)
     # the eq oracle feeds d[k] into u[k], so it also reads d[steps]; without
     # it d[steps] only moves x[steps + 1], which is not kept
-    eq = any(tp.K_g is not None for tp in taps)
+    eq = any(law.taps.K_g is not None for law in laws.values())
     dk = sampler.table(0, steps + 1 if eq else steps)
+    specs = list(dict.fromkeys(sc.noise for sc in runs))
+    noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
+                                         steps + 1, plant.p)))
+    t = np.arange(steps + 1) * T
+    # past its end the disturbance holds its last defined value
+    F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
+    shared = _Shared(base, design, laws, closed_loop(design), dk, noise, t, F,
+                     default_steady_window(sig, base.horizon))
+    for batch in batches:
+        # the batch's working arrays are locals of _run_one and die with it
+        yield _run_one(shared, batch)
 
-    R, n, m, p = len(scenarios), plant.n, plant.m, plant.p
-    loops = [closed_loop(design, tp) for tp in taps]
-    A = np.stack([lp[0] for lp in loops])
-    warm = closed_loop(design)
-    warmup = np.array([tp.warmup for tp in taps])
+
+def _run_one(shared: _Shared, scenarios: list) -> list:
+    """One batch of run_batches on the parts every batch shares."""
+    base, design = shared.base, shared.design
+    plant, T, sig, steps = base.plant, base.T, base.disturbance, base.steps
+    laws = [shared.laws[_law_key(sc)] for sc in scenarios]
+    dk = shared.dk
+    if all(law.taps.K_g is None for law in laws):
+        dk = dk[:steps]
+    R, n, m = len(scenarios), plant.n, plant.m
+    A = np.stack([law.loop[0] for law in laws])
+    warm = shared.warm
+    warmup = np.array([law.taps.warmup for law in laws])
     rk4 = base.record_intersample
     # samples stepped one at a time; the scan takes the rest in blocks
     stepped = steps + 1 if rk4 else min(int(warmup.max()), steps + 1)
@@ -182,14 +255,11 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
     # psi[k] is row k; drive[k] is written into row k + 1 and the
     # recursion adds A_cl psi[k] onto it
     psi = np.zeros((R, stepped + blocks * BLOCK + 1, A.shape[1]))
-    noise: dict = {}
-    for r, sc in enumerate(scenarios):
-        if sc.noise not in noise:
-            noise[sc.noise] = sc.noise.stream().table(steps + 1, p)
-        v = noise[sc.noise]
+    for r, (sc, law) in enumerate(zip(scenarios, laws)):
+        v = shared.noise[sc.noise]
         drive = psi[r, 1:steps + 2]
         wu = min(warmup[r], steps + 1)
-        for rows, (_, B_d, B_v) in ((slice(0, wu), warm), (slice(wu, None), loops[r])):
+        for rows, (_, B_d, B_v) in ((slice(0, wu), warm), (slice(wu, None), law.loop)):
             np.matmul(v[rows], B_v.T, out=drive[rows])
             d = dk[rows]
             drive[rows][:len(d)] += d @ B_d.T
@@ -210,7 +280,8 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
                         plant, sig, psi[r, k, xs], psi[r, k + 1, us], k * T, T,
                         base.substeps, inter_t[r], inter_x[r])
         if blocks:
-            _blocked_scan(A, psi[:, stepped:], blocks)
+            _blocked_scan(A, psi[:, stepped:], blocks,
+                          np.stack([law.carry for law in laws]))
         X = psi[:, :steps + 1, xs].copy()
         norms = np.max(np.abs(X), axis=2)
         bad = ~(norms <= _OVERFLOW)
@@ -221,26 +292,22 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
 
     S = psi[:, 1:steps + 2, ss].copy()
     U = psi[:, 1:steps + 2, us].copy()
-    del psi
+    del psi, drive   # drive is a view of psi; free it before the read-out
     hc = design.H @ plant.C
     Y = X @ plant.C.T
     for r, sc in enumerate(scenarios):
-        Y[r] += noise[sc.noise]
+        Y[r] += shared.noise[sc.noise]
     St = X @ hc.T
-    t = np.arange(steps + 1) * T
-    # past its end the disturbance holds its last defined value
-    F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
-    window = default_steady_window(sig, base.horizon)
+    window = shared.window
     trajs = []
-    for r, sc in enumerate(scenarios):
-        traj = Trajectory(T=T, k=np.arange(steps + 1), t=t.copy(), x=X[r], y=Y[r],
-                          s=S[r], s_true=St[r], u=U[r], f=F.copy())
+    for r, (sc, law) in enumerate(zip(scenarios, laws)):
+        traj = Trajectory(T=T, k=np.arange(steps + 1), t=shared.t.copy(), x=X[r],
+                          y=Y[r], s=S[r], s_true=St[r], u=U[r], f=shared.F.copy())
         if rk4:
             traj.inter_t = np.array(inter_t[r])
             traj.inter_x = np.array(inter_x[r])
         traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
-                        "kind": sc.kind, "window": window,
-                        "rho_cl": spectral_radius(A[r]),
+                        "kind": sc.kind, "window": window, "rho_cl": law.rho,
                         "warmup": int(warmup[r])}
         if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
             try:
@@ -253,10 +320,10 @@ def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
     return trajs
 
 
-def _blocked_scan(A, psi, blocks):
+def _blocked_scan(A, psi, blocks, carry):
     """Advance psi[j+1] = A psi[j] + (row j+1 as given) over `blocks`
     blocks of BLOCK samples, in place; psi is (R, blocks BLOCK + 1, N) with
-    row 0 the start state.
+    row 0 the start state and carry is A^BLOCK.
 
     A chunked linear scan in three passes, each vectorized over all blocks:
     step every block from zero through its drives to get its response at
@@ -265,8 +332,8 @@ def _blocked_scan(A, psi, blocks):
     writing each sample over its drive.  Only the carry uses a power of A.
     A high-gain law makes A strongly non-normal, and a power formed by
     double products carries errors of eps |A| |A^(L-1)|, far above
-    eps |A^L|; A^L is therefore formed in numpy's long double (80-bit
-    extended on x86-64) and rounded once."""
+    eps |A^L|; the caller therefore forms A^L in numpy's long double
+    (80-bit extended on x86-64) and rounds it once."""
     R, _, N = A.shape
     L = BLOCK
     drives = psi[:, 1:].reshape(R, blocks, L, N, copy=False)
@@ -275,7 +342,6 @@ def _blocked_scan(A, psi, blocks):
     for j in range(1, L):
         end = end @ A_t
         end += drives[:, :, j]
-    carry = np.linalg.matrix_power(A.astype(np.longdouble), L).astype(float)
     start = np.empty((R, blocks, N))
     start[:, 0] = psi[:, 0]
     for b in range(blocks - 1):

@@ -7,6 +7,8 @@ Each series' points come from one numpy transform into pixel space and one
 bulk `%.2f` format of the interleaved coordinates.  The transform keeps the
 operation order of the scalar `sx`/`sy` used for the ticks, so every point
 is the same float64 and the same text as a per-point writer would give.
+A point with a NaN or infinite coordinate is left out of its polyline and
+of the axis ranges, so the rest of the plot still draws.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ def line_plot(series, title: str, path, xlabel: str = "t", ylabel: str = "") -> 
               for lab, xs, ys in series]
     if not series:
         raise ValueError("no series to plot")
-    x_lo = min(s[1].min() for s in series)
-    x_hi = max(s[1].max() for s in series)
-    y_lo = min(s[2].min() for s in series)
-    y_hi = max(s[2].max() for s in series)
+    # a point with a non-finite coordinate is left out, of the ranges too
+    kept = [np.isfinite(xs) & np.isfinite(ys) for _, xs, ys in series]
+    series = [(lab, xs[k], ys[k]) for (lab, xs, ys), k in zip(series, kept)]
+    xs_all = np.concatenate([s[1] for s in series])
+    ys_all = np.concatenate([s[2] for s in series])
+    if not xs_all.size:
+        raise ValueError("no finite point to plot")
+    x_lo, x_hi = xs_all.min(), xs_all.max()
+    y_lo, y_hi = ys_all.min(), ys_all.max()
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)

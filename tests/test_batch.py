@@ -9,6 +9,7 @@ columns after the loop; the two must agree to rounding.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
                   constant_signal, discretize, law_taps, make_gains, run,
                   zero_signal)
 from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
-from qsmc.simulate import _OVERFLOW, BLOCK, run_batch
+from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
 from conftest import H_UNSTABLE
 
@@ -352,3 +353,97 @@ def test_batch_matches_oracle_on_random_plants(seed):
     x, u = _wide_recursion(sc)
     assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit
     assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit
+
+
+# --- several batches from one run_batches -----------------------------------
+
+FIELDS = ("k", "t", "x", "y", "s", "s_true", "u", "f")
+
+
+def test_run_batches_equal_lone_batches(bench_scenario):
+    shared = _noise(7)
+    batches = [
+        [bench_scenario.with_(kind=kind, noise=shared) for kind in ("m1", "mm2")],
+        [bench_scenario.with_(kind="eq", noise=_noise(1)),
+         bench_scenario.with_(kind="mm1", form="estimate", noise=shared,
+                              x0=np.array([0.1, -0.2, 0.0, 0.05]))],
+        [bench_scenario.with_(kind="m2", alpha=0.9, beta=None, noise=_noise(2)),
+         bench_scenario.with_(kind="mm1", noise=NoiseSpec())],
+        [bench_scenario.with_(kind="m2", noise=shared)],
+    ]
+    got = list(run_batches(batches))
+    assert len(got) == len(batches)
+    for batch, trajs in zip(batches, got):
+        lone = run_batch(batch)
+        assert len(trajs) == len(lone) == len(batch)
+        for sc, a, b in zip(batch, trajs, lone):
+            for name in FIELDS:
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (
+                    sc.kind, name)
+            assert a.summary == b.summary
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T", 0.02), ("H", H_UNSTABLE), ("horizon", 10.0),
+    ("disturbance", zero_signal(2)), ("record_intersample", True),
+])
+def test_run_batches_check_every_batch_first(bench_scenario, field, value):
+    other = bench_scenario.with_(**{field: value})
+    gen = run_batches([[bench_scenario], [bench_scenario, bench_scenario],
+                       [bench_scenario, other]])
+    with pytest.raises(ConfigError, match=field):
+        next(gen)
+
+
+@pytest.mark.parametrize("sizes", [(), (0,), (1, 0)], ids=["none", "empty", "later"])
+def test_run_batches_reject_empty(bench_scenario, sizes):
+    batches = [[bench_scenario] * size for size in sizes]
+    with pytest.raises(ConfigError):
+        next(run_batches(batches))
+
+
+def test_run_batches_keep_one_batch_alive(bench_scenario, monkeypatch):
+    import qsmc.simulate as simulate
+    real = simulate._run_one
+    refs, alive = [], []
+
+    def run_one(shared, batch):
+        # batches still alive when the next one starts
+        alive.append([ref() is not None for ref in refs])
+        trajs = real(shared, batch)
+        refs.append(weakref.ref(trajs[0].x.base))
+        return trajs
+
+    monkeypatch.setattr(simulate, "_run_one", run_one)
+    batches = [[bench_scenario.with_(kind=kind, noise=_noise(seed))
+                for kind in ("m1", "mm1")] for seed in (1, 2, 3)]
+    gen = run_batches(batches)
+    trajs = next(gen)
+    del trajs
+    assert len(next(gen)) == 2
+    assert len(next(gen)) == 2
+    assert alive == [[], [False], [False, False]]
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_benchmark_keeps_first_batch_only(monkeypatch):
+    import qsmc.experiments as experiments
+    real = experiments.run_batches
+    refs, alive = [], []
+
+    def note(trajs):
+        refs.append(weakref.ref(trajs[0].x.base))
+        return trajs
+
+    def spy(batches, sampler=None):
+        gen = real(batches, sampler)
+        for _ in batches:
+            # batches the benchmark still holds when it asks for the next
+            alive.append(sum(ref() is not None for ref in refs))
+            yield note(next(gen))
+
+    monkeypatch.setattr(experiments, "run_batches", spy)
+    rep = experiments.aircraft_benchmark(noise=True, seeds=(1, 2, 3, 4))
+    assert alive == [0, 1, 1, 1]
+    assert [ref() is not None for ref in refs] == [True, False, False, False]
+    assert refs[0]() is rep.runs["m1"].trajectory.x.base

@@ -1,8 +1,9 @@
 """Generator vectors are frozen from hand computation of the reference
 algorithms (64-bit splitmix seeding, xoshiro256** output scrambler).  The
 scalar route (next_u64/uniform/symmetric) is the oracle for the lane draw
-(symmetric_table)."""
+(symmetric_table, symmetric_tables) and its jump ladder."""
 
+import functools
 import hashlib
 import warnings
 
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsmc.plant import NoiseSpec, NoiseStream
-from qsmc.rng import Xoshiro256StarStar, _rotl, _splitmix64
+from qsmc.rng import (Xoshiro256StarStar, _jump, _jump_ladder, _rotl,
+                      _splitmix64, symmetric_tables)
 
 
 def test_splitmix64_first_output():
@@ -141,3 +143,75 @@ def test_lane_draw_raises_no_overflow_warning(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gen.symmetric_table(n, 0.005)
+
+
+# --- lockstep draw of several generators ----------------------------------------
+
+LOCKSTEP_N = sorted({0, 1, 63, 64, 65, 6003}
+                    | {64 * 2 ** r + d for r in range(8) for d in (-1, 1)})
+LOCKSTEP_SEEDS = tuple(range(2026, 2036))
+HALFWIDTHS = (0.005, 2.5, 1.0, 1e-3, 0.75, 3.0, 0.125, 0.005, 42.0, 0.5)
+
+
+@functools.cache
+def scalar_prefix(seed, halfwidth):
+    """The first max(LOCKSTEP_N) symmetric draws of a seed, one scalar call
+    at a time, and the stream state after each n of LOCKSTEP_N."""
+    gen = Xoshiro256StarStar(seed)
+    draws, states = [], {0: list(gen._s)}
+    for i in range(max(LOCKSTEP_N)):
+        draws.append(gen.symmetric(halfwidth))
+        if i + 1 in LOCKSTEP_N:
+            states[i + 1] = list(gen._s)
+    return np.array(draws), states
+
+
+@pytest.mark.parametrize("G", [1, 2, 10])
+@pytest.mark.parametrize("n", LOCKSTEP_N)
+def test_lockstep_draw_matches_scalar_streams(G, n):
+    seeds, halfwidths = LOCKSTEP_SEEDS[:G], HALFWIDTHS[:G]
+    gens = [Xoshiro256StarStar(seed) for seed in seeds]
+    tables = symmetric_tables(gens, n, halfwidths)
+    assert tables.dtype == np.float64 and tables.shape == (G, n)
+    for gen, seed, halfwidth, table in zip(gens, seeds, halfwidths, tables):
+        draws, states = scalar_prefix(seed, halfwidth)
+        assert table.tobytes() == draws[:n].tobytes()
+        assert gen._s == states[n]
+
+
+def test_single_table_is_the_one_generator_lockstep_draw():
+    a, b = Xoshiro256StarStar(11), Xoshiro256StarStar(11)
+    one = a.symmetric_table(777, 0.005)
+    assert one.tobytes() == symmetric_tables([b], 777, [0.005])[0].tobytes()
+    assert a._s == b._s
+
+
+STATES = st.lists(st.integers(0, 2 ** 64 - 1), min_size=4, max_size=4).filter(any)
+
+
+def scalar_steps(state, steps):
+    gen = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
+    gen._s = list(state)
+    for _ in range(steps):
+        gen.next_u64()
+    return gen._s
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=STATES)
+@example(state=[1, 0, 0, 0])
+@example(state=[0, 0, 0, 1 << 63])
+def test_ladder_rung_zero_is_64_steps(state):
+    jumped = _jump(_jump_ladder(0), np.array([state], dtype=np.uint64))
+    assert jumped[0].tolist() == scalar_steps(state, 64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=STATES, r=st.integers(1, 7))
+@example(state=[2 ** 64 - 1] * 4, r=7)
+def test_ladder_rung_r_is_2_to_the_r_jumps(state, r):
+    start = np.array([state], dtype=np.uint64)
+    stepped = start
+    for _ in range(2 ** r):
+        stepped = _jump(_jump_ladder(0), stepped)
+    assert _jump(_jump_ladder(r), start).tolist() == stepped.tolist()

@@ -116,15 +116,28 @@ def test_tiny_negatives_match_oracle(tmp_path):
     assert new == old
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_matches_oracle(tmp_path, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_left_out(tmp_path, bad):
+    # the other six points draw inside the frame, as a plot of them alone
     t = np.linspace(0, 1, 7)
     ys = np.sin(t)
     ys[3] = bad
-    new, old = both(tmp_path, [("u", t, ys)])
-    assert new == old
-    assert b"nan" in new
+    keep = np.arange(7) != 3
+    line_plot([("u", t, ys)], "plot", tmp_path / "new.svg")
+    line_plot([("u", t[keep], ys[keep])], "plot", tmp_path / "finite.svg")
+    new = (tmp_path / "new.svg").read_bytes()
+    assert new == (tmp_path / "finite.svg").read_bytes()
+    assert b"nan" not in new and b"inf" not in new
+    points = new.split(b'<polyline points="')[1].split(b'"')[0]
+    xy = np.array([pair.split(b",") for pair in points.split()], dtype=float)
+    assert xy.shape == (6, 2)
+    assert np.all((xy[:, 0] >= _ML) & (xy[:, 0] <= _W - _MR))
+    assert np.all((xy[:, 1] >= _MT) & (xy[:, 1] <= _H - _MB))
+
+
+def test_no_finite_point_is_an_error(tmp_path):
+    with pytest.raises(ValueError, match="no finite point"):
+        line_plot([("u", [0.0, 1.0], [np.nan, np.inf])], "plot", tmp_path / "x.svg")
 
 
 def test_scales_1e5_apart_match_oracle(tmp_path):
