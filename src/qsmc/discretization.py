@@ -125,10 +125,6 @@ class DisturbanceSampler:
     def _z(self, j: int, t: np.ndarray) -> np.ndarray:
         return np.hstack([f.exo_z(t) for f in self.sig.segments[j].forms])
 
-    def covers(self, k: int) -> bool:
-        """Whether the disturbance is defined over all of sample k."""
-        return k >= 0 and (k + 1) * self.T <= self.sig.t_end + _EDGE
-
     def table(self, k0: int, k1: int) -> np.ndarray:
         """d[k0..k1) as the rows of a (k1 - k0, n) array."""
         if k1 < k0:

@@ -294,12 +294,6 @@ class DisturbanceSignal:
                 out[rows, c] = f.exo_z(t[rows]) @ f.exo_E
         return out
 
-    def value_in_segment(self, idx: int, t: float) -> np.ndarray:
-        # analytic continuation of one segment's forms; used by integrators
-        # that must not see the jump at a segment boundary
-        seg = self.segments[idx]
-        return np.array([f.value(t) for f in seg.forms])
-
     def derivative(self, t: float) -> np.ndarray:
         seg = self.segments[self.segment_index(t)]
         return np.array([f.deriv(t) for f in seg.forms])

@@ -6,12 +6,12 @@ u held; across samples the state moves by the exact affine map
     x[k+1] = state_map x[k] + input_map u[k] + d[k],
 
 where d[k] is exact too (one exosystem block exponential per segment, see
-discretization.DisturbanceSampler), so the default integration carries no
+discretization.DisturbanceSampler), so the integration carries no
 truncation error; the whole d sequence is taken as one table before the
-loop.  An RK4 sub-stepping path exists for inter-sample
-visualization and cross-checks; it splits sub-intervals at disturbance
-segment boundaries and pins each piece to its owning segment's forms, so
-it too sees only smooth integrands.
+loop.  Inter-sample states (record_intersample) come from the same route
+at the period h = T/substeps: x[k] is carried across its sample by the
+h-period map with u[k] held and the h-period d table, which splits
+sub-samples at disturbance segment boundaries.
 
 The controller is handed the measured switching vector s[k] = H y[k]
 only - y[k] carries the measurement noise - while the noiseless
@@ -173,6 +173,7 @@ class _Shared:
     t: np.ndarray
     F: np.ndarray
     window: tuple
+    inter: tuple | None  # record_intersample: (state map, input map, d table)
 
 
 def _law_key(sc: Scenario) -> tuple:
@@ -192,9 +193,10 @@ def run_batches(batches, sampler: DisturbanceSampler | None = None):
     steady window.  Each batch is psi[k+1] = A_cl psi[k] + drive[k] on the
     lifted state of controllers.closed_loop, with drive[k] = B_d d[k] +
     B_v v[k] known for every sample before the loop; the warm-up samples
-    (and every sample of the RK4 route) are stepped one at a time and the
-    rest is a blocked scan.  Only one batch's working arrays are alive at
-    a time."""
+    are stepped one at a time and the rest is a blocked scan.  When the
+    runs record inter-sample states, the h = T/substeps discretization
+    and d table of the inter-sample record are shared too.  Only one
+    batch's working arrays are alive at a time."""
     batches = [list(batch) for batch in batches]
     if not batches or not all(batches):
         raise ConfigError("run_batch needs at least one scenario")
@@ -229,8 +231,14 @@ def run_batches(batches, sampler: DisturbanceSampler | None = None):
     t = np.arange(steps + 1) * T
     # past its end the disturbance holds its last defined value
     F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
+    inter = None
+    if base.record_intersample:
+        S = base.substeps
+        disc_h = discretize(plant, T / S)
+        d_h = DisturbanceSampler(plant, T / S, sig).table(0, steps * S)
+        inter = (disc_h.state_map, disc_h.input_map, d_h.reshape(steps, S, plant.n))
     shared = _Shared(base, design, laws, closed_loop(design), dk, noise, t, F,
-                     default_steady_window(sig, base.horizon))
+                     default_steady_window(sig, base.horizon), inter)
     for batch in batches:
         # the batch's working arrays are locals of _run_one and die with it
         yield _run_one(shared, batch)
@@ -239,7 +247,7 @@ def run_batches(batches, sampler: DisturbanceSampler | None = None):
 def _run_one(shared: _Shared, scenarios: list) -> list:
     """One batch of run_batches on the parts every batch shares."""
     base, design = shared.base, shared.design
-    plant, T, sig, steps = base.plant, base.T, base.disturbance, base.steps
+    plant, T, steps = base.plant, base.T, base.steps
     laws = [shared.laws[_law_key(sc)] for sc in scenarios]
     dk = shared.dk
     if all(law.taps.K_g is None for law in laws):
@@ -248,9 +256,8 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     A = np.stack([law.loop[0] for law in laws])
     warm = shared.warm
     warmup = np.array([law.taps.warmup for law in laws])
-    rk4 = base.record_intersample
     # samples stepped one at a time; the scan takes the rest in blocks
-    stepped = steps + 1 if rk4 else min(int(warmup.max()), steps + 1)
+    stepped = min(int(warmup.max()), steps + 1)
     blocks = -(-(steps + 1 - stepped) // BLOCK)
     # psi[k] is row k; drive[k] is written into row k + 1 and the
     # recursion adds A_cl psi[k] onto it
@@ -264,8 +271,6 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
             d = dk[rows]
             drive[rows][:len(d)] += d @ B_d.T
         psi[r, 0, :n] = sc.x0
-    inter_t: list = [[] for _ in scenarios]
-    inter_x: list = [[] for _ in scenarios]
     # psi[k] holds x[k]; psi[k + 1] holds s[k] and u[k]
     xs, ss, _, us, _ = lifted_slices(n, m)
 
@@ -274,11 +279,6 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
         for k in range(stepped):
             Ak = np.where((warmup > k)[:, None, None], warm[0], A)
             psi[:, k + 1] += (Ak @ psi[:, k, :, None])[:, :, 0]
-            if rk4 and k < steps:
-                for r in range(R):
-                    psi[r, k + 1, xs] = _advance_rk4(
-                        plant, sig, psi[r, k, xs], psi[r, k + 1, us], k * T, T,
-                        base.substeps, inter_t[r], inter_x[r])
         if blocks:
             _blocked_scan(A, psi[:, stepped:], blocks,
                           np.stack([law.carry for law in laws]))
@@ -298,14 +298,16 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     for r, sc in enumerate(scenarios):
         Y[r] += shared.noise[sc.noise]
     St = X @ hc.T
+    if shared.inter is not None:
+        inter_t, inter_x = _intersample(shared, X, U)
     window = shared.window
     trajs = []
     for r, (sc, law) in enumerate(zip(scenarios, laws)):
         traj = Trajectory(T=T, k=np.arange(steps + 1), t=shared.t.copy(), x=X[r],
                           y=Y[r], s=S[r], s_true=St[r], u=U[r], f=shared.F.copy())
-        if rk4:
-            traj.inter_t = np.array(inter_t[r])
-            traj.inter_x = np.array(inter_x[r])
+        if shared.inter is not None:
+            traj.inter_t = inter_t.copy()
+            traj.inter_x = inter_x[r]
         traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
                         "kind": sc.kind, "window": window, "rho_cl": law.rho,
                         "warmup": int(warmup[r])}
@@ -352,30 +354,23 @@ def _blocked_scan(A, psi, blocks, carry):
         prev = drives[:, :, j]
 
 
-def _advance_rk4(plant, sig, x, u, t0, T, substeps, inter_t, inter_x):
-    """One sampling interval by classical RK4, split at disturbance
-    boundaries; inter-sample states are appended to inter_t/inter_x."""
-    A, B = plant.A, plant.B
-    bounds = sig.boundaries_within(t0, t0 + T)
-    pieces = [t0] + bounds + [t0 + T]
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        seg = sig.segment_index(0.5 * (lo + hi))
-        width = hi - lo
-        nsub = max(1, int(round(substeps * width / T)))
-        h = width / nsub
-        t = lo
-        for _ in range(nsub):
-            def deriv(tt, xx):
-                return A @ xx + B @ (u + sig.value_in_segment(seg, tt))
-            k1 = deriv(t, x)
-            k2 = deriv(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = deriv(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = deriv(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            inter_t.append(t)
-            inter_x.append(x.copy())
-    return x
+def _intersample(shared: _Shared, X, U) -> tuple:
+    """(inter_t, inter_x) of a batch: the times kT + j h, j = 1..S, h = T/S,
+    of every sample k < steps as a (steps S,) array, and every run's states
+    there as an (R, steps S, n) array.  Each sample starts from x[k] and
+    takes S - 1 steps z <- Phi_h z + Gamma_h u[k] + d_h[kS + j], all samples
+    of all runs at once; the entry at t[k + 1] is the scan's own x[k + 1]."""
+    Phi, Gamma, d_h = shared.inter
+    steps, S, n = d_h.shape
+    inter_t = shared.t[:steps, None] + shared.base.T / S * np.arange(1, S + 1)
+    inter_t[:, -1] = shared.t[1:]
+    inter_x = np.empty((len(X), steps, S, n))
+    held = U[:, :steps] @ Gamma.T
+    z = X[:, :steps]
+    for j in range(S - 1):
+        z = inter_x[:, :, j] = z @ Phi.T + held + d_h[:, j]
+    inter_x[:, :, -1] = X[:, 1:]
+    return inter_t.reshape(-1), inter_x.reshape(len(X), steps * S, n)
 
 
 def measure_quasi_sliding(traj: Trajectory, window) -> tuple:

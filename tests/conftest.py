@@ -42,6 +42,67 @@ ALPHA_BENCH = 0.97
 BETA_BENCH = 3.0
 
 
+def segment_value(sig, idx, t):
+    """f at time t from the forms of segment idx, continued past the
+    segment's ends, as an (m,) array; at an array of times, a (len(t), m)
+    array.  What an integrator that must not see the jump at a join
+    evaluates."""
+    forms = sig.segments[idx].forms
+    if np.ndim(t) == 0:
+        return np.array([f.value(t) for f in forms])
+    t = np.asarray(t).tolist()
+    return np.array([list(map(f.value, t)) for f in forms], dtype=float).T
+
+
+def rk4_states(plant, sig, x0, u, t0, T, substeps=1, steps=1):
+    """RK4 oracle of the held-input interval: the states x(t0 + j T/substeps),
+    j = 1..substeps, of x' = A x + B (u + f(t)) from x(t0) = x0.
+
+    Rows of x0 (K, n), u (K, m) and t0 (K,) are independent intervals,
+    stepped together; the result is (K, substeps, n).  Each sub-interval is
+    cut at the segment joins inside it and each piece takes `steps` classical
+    RK4 steps on its own segment's forms, so no stage sees a jump.  Neither
+    discretize nor DisturbanceSampler is used."""
+    A, B = plant.A, plant.B
+    x = np.array(x0, dtype=float)
+    Bu = np.asarray(u, dtype=float) @ B.T
+    t0 = np.asarray(t0, dtype=float)
+    starts = np.array([seg.t_start for seg in sig.segments])
+    last = np.nextafter(sig.t_end, 0)
+
+    def drive(seg, t):
+        """B (u + f(t)), each row on its own segment's forms."""
+        f = np.empty((len(t), sig.m))
+        for j in np.unique(seg):
+            rows = seg == j
+            f[rows] = segment_value(sig, j, t[rows])
+        return Bu + f @ B.T
+
+    out = np.empty((len(x), substeps, plant.n))
+    width = T / substeps
+    for j in range(substeps):
+        lo, hi = t0 + j * width, t0 + (j + 1) * width
+        cuts = [lo] + [np.clip(b, lo, hi) for b in starts[1:]] + [hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if not np.any(b > a):
+                continue
+            seg = np.searchsorted(starts, np.minimum(0.5 * (a + b), last),
+                                  side="right") - 1
+            h = (b - a) / steps
+            hc = h[:, None]
+            g_end = drive(seg, a)
+            for i in range(steps):
+                g0, g_mid = g_end, drive(seg, a + (i + 0.5) * h)
+                g_end = drive(seg, a + (i + 1) * h)
+                k1 = x @ A.T + g0
+                k2 = (x + hc / 2 * k1) @ A.T + g_mid
+                k3 = (x + hc / 2 * k2) @ A.T + g_mid
+                k4 = (x + hc * k3) @ A.T + g_end
+                x = x + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[:, j] = x
+    return out
+
+
 @pytest.fixture(scope="session")
 def bench_plant():
     return ContinuousPlant(A_BENCH, B_BENCH, C_BENCH)

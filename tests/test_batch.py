@@ -25,7 +25,7 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
 from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
-from conftest import H_UNSTABLE
+from conftest import H_UNSTABLE, rk4_states
 
 KINDS = ("eq", "m1", "m2", "mm1", "mm2")
 FORMS = ("recursive", "estimate")
@@ -161,13 +161,19 @@ def test_batch_rejects_empty():
 
 
 def test_batch_rk4_route_matches_exact(bench_scenario):
-    base = bench_scenario.with_(horizon=0.5, substeps=20)
+    S = 20
+    base = bench_scenario.with_(horizon=0.5, substeps=S)
     scenarios = [base.with_(kind=kind) for kind in ("m1", "mm2")]
     exact = run_batch(scenarios)
-    rk4 = run_batch([sc.with_(record_intersample=True) for sc in scenarios])
-    for te, tr in zip(exact, rk4):
-        assert np.max(np.abs(te.x - tr.x)) <= 1e-7
-        assert len(tr.inter_t) == 20 * 50
+    recorded = run_batch([sc.with_(record_intersample=True) for sc in scenarios])
+    for sc, te, tr in zip(scenarios, exact, recorded):
+        for name in FIELDS:
+            assert getattr(tr, name).tobytes() == getattr(te, name).tobytes(), name
+        assert tr.inter_t.shape == (S * 50,)
+        assert tr.inter_x.shape == (S * 50, 4)
+        ref = rk4_states(sc.plant, sc.disturbance, tr.x[:-1], tr.u[:-1],
+                         tr.t[:-1], sc.T, S, steps=10)
+        assert np.max(np.abs(tr.inter_x - ref.reshape(-1, 4))) <= 1e-7
 
 
 # --- the f column --------------------------------------------------------------
@@ -353,6 +359,66 @@ def test_batch_matches_oracle_on_random_plants(seed):
     x, u = _wide_recursion(sc)
     assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit
     assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit
+
+
+def _rk4_bound(plant, T, S, steps, lam, F, X, U):
+    """Bound on |inter_x - rk4_states| over one sample, in infinity norms,
+    for a run with state scale X and input scale U, lam >= |A| and >= every
+    omega of the disturbance, and F >= |offset| + |amp| of every form.
+
+    Truncation: one RK4 step of width dt on x' = A x + g(t) errs by the
+    first terms its stages miss, (A dt)^5 x / 120 and dt^5 A^(4-j) g^(j) / c_j
+    with c_j >= 120, j = 0..4 (Simpson on the convolution integral and its
+    A-weighted companions): at most dt^5 lam^4 (lam X + 5 G) / 120, where
+    G = |B| (U + F) bounds |g| and |g^(j)| / lam^j.  Twice that covers the
+    higher terms (lam dt <= 0.02).  A sample takes at most N = 2 S steps RK4
+    steps, two pieces per sub-interval, each no wider than dt = T / (S steps),
+    and errors grow by at most exp(lam T).  Rounding: every RK4 step and
+    every h-map step rounds at most ten units of eps on the scale X + T G."""
+    G = np.linalg.norm(plant.B, np.inf) * (U + F)
+    dt = T / (S * steps)
+    N = 2 * S * steps
+    trunc = 2 * N * dt ** 5 * lam ** 4 * (lam * X + 5 * G) / 120
+    rounding = 10 * np.finfo(float).eps * (N + S) * (X + T * G)
+    return math.exp(lam * T) * (trunc + rounding)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), S=st.integers(2, 6),
+       where=st.floats(0.0, 1.0, exclude_max=True), sub=st.integers(0, 5),
+       frac=st.floats(0.05, 0.95))
+def test_intersample_record_matches_rk4_on_random_plants(seed, S, where, sub, frac):
+    sc, _ = _random_loop(seed)
+    T = sc.T
+    sc = sc.with_(horizon=max(sc.horizon, 1.5 * T))
+    steps = sc.steps
+    # a second segment starts inside sub-interval `sub` of sample kb, so the
+    # h-period sampler splits that sub-sample and the oracle cuts it there
+    kb, jb = int(where * steps), sub % S
+    t_b = kb * T + (jb + frac) * T / S
+    rng = np.random.default_rng(seed)
+    forms = tuple(SinForm(*rng.uniform([-1.0, 0.0, 0.1, 0.0], [1.0, 2.0, 5.0, 6.0]))
+                  for _ in range(sc.plant.m))
+    first = sc.disturbance.segments[0]
+    sig = DisturbanceSignal([Segment(0.0, t_b, first.forms),
+                             Segment(t_b, math.inf, forms)])
+    sc = sc.with_(disturbance=sig, record_intersample=True, substeps=S)
+    traj = run_batch([sc])[0]
+    n = sc.plant.n
+    inter = traj.inter_x.reshape(steps, S, n)
+    assert np.array_equal(inter[:, -1], traj.x[1:])
+    assert np.array_equal(traj.inter_t[S - 1::S], traj.t[1:])
+    every = first.forms + forms
+    lam = max(np.linalg.norm(sc.plant.A, np.inf), *(f.omega for f in every))
+    F = max(abs(f.offset) + abs(f.amp) for f in every)
+    rk_steps = math.ceil(lam * T / S / 0.02)
+    ref = rk4_states(sc.plant, sig, traj.x[:-1], traj.u[:-1], traj.t[:-1], T, S,
+                     steps=rk_steps)
+    X = max(np.max(np.abs(inter)), np.max(np.abs(traj.x)))
+    bound = _rk4_bound(sc.plant, T, S, rk_steps, lam, F, X, np.max(np.abs(traj.u)))
+    # the entries at sample instants are the scan's x[k + 1], checked above
+    # and against the loop oracle elsewhere
+    assert np.max(np.abs(inter[:, :-1] - ref[:, :-1])) <= bound
 
 
 # --- several batches from one run_batches -----------------------------------

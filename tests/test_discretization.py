@@ -3,7 +3,7 @@
 Closed-form cases (nilpotent and zero drift) are exact; the generic path is
 cross-checked against three independent integrators: adaptive quadrature
 and composite Simpson on the convolution integral, and fine-step RK4 on the
-state equation itself.
+state equation itself (conftest.rk4_states, the held-input oracle).
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
-from conftest import T_BENCH
+from conftest import T_BENCH, rk4_states, segment_value
 
 
 def _pieces(sig, T, k):
@@ -51,7 +51,7 @@ def quad_dk(plant, T, sig, k):
     for lo, hi, seg in _pieces(sig, T, k):
         val, _ = quad_vec(
             lambda tau: expm(plant.A * tau) @ plant.B
-            @ sig.value_in_segment(seg, t1 - tau),
+            @ segment_value(sig, seg, t1 - tau),
             lo, hi, epsabs=epsabs, epsrel=1e-13)
         total += val
     return total
@@ -64,36 +64,17 @@ def _simpson_dk(plant, T, sig, k, panels=2000):
     for lo, hi, seg in _pieces(sig, T, k):
         taus, h = np.linspace(lo, hi, 2 * panels + 1, retstep=True)
         vals = np.array([expm(plant.A * tau) @ plant.B
-                         @ sig.value_in_segment(seg, t1 - tau) for tau in taus])
+                         @ segment_value(sig, seg, t1 - tau) for tau in taus])
         w = np.ones(len(taus)); w[1:-1:2] = 4.0; w[2:-1:2] = 2.0
         total += h / 3.0 * (w[:, None] * vals).sum(axis=0)
     return total
 
 
 def _rk4_dk(plant, T, sig, k, steps=1000):
-    """RK4 on xdot = A x + B f(t) from x(kT) = 0, split at segment joins so
-    no RK stage straddles a discontinuity."""
-    x = np.zeros(plant.n)
-    t0, t1 = k * T, (k + 1) * T
-    cuts = [t0] + [b for b in sig.boundaries_within(t0, t1) if t0 < b < t1] + [t1]
-    seg_end = np.nextafter(sig.t_end, 0)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg = sig.segment_index(min(0.5 * (lo + hi), seg_end))
-        npiece = max(2, int(round(steps * (hi - lo) / T)))
-        h = (hi - lo) / npiece
-
-        def rhs(t, x):
-            return plant.A @ x + plant.B @ sig.value_in_segment(seg, t)
-
-        t = lo
-        for _ in range(npiece):
-            k1 = rhs(t, x)
-            k2 = rhs(t + h / 2, x + h / 2 * k1)
-            k3 = rhs(t + h / 2, x + h / 2 * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-    return x
+    """RK4 on xdot = A x + B f(t) from x(kT) = 0: the held-input oracle
+    with x0 = 0 and u = 0, `steps` steps per piece between segment joins."""
+    return rk4_states(plant, sig, np.zeros((1, plant.n)), np.zeros((1, plant.m)),
+                      [k * T], T, steps=steps)[0, -1]
 
 
 # --- exact linear part -----------------------------------------------------

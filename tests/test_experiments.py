@@ -116,6 +116,31 @@ def test_benchmark_runtime_averages_every_seed(monkeypatch):
         k: 0.75 for k in ("m1", "m2", "mm1", "mm2")}
 
 
+def test_noise_free_benchmark_runs_one_batch(monkeypatch):
+    # a noise-free spec ignores its seed: one batch, timed by two calls
+    one = aircraft_benchmark(noise=False, seeds=(1,))
+    calls = []
+
+    def perf_counter():
+        calls.append(None)
+        return float(len(calls))
+
+    fake = type("FakeTime", (), {"perf_counter": staticmethod(perf_counter)})
+    monkeypatch.setattr("qsmc.experiments.time", fake)
+    three = aircraft_benchmark(noise=False, seeds=(1, 2, 3))
+    assert len(calls) == 2
+    assert three.seeds == (1, 2, 3)
+    assert three.peak_median == one.peak_median
+    for kind in ("m1", "m2", "mm1", "mm2"):
+        a, b = one.runs[kind], three.runs[kind]
+        assert (a.u_peak, a.s_bound, a.x_bound) == (b.u_peak, b.s_bound, b.x_bound)
+        for name in ("x", "y", "s", "s_true", "u", "f"):
+            assert getattr(a.trajectory, name).tobytes() == \
+                getattr(b.trajectory, name).tobytes(), (kind, name)
+        # one batch of four kinds, timed at 1 s
+        assert b.runtime == 0.25
+
+
 def test_benchmark_needs_a_seed():
     with pytest.raises(ConfigError):
         aircraft_benchmark(seeds=())

@@ -6,7 +6,8 @@ from qsmc import (ConfigError, DisturbanceRangeError, DivergenceError,
                   default_steady_window, export_csv,
                   measure_quasi_sliding, run, zero_signal)
 
-from conftest import (ALPHA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH, X0_BENCH)
+from conftest import (ALPHA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH, X0_BENCH,
+                      rk4_states)
 
 
 # --- scenario validation -----------------------------------------------------
@@ -103,26 +104,41 @@ def test_eq_needs_the_disturbance_at_the_last_sample(bench_scenario):
     assert traj.f[-1].tolist() == [0.5, -0.2]
 
 
-# --- exact map vs RK4 substepping ---------------------------------------------
+# --- inter-sample record vs the RK4 oracle -----------------------------------
+
+# columns of the sample record, which recording inter-sample states leaves alone
+SAMPLE_FIELDS = ("k", "t", "x", "y", "s", "s_true", "u", "f")
+
 
 def test_exact_map_matches_rk4(bench_scenario):
+    # every inter-sample state against RK4 from the sample's own x[k] with
+    # u[k] held, one RK4 step per sub-interval of 1e-5 s
+    S = 1000
     base = bench_scenario.with_(horizon=2.0)
     exact = run(base)
-    rk4 = run(base.with_(record_intersample=True, substeps=1000))
-    assert np.max(np.abs(exact.x - rk4.x)) <= 1e-7
+    traj = run(base.with_(record_intersample=True, substeps=S))
+    for name in SAMPLE_FIELDS:
+        assert getattr(traj, name).tobytes() == getattr(exact, name).tobytes(), name
+    ref = rk4_states(base.plant, base.disturbance, traj.x[:-1], traj.u[:-1],
+                     traj.t[:-1], base.T, S)
+    assert np.max(np.abs(traj.inter_x - ref.reshape(traj.inter_x.shape))) <= 1e-7
 
 
 def test_intersample_recording(bench_scenario):
     sc = bench_scenario.with_(horizon=0.1, record_intersample=True, substeps=10)
     traj = run(sc)
+    plain = run(sc.with_(record_intersample=False))
+    for name in SAMPLE_FIELDS:
+        assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes(), name
     assert traj.inter_t is not None
-    assert len(traj.inter_t) == len(traj.inter_x) == 10 * 10
-    # last inter-sample point is the last sample point
-    assert traj.inter_t[-1] == pytest.approx(0.1, abs=1e-12)
-    assert np.allclose(traj.inter_x[-1], traj.x[-1], atol=0)
-    # inter-sample states at sample instants line up with the sample record
-    at_samples = traj.inter_x[9::10]
-    assert np.allclose(at_samples, traj.x[1:], atol=1e-12)
+    assert traj.inter_t.shape == (10 * 10,)
+    assert traj.inter_x.shape == (10 * 10, 4)
+    # the entries at sample instants are the sample record itself
+    assert np.array_equal(traj.inter_t[9::10], traj.t[1:])
+    assert np.array_equal(traj.inter_x[9::10], traj.x[1:])
+    # the others sit on the uniform sub-grid in between
+    grid = traj.t[:-1, None] + 0.001 * np.arange(1, 11)
+    assert np.allclose(traj.inter_t, grid.reshape(-1), rtol=0, atol=1e-15)
 
 
 def test_rk4_without_recording_not_stored(bench_scenario):
