@@ -16,14 +16,18 @@ class AssumptionViolation(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Closed-loop state escaped the overflow guard."""
+    """Closed-loop state escaped the overflow guard.  rho_cl is the spectral
+    radius of the diverging run's closed loop, the figure a sweep gates on;
+    the message does not show it."""
 
-    def __init__(self, step: int, norm: float, run: int | None = None):
+    def __init__(self, step: int, norm: float, run: int | None = None,
+                 rho_cl: float | None = None):
         where = "" if run is None else f" in run {run}"
         super().__init__(f"state norm {norm:.3e} exceeded guard at step {step}{where}")
         self.step = step
         self.norm = norm
         self.run = run
+        self.rho_cl = rho_cl
 
 
 class DisturbanceRangeError(ConfigError):

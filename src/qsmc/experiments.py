@@ -7,9 +7,12 @@ of log(metric) against log(T).  Expected slopes: surface bound 1 (mm1),
 2 (mm2, m1), 3 (m2); input peak 0 for the contraction laws and -1 for the
 deadbeat baselines.
 
-Sweep points run one after another.  The sampled disturbance d[k] is exact
-and cheap (one block exponential per segment and period, then one vectorized
-table per run), so each period builds its own sampler and nothing is cached.
+Sweep points run one after another, and each is one run: its gate is that
+run's own closed-loop radius rho_cl and its metric is a key of the same
+run's summary (s_bound and x_bound over the default steady window, or
+u_peak).  The sampled disturbance d[k] is exact and cheap (one block
+exponential per segment and period, then one vectorized table per run), so
+each period builds its own sampler and nothing is cached.
 """
 
 from __future__ import annotations
@@ -20,13 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import closed_loop, law_taps, make_gains, spectral_radius
-from .discretization import DisturbanceSampler, discretize
+from .discretization import DisturbanceSampler
 from .errors import ConfigError, DivergenceError
 from .scenario import ScenarioFile, parse_scenario_file
-from .simulate import (Scenario, Trajectory, default_steady_window,
-                       measure_quasi_sliding, run, run_batches)
-from .surface import build_surface
+from .simulate import (Scenario, Trajectory, default_steady_window, run,
+                       run_batches)
 
 DEFAULT_LADDER = (0.02, 0.01, 0.005, 0.0025)
 METRICS = ("s_bound", "x_bound", "u_peak")
@@ -37,8 +38,6 @@ class SweepSpec:
     base: Scenario
     T_values: tuple = DEFAULT_LADDER
     metric: str = "s_bound"
-    beta: float | None = None     # default: taken from the base scenario
-    window: tuple | None = None   # default: steady window of the base profile
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -58,7 +57,7 @@ class SweepPoint:
     value: float | None
     certified: bool
     flagged: str | None = None
-    rho_cl: float | None = None   # gate radius; None if the surface failed
+    rho_cl: float | None = None   # radius of the loop that ran; None on ConfigError
 
 
 @dataclass(frozen=True)
@@ -75,50 +74,45 @@ class ScalingReport:
 
 
 def shared_sampler(plant, T, sig) -> DisturbanceSampler:
-    """The sampler every run at one period uses; building it computes the
-    per-segment d[k] gains once."""
+    """The d[k] sampler of one period; building it computes the per-segment
+    d[k] gains once.  run_batches builds its own, so nothing in the package
+    calls this; perfbench's tracer counts its calls by this name."""
     return DisturbanceSampler(plant, T, sig)
 
 
-def _sweep_point(scenario: Scenario, beta: float, T: float, metric: str,
-                 window) -> SweepPoint:
-    sc = scenario.with_(T=T, alpha=None, beta=beta)
-    # gate: surface assumption + unit-circle radius of the loop that runs
-    # (the rho_cl that run_batch reports) before trusting the metric
-    rho = None
+def _sweep_point(scenario: Scenario, beta: float, T: float,
+                 metric: str) -> SweepPoint:
+    """One rung: one run at period T.  Its metric counts only if the loop
+    that ran is stable (rho_cl < 1), read from the run's summary or, when
+    the run diverged, from the DivergenceError."""
     try:
-        design = build_surface(sc.plant, discretize(sc.plant, T), sc.H)
-        gains = make_gains(design, beta=beta)
-        rho = spectral_radius(closed_loop(design, law_taps(gains, sc.kind, sc.form))[0])
-        if rho >= 1.0:
-            return SweepPoint(T, None, False, f"spectral radius {rho:.4f} >= 1", rho)
-        traj = run(sc, sampler=shared_sampler(sc.plant, T, sc.disturbance))
+        traj = run(scenario.with_(T=T, alpha=None, beta=beta))
     except DivergenceError as exc:
-        return SweepPoint(T, None, False, f"diverged: {exc}", rho)
+        traj, rho, flag = None, exc.rho_cl, f"diverged: {exc}"
     except ConfigError as exc:
-        return SweepPoint(T, None, False, str(exc), rho)
-    if metric == "u_peak":
-        value = traj.u_peak
+        return SweepPoint(T, None, False, str(exc))
     else:
-        s_bound, x_bound = measure_quasi_sliding(traj, window)
-        value = s_bound if metric == "s_bound" else x_bound
-    return SweepPoint(T, float(value), True, rho_cl=rho)
+        rho = traj.summary["rho_cl"]
+    if rho >= 1.0:
+        return SweepPoint(T, None, False, f"spectral radius {rho:.4f} >= 1", rho)
+    if traj is None:
+        return SweepPoint(T, None, False, flag, rho)
+    if metric not in traj.summary:
+        raise ConfigError(f"no {metric} at T = {T}: the steady window "
+                          f"{traj.summary['window']} is empty or outside the run")
+    return SweepPoint(T, float(traj.summary[metric]), True, rho_cl=rho)
 
 
 def run_sweep(spec: SweepSpec) -> ScalingReport:
     base = spec.base
-    beta = spec.beta
+    beta = base.beta
     if beta is None:
-        if base.beta is not None:
-            beta = base.beta
-        elif base.alpha is not None:
-            beta = (1.0 - base.alpha) / base.T
-        else:
+        if base.alpha is None:
             raise ConfigError("no beta available for the sweep")
-    window = spec.window or default_steady_window(base.disturbance, base.horizon)
+        beta = (1.0 - base.alpha) / base.T
+    window = default_steady_window(base.disturbance, base.horizon)
     # T_values is sorted longest period first
-    points = [_sweep_point(base, beta, T, spec.metric, window)
-              for T in spec.T_values]
+    points = [_sweep_point(base, beta, T, spec.metric) for T in spec.T_values]
     good = [(p.T, p.value) for p in points if p.certified and p.value and p.value > 0]
     slope = half = None
     if len(good) >= 2:
@@ -210,7 +204,7 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
             spec = replace(spec, kind="none", seed=int(seed))
         # one stacked batch per seed: the four kinds share its noise draw
         batches.append([base.with_(kind=kind, noise=spec) for kind in BENCH_KINDS])
-    gen = run_batches(batches, shared_sampler(base.plant, base.T, base.disturbance))
+    gen = run_batches(batches)
     firsts, batch_s = _next_batch(gen, peaks)
     for _ in drawn[1:]:
         # the helper's locals, this batch included, die when it returns
@@ -218,9 +212,12 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
     # the first batch runs cold; averaging over every batch steadies the figure
     runtime = batch_s / (len(drawn) * len(BENCH_KINDS))
     for kind, traj in zip(BENCH_KINDS, firsts):
-        s_bound, x_bound = measure_quasi_sliding(traj, window)
+        if "s_bound" not in traj.summary:
+            raise ConfigError(f"the steady window {window} is empty or "
+                              "outside the benchmark run")
         runs[kind] = BenchmarkRun(kind=kind, u_peak=traj.u_peak,
-                                  s_bound=s_bound, x_bound=x_bound,
+                                  s_bound=traj.summary["s_bound"],
+                                  x_bound=traj.summary["x_bound"],
                                   runtime=runtime, trajectory=traj)
     medians = {k: float(np.median(v)) for k, v in peaks.items()}
     return BenchmarkReport(noise=noise, seeds=seeds, runs=runs,

@@ -10,7 +10,7 @@ line.  Full-line comments start with '#'.  Sections:
   [surface]      H = r ; r
   [controller]   kind = eq|m1|m2|mm1|mm2, alpha and/or beta,
                  form = recursive|estimate (optional)
-  [timing]       T, horizon, substeps (opt), record_intersample (opt)
+  [timing]       T, horizon
   [disturbance]  segment = t0 t1 : form ; form ; ...   (repeatable, ordered)
                  forms: zero | const c | sin offset amp omega phase
                         | cos amp omega        (t1 may be 'inf')
@@ -60,15 +60,6 @@ class ScenarioFile:
     out_dir: str = "out"
     formats: tuple = ("csv", "summary")
     path: str | None = None
-
-
-def _parse_bool(value, section, key, line):
-    v = value.strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"expected boolean, got {value!r}", section, key, line)
 
 
 def _parse_float(value, section, key, line):
@@ -226,15 +217,6 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
                      where("timing", "t"))
     horizon = _parse_float(take("timing", "horizon", required=True),
                            "timing", "horizon", where("timing", "horizon"))
-    substeps_text = take("timing", "substeps", default="1")
-    try:
-        substeps = int(substeps_text)
-    except ValueError:
-        raise ScenarioError(f"expected integer, got {substeps_text!r}",
-                            "timing", "substeps", where("timing", "substeps")) from None
-    record = _parse_bool(take("timing", "record_intersample", default="false"),
-                         "timing", "record_intersample",
-                         where("timing", "record_intersample"))
 
     if alpha is not None and beta is not None and abs((1 - alpha) - beta * T) > 1e-12:
         raise ScenarioError(
@@ -295,8 +277,7 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     try:
         scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
                             disturbance=disturbance, noise=noise, alpha=alpha,
-                            beta=beta, x0=x0, substeps=substeps,
-                            record_intersample=record, form=form)
+                            beta=beta, x0=x0, form=form)
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from None
     return ScenarioFile(scenario=scenario, out_dir=out_dir, formats=formats)

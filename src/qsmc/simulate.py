@@ -140,17 +140,17 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def run(scenario: Scenario, sampler: DisturbanceSampler | None = None) -> Trajectory:
+def run(scenario: Scenario) -> Trajectory:
     """Simulate the closed loop; deterministic for a fixed noise seed."""
-    return run_batch([scenario], sampler)[0]
+    return run_batch([scenario])[0]
 
 
-def run_batch(scenarios, sampler: DisturbanceSampler | None = None) -> list:
+def run_batch(scenarios) -> list:
     """Simulate R closed loops that share plant, T, H, horizon and
     disturbance as one stacked recursion; returns their trajectories in
     order, each deterministic for a fixed noise seed.  A batch of one
     run_batches."""
-    return next(run_batches([scenarios], sampler))
+    return next(run_batches([scenarios]))
 
 
 class _Law(NamedTuple):
@@ -180,7 +180,7 @@ def _law_key(sc: Scenario) -> tuple:
     return (sc.kind, sc.form, sc.alpha, sc.beta)
 
 
-def run_batches(batches, sampler: DisturbanceSampler | None = None):
+def run_batches(batches):
     """Yield the trajectories of each batch of scenarios in turn, each list
     equal to run_batch of that batch alone.
 
@@ -219,12 +219,10 @@ def run_batches(batches, sampler: DisturbanceSampler | None = None):
             carry = np.linalg.matrix_power(loop[0].astype(np.longdouble),
                                            BLOCK).astype(float)
             laws[key] = _Law(taps, loop, carry, spectral_radius(loop[0]))
-    if sampler is None:
-        sampler = DisturbanceSampler(plant, T, sig)
     # the eq oracle feeds d[k] into u[k], so it also reads d[steps]; without
     # it d[steps] only moves x[steps + 1], which is not kept
     eq = any(law.taps.K_g is not None for law in laws.values())
-    dk = sampler.table(0, steps + 1 if eq else steps)
+    dk = DisturbanceSampler(plant, T, sig).table(0, steps + 1 if eq else steps)
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
                                          steps + 1, plant.p)))
@@ -288,7 +286,8 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
         r = int(np.argmax(bad[:, k]))
-        raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None)
+        raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None,
+                              rho_cl=laws[r].rho)
 
     S = psi[:, 1:steps + 2, ss].copy()
     U = psi[:, 1:steps + 2, us].copy()

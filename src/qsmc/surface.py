@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import AssumptionViolation, ConfigError
-from .discretization import DiscretePlant
+from .discretization import DiscretePlant, discretize
 from .plant import ContinuousPlant
 
 _COND_LIMIT = 1e12
@@ -186,20 +186,18 @@ class CertReport:
 def certify_surface_over_T(plant: ContinuousPlant, H, T_list) -> CertReport:
     """Invertibility and conditioning of the sampled coupling H C input_rate
     across sampling periods.  Report-based: nothing raised for failures."""
-    from .discretization import discretize
-
     if not len(T_list):
         raise ConfigError("empty period list")
     rows = []
     for T in sorted(T_list):
         if not T > 0:
             raise ConfigError(f"sampling period must be positive, got {T}")
+        disc = discretize(plant, T)
         try:
-            design = build_surface(plant, discretize(plant, T), H)
+            design = build_surface(plant, disc, H)
             rows.append(CertRow(T=T, invertible=True, cond=design.s_gain_cond))
         except AssumptionViolation:
-            ir = discretize(plant, T).input_rate
-            cond = float(np.linalg.cond(np.atleast_2d(H) @ plant.C @ ir))
+            cond = float(np.linalg.cond(np.atleast_2d(H) @ plant.C @ disc.input_rate))
             rows.append(CertRow(T=T, invertible=False, cond=cond))
     certified = [r.T for r in rows if r.invertible]
     return CertReport(rows=tuple(rows),

@@ -15,7 +15,6 @@ from qsmc import (aircraft_benchmark, augmented_vs_direct, build_surface,
                   check_memory_spectrum, difference_diagnostics, discretize,
                   invariant_zeros, load_aircraft_scenario, make_gains,
                   measure_quasi_sliding, run, stability_over_T, zero_signal)
-from qsmc.experiments import shared_sampler
 
 from conftest import ALPHA_BENCH, BETA_BENCH, H_BENCH
 
@@ -133,7 +132,7 @@ def test_criterion_5_accuracy_order_ladder(bench_file):
     for kind in ("m1", "m2", "mm1", "mm2"):
         for T in ladder:
             cfg = sc.with_(kind=kind, T=T, alpha=None, beta=BETA_BENCH)
-            traj = run(cfg, sampler=shared_sampler(cfg.plant, T, cfg.disturbance))
+            traj = run(cfg)
             sb, xb = measure_quasi_sliding(traj, window)
             metrics[(kind, T, "s_bound")] = sb
             metrics[(kind, T, "x_bound")] = xb

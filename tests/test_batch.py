@@ -21,7 +21,7 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
                   DisturbanceSignal, DivergenceError, NoiseSpec, Scenario,
                   Segment, Xoshiro256StarStar, build_surface, closed_loop,
                   constant_signal, discretize, law_taps, make_gains, run,
-                  zero_signal)
+                  stability_over_T, zero_signal)
 from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
@@ -143,6 +143,21 @@ def test_batch_divergence_names_first_bad_run(bench_scenario):
     assert err.value.run == 1
     assert err.value.norm > 1e12
     assert "in run 1" in str(err.value)
+
+
+def test_batch_divergence_carries_diverging_runs_radius(bench_scenario):
+    unstable = bench_scenario.with_(H=H_UNSTABLE, disturbance=zero_signal(2))
+    rho = stability_over_T(unstable.plant, H_UNSTABLE, [unstable.T],
+                           alpha=unstable.alpha).rows[0].rho_cl["mm1"]
+    # run 0 is an m1 loop, with a radius of its own, started far smaller so
+    # that the mm1 run 1 crosses the guard first
+    m1 = unstable.with_(kind="m1", x0=1e-6 * unstable.x0)
+    with pytest.raises(DivergenceError) as err:
+        run_batch([m1, unstable])
+    assert err.value.run == 1
+    assert err.value.rho_cl == rho
+    assert rho > 1.0
+    assert run_batch([m1.with_(horizon=1.0)])[0].summary["rho_cl"] != rho
 
 
 @pytest.mark.parametrize("field, value", [
@@ -501,8 +516,8 @@ def test_benchmark_keeps_first_batch_only(monkeypatch):
         refs.append(weakref.ref(trajs[0].x.base))
         return trajs
 
-    def spy(batches, sampler=None):
-        gen = real(batches, sampler)
+    def spy(batches):
+        gen = real(batches)
         for _ in batches:
             # batches the benchmark still holds when it asks for the next
             alive.append(sum(ref() is not None for ref in refs))

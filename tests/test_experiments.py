@@ -1,8 +1,12 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qsmc import (ConfigError, SweepSpec, aircraft_benchmark,
-                  builtin_scenario_path, load_aircraft_scenario, run_sweep)
+                  builtin_scenario_path, load_aircraft_scenario, run_sweep,
+                  stability_over_T, zero_signal)
 from qsmc.experiments import shared_sampler
 
 # frozen from the first validated runs of the shipped benchmark; regression
@@ -71,6 +75,52 @@ def test_sweep_flags_uncertified_points(bench_scenario):
     assert all(p.value is None for p in rep.points)
     assert rep.slope is None
     assert any("spectral radius" in (p.flagged or "") for p in rep.points)
+    # each rung's radius is the one stability_over_T gives its loop
+    stab = stability_over_T(spec.base.plant, H_UNSTABLE, spec.T_values,
+                            beta=spec.base.beta)
+    radii = {row.T: row.rho_cl["mm1"] for row in stab.rows}
+    assert all(p.rho_cl == radii[p.T] for p in rep.points)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name wherever a qsmc module holds it; returns the
+    list that gains one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "qsmc" or modname.startswith("qsmc."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, spy)
+    return calls
+
+
+def test_sweep_builds_each_rung_once(bench_scenario, monkeypatch):
+    import qsmc.discretization
+    import qsmc.surface
+    discs = _count_calls(monkeypatch, qsmc.discretization, "discretize")
+    surfaces = _count_calls(monkeypatch, qsmc.surface, "build_surface")
+    rep = run_sweep(SweepSpec(base=bench_scenario, T_values=(0.02, 0.01, 0.005)))
+    assert all(p.certified for p in rep.points)
+    assert len(discs) == 3
+    assert len(surfaces) == 3
+
+
+def test_sweep_window_outside_run_is_a_config_error(bench_scenario):
+    # horizon 1 s is not a whole number of 0.03 s samples, so the default
+    # window [0.8, 1.0] of a disturbance-free run ends past the last sample
+    spec = SweepSpec(base=bench_scenario.with_(horizon=1.0,
+                                               disturbance=zero_signal(2)),
+                     T_values=(0.03, 0.015, 0.0075))
+    with pytest.raises(ConfigError, match="no s_bound at T = 0.03"):
+        run_sweep(spec)
+    rep = run_sweep(replace(spec, metric="u_peak"))
+    assert all(p.certified for p in rep.points)
 
 
 def test_benchmark_regression_values():

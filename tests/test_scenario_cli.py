@@ -66,8 +66,13 @@ def test_parse_unknown_section():
 
 
 def test_parse_unknown_key_names_location():
-    with pytest.raises(ScenarioError, match=r"unknown key 'gamma'.*controller"):
-        parse_scenario_text(MINIMAL + "\n[controller]\ngamma = 2\n")
+    # substeps and record_intersample are Scenario fields, not file keys
+    for section, key, value in (("controller", "gamma", "2"),
+                                ("timing", "substeps", "10"),
+                                ("timing", "record_intersample", "true")):
+        with pytest.raises(ScenarioError,
+                           match=rf"unknown key '{key}'.*\[{section}\].*line"):
+            parse_scenario_text(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
 
 
 def test_parse_key_before_section():

@@ -4,7 +4,8 @@ import pytest
 from qsmc import (ConfigError, DisturbanceRangeError, DivergenceError,
                   NoiseSpec, Scenario, constant_signal, csv_header,
                   default_steady_window, export_csv,
-                  measure_quasi_sliding, run, zero_signal)
+                  measure_quasi_sliding, run, stability_over_T,
+                  zero_signal)
 
 from conftest import (ALPHA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH, X0_BENCH,
                       rk4_states)
@@ -154,6 +155,18 @@ def test_divergence_raises_with_step(bench_scenario):
         run(sc)
     assert err.value.step == 1246
     assert err.value.norm > 1e12
+
+
+def test_divergence_carries_closed_loop_radius(bench_scenario):
+    # the radius of the loop that diverged, as stability_over_T reports it
+    sc = bench_scenario.with_(H=H_UNSTABLE, disturbance=zero_signal(2))
+    rho = stability_over_T(sc.plant, H_UNSTABLE, [sc.T],
+                           alpha=sc.alpha).rows[0].rho_cl["mm1"]
+    with pytest.raises(DivergenceError) as err:
+        run(sc)
+    assert err.value.rho_cl == rho
+    assert rho > 1.0
+    assert "rho" not in str(err.value)
 
 
 # --- disturbance-free decay ------------------------------------------------------
