@@ -11,8 +11,7 @@ and measure empirical accuracy orders over sampling-period ladders.
 from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
                        StabilityRow, augmented_vs_direct, build_aug, charpoly,
                        check_memory_spectrum, memory_block, stability_over_T,
-                       variant_for_kind, verify_first_order_memory,
-                       verify_second_order_memory)
+                       variant_for_kind)
 from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
                           closed_loop, equivalent_control, law_taps,
                           make_gains, reconstruct_g_prev)
@@ -26,8 +25,7 @@ from .experiments import (BenchmarkReport, BenchmarkRun, ScalingReport,
                           builtin_scenario_path, load_aircraft_scenario,
                           run_sweep)
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec, Segment,
-                    ValidationReport, constant_signal, invariant_zeros,
-                    validate_plant, zero_signal)
+                    constant_signal, invariant_zeros, zero_signal)
 from .rng import Xoshiro256StarStar
 from .scenario import ScenarioError, ScenarioFile, parse_scenario_file, \
     parse_scenario_text
@@ -36,8 +34,7 @@ from .simulate import (Scenario, Trajectory, csv_header,
                        measure_quasi_sliding, run, run_batch,
                        run_batches)
 from .surface import (CertReport, NormalForm, SurfaceDesign, build_surface,
-                      certify_surface_over_T, from_normal_coords,
-                      input_annihilator, to_normal_coords)
+                      certify_surface_over_T, input_annihilator)
 
 __version__ = "0.1.0"
 
@@ -49,18 +46,16 @@ __all__ = [
     "KINDS", "LawTaps", "NoiseSpec", "NormalForm", "ScalingReport", "Scenario",
     "ScenarioError", "ScenarioFile", "Segment", "SpectrumReport",
     "StabilityReport", "StabilityRow", "SurfaceDesign", "SweepPoint",
-    "SweepSpec", "Trajectory", "ValidationReport", "WARMUP",
+    "SweepSpec", "Trajectory", "WARMUP",
     "Xoshiro256StarStar", "aircraft_benchmark", "augmented_vs_direct",
     "build_aug", "build_surface", "builtin_scenario_path", "certify_surface_over_T",
     "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
     "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",
     "equivalent_control", "export_csv",
-    "from_normal_coords", "input_annihilator", "invariant_zeros", "law_taps",
+    "input_annihilator", "invariant_zeros", "law_taps",
     "load_aircraft_scenario", "make_gains", "matched_residual_split",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
     "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_batches", "run_sweep",
-    "stability_over_T", "to_normal_coords",
-    "validate_plant", "variant_for_kind", "verify_first_order_memory",
-    "verify_second_order_memory", "zero_signal",
+    "stability_over_T", "variant_for_kind", "zero_signal",
 ]

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import (GainSet, closed_loop, law_taps, make_gains,
-                          spectral_radius)
+from .controllers import (DEADBEAT, LAWS, GainSet, closed_loop, law_taps,
+                          make_gains, spectral_radius)
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError
 from .surface import SurfaceDesign, build_surface
@@ -71,9 +71,6 @@ class AugmentedSystem:
     variant: str
     A_aug: np.ndarray
     xi_step: np.ndarray
-    memory: np.ndarray
-    coupling_x: np.ndarray    # N_x: memory -> xi feed
-    coupling_s: np.ndarray    # N_s: xi -> memory feed
     gains: GainSet
     design: SurfaceDesign
 
@@ -123,7 +120,6 @@ def build_aug(design: SurfaceDesign, gains: GainSet, variant: str) -> AugmentedS
                          -(((3.0 - a) * np.eye(m) + T * design.drift_from_s) @ cx1), Zs])
     A_aug = np.block([[design.xi_step, T * N_x], [T * N_s, mem]])
     return AugmentedSystem(variant=variant, A_aug=A_aug, xi_step=design.xi_step,
-                           memory=mem, coupling_x=N_x, coupling_s=N_s,
                            gains=gains, design=design)
 
 
@@ -182,16 +178,6 @@ def check_memory_spectrum(alpha: float, T: float, coupling, variant: str) -> Spe
                           coeffs=coeffs, expected=expected, max_coeff_error=err)
 
 
-def verify_first_order_memory(gains: GainSet, coupling=None) -> SpectrumReport:
-    cpl = gains.drift_from_s if coupling is None else coupling
-    return check_memory_spectrum(gains.alpha, gains.T, cpl, "aug1")
-
-
-def verify_second_order_memory(gains: GainSet, coupling=None) -> SpectrumReport:
-    cpl = gains.drift_from_s if coupling is None else coupling
-    return check_memory_spectrum(gains.alpha, gains.T, cpl, "aug2")
-
-
 # ---------------------------------------------------------------------------
 # stability across sampling periods
 
@@ -246,10 +232,6 @@ def _cluster_distances(aug: AugmentedSystem):
     return d_all, d_cond
 
 
-# the implementable laws; eq is an oracle that reads the true g[k]
-CL_KINDS = ("m1", "m2", "mm1", "mm2")
-
-
 def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport:
     """Spectral radii of both augmented variants and of every kind's
     simulated closed loop per period.  With beta given, alpha is recomputed
@@ -272,7 +254,7 @@ def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport
             cluster_dist_aug1=dist1, cluster_dist_aug2=dist2,
             conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2,
             rho_cl={kind: spectral_radius(closed_loop(design, law_taps(gains, kind))[0])
-                    for kind in CL_KINDS}))
+                    for kind in LAWS}))
     certified = [r.T for r in rows if r.certified]
     return StabilityReport(rows=tuple(rows),
                            largest_certified=max(certified) if certified else None)
@@ -297,7 +279,7 @@ def augmented_vs_direct(design: SurfaceDesign, gains: GainSet, variant: str,
         raise ConfigError("equivalence check requires a noise-free scenario")
     # deadbeat baselines run the recursions at alpha = 0; the augmented
     # matrix must be assembled with the same effective alpha
-    if kind in ("m1", "m2") and gains.alpha != 0.0:
+    if kind in DEADBEAT and gains.alpha != 0.0:
         gains = make_gains(design, alpha=0.0)
     traj = run(scenario)
     M, H, C = design.annihilator, design.H, design.plant.C

@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 
-from .analysis import stability_over_T, verify_first_order_memory, \
-    verify_second_order_memory
-from .controllers import make_gains
+from .analysis import check_memory_spectrum, stability_over_T
+from .controllers import KINDS, LAWS, make_gains
 from .discretization import difference_diagnostics, discretize
 from .errors import AssumptionViolation, ConfigError, DivergenceError
 from .experiments import (DEFAULT_LADDER, METRICS, SweepSpec,
@@ -139,8 +138,9 @@ def cmd_verify(args) -> int:
     cert = certify_surface_over_T(sc.plant, sc.H, T_list)
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
     gains = make_gains(design, alpha=sc.alpha, beta=sc.beta)
-    spec1 = verify_first_order_memory(gains)
-    spec2 = verify_second_order_memory(gains)
+    spec1, spec2 = (check_memory_spectrum(gains.alpha, gains.T,
+                                          gains.drift_from_s, variant)
+                    for variant in ("aug1", "aug2"))
     stab = stability_over_T(sc.plant, sc.H, T_list, beta=beta)
 
     report = {
@@ -245,7 +245,7 @@ def cmd_benchmark(args) -> int:
                       "s_bound": rep.runs[k].s_bound,
                       "x_bound": rep.runs[k].x_bound,
                       "runtime_s": rep.runs[k].runtime}
-                  for k in ("m1", "m2", "mm1", "mm2")},
+                  for k in LAWS},
         "ranking_ok": rep.ranking_ok,
     }
     sys.stdout.write(render_kv(report))
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scenario=True):
         if scenario:
             p.add_argument("scenario", help="scenario file path or builtin name")
-        p.add_argument("--controller", choices=("eq", "m1", "m2", "mm1", "mm2"))
+        p.add_argument("--controller", choices=KINDS)
         p.add_argument("--T", type=float, help="sampling period override")
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)

@@ -34,7 +34,12 @@ import numpy as np
 from .errors import ConfigError
 from .surface import SurfaceDesign
 
-KINDS = ("eq", "m1", "m2", "mm1", "mm2")
+# the implementable laws; eq is an oracle that reads the true g[k]
+LAWS = ("m1", "m2", "mm1", "mm2")
+KINDS = ("eq",) + LAWS
+# deadbeat baselines run the same recursions at alpha = 0
+DEADBEAT = ("m1", "m2")
+FORMS = ("recursive", "estimate")
 
 # first sample index at which each law may emit a nonzero input; earlier
 # samples output zero while history fills
@@ -141,10 +146,9 @@ def law_taps(gains: GainSet, kind: str, form: str = "recursive") -> LawTaps:
     that agree to rounding."""
     if kind not in KINDS:
         raise ConfigError(f"unknown controller kind {kind!r}")
-    if form not in ("recursive", "estimate"):
+    if form not in FORMS:
         raise ConfigError(f"unknown controller form {form!r}")
-    # deadbeat baselines run the same recursions at alpha = 0
-    a = 0.0 if kind in ("m1", "m2") else gains.alpha
+    a = 0.0 if kind in DEADBEAT else gains.alpha
     if kind == "eq":
         lead, E = _eq_terms(gains, a)
         return LawTaps((lead,), (), WARMUP[kind], K_g=E)
@@ -257,11 +261,6 @@ class ControllerState:
         self.s_km2 = zero.copy() if self.s_km2 is None else self.s_km2
         self.u_km1 = zero.copy() if self.u_km1 is None else self.u_km1
         self.u_km2 = zero.copy() if self.u_km2 is None else self.u_km2
-
-    @property
-    def alpha_eff(self) -> float:
-        # deadbeat baselines run the same recursions at alpha = 0
-        return 0.0 if self.kind in ("m1", "m2") else self.gains.alpha
 
     def step(self, s_k: np.ndarray, g_k: np.ndarray | None = None) -> np.ndarray:
         """Consume s[k], emit u[k], advance history.  g_k is accepted only

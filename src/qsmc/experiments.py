@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .controllers import LAWS
 from .discretization import DisturbanceSampler
 from .errors import ConfigError, DivergenceError
 from .scenario import ScenarioFile, parse_scenario_file
@@ -142,9 +143,6 @@ def load_aircraft_scenario() -> ScenarioFile:
     return parse_scenario_file(builtin_scenario_path("aircraft"))
 
 
-BENCH_KINDS = ("m1", "m2", "mm1", "mm2")
-
-
 @dataclass(frozen=True)
 class BenchmarkRun:
     kind: str
@@ -191,7 +189,7 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
     base = sf.scenario
     window = default_steady_window(base.disturbance, base.horizon)
     runs = {}
-    peaks: dict = {k: [] for k in BENCH_KINDS}
+    peaks: dict = {k: [] for k in LAWS}
     batches = []
     drawn = seeds if noise else seeds[:1]
     for seed in drawn:
@@ -203,15 +201,15 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
         else:
             spec = replace(spec, kind="none", seed=int(seed))
         # one stacked batch per seed: the four kinds share its noise draw
-        batches.append([base.with_(kind=kind, noise=spec) for kind in BENCH_KINDS])
+        batches.append([base.with_(kind=kind, noise=spec) for kind in LAWS])
     gen = run_batches(batches)
     firsts, batch_s = _next_batch(gen, peaks)
     for _ in drawn[1:]:
         # the helper's locals, this batch included, die when it returns
         batch_s += _next_batch(gen, peaks)[1]
     # the first batch runs cold; averaging over every batch steadies the figure
-    runtime = batch_s / (len(drawn) * len(BENCH_KINDS))
-    for kind, traj in zip(BENCH_KINDS, firsts):
+    runtime = batch_s / (len(drawn) * len(LAWS))
+    for kind, traj in zip(LAWS, firsts):
         if "s_bound" not in traj.summary:
             raise ConfigError(f"the steady window {window} is empty or "
                               "outside the benchmark run")
@@ -230,6 +228,6 @@ def _next_batch(gen, peaks: dict) -> tuple:
     t0 = time.perf_counter()
     trajs = next(gen)
     elapsed = time.perf_counter() - t0
-    for kind, traj in zip(BENCH_KINDS, trajs):
+    for kind, traj in zip(LAWS, trajs):
         peaks[kind].append(traj.u_peak)
     return trajs, elapsed

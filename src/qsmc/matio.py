@@ -35,11 +35,6 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def format_matrix(mat: np.ndarray) -> str:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return " ; ".join(" ".join(repr(float(v)) for v in row) for row in mat)
-
-
 def parse_vector(text: str) -> np.ndarray:
     """Whitespace-separated vector literal."""
     try:
@@ -89,10 +84,3 @@ def read_plant_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_plant_text(fh.read())
 
-
-def write_plant_file(path, A, B, C):
-    with open(path, "w", encoding="utf-8") as fh:
-        for mat in (A, B, C):
-            for row in np.atleast_2d(mat):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            fh.write("\n")

@@ -54,48 +54,11 @@ class ContinuousPlant:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self):
-        for c in self.checks:
-            yield f"{'pass' if c.passed else 'FAIL'}  {c.name}: {c.detail}"
-
-
-def validate_plant(plant: ContinuousPlant) -> ValidationReport:
-    """Structural checks, reported rather than raised so sweeps can log and
-    continue: full column rank of B, full row rank of C, m <= p < n."""
-    n, m, p = plant.n, plant.m, plant.p
-    rank_b = int(np.linalg.matrix_rank(plant.B))
-    rank_c = int(np.linalg.matrix_rank(plant.C))
-    checks = (
-        ValidationCheck("input-rank", rank_b == m,
-                        f"rank(B) = {rank_b} of {m} columns"),
-        ValidationCheck("output-rank", rank_c == p,
-                        f"rank(C) = {rank_c} of {p} rows"),
-        ValidationCheck("dimensions", m <= p < n,
-                        f"m={m}, p={p}, n={n} (need m <= p < n)"),
-    )
-    return ValidationReport(checks)
-
-
 # ---------------------------------------------------------------------------
 # disturbance forms
 #
-# Each form knows its value, derivative and sup-norms of the first two
-# derivatives; the sups are global (amplitude-based), hence valid on any
+# Each form knows its value, derivative and the sup-norm of its first
+# derivative; the sup is global (amplitude-based), hence valid on any
 # sub-interval.  Each is also the output of a linear exosystem
 #
 #     z' = exo_S z,   f = exo_E . z,
@@ -112,15 +75,11 @@ class ZeroForm:
         return 0.0
 
     sup_d1 = 0.0
-    sup_d2 = 0.0
     exo_S = np.zeros((0, 0))
     exo_E = np.zeros(0)
 
     def exo_z(self, t: np.ndarray) -> np.ndarray:
         return np.zeros((len(t), 0))
-
-    def token(self) -> str:
-        return "zero"
 
 
 @dataclass(frozen=True)
@@ -134,15 +93,11 @@ class ConstForm:
         return 0.0
 
     sup_d1 = 0.0
-    sup_d2 = 0.0
     exo_S = np.zeros((1, 1))
     exo_E = np.ones(1)
 
     def exo_z(self, t: np.ndarray) -> np.ndarray:
         return np.full((len(t), 1), self.level)
-
-    def token(self) -> str:
-        return f"const {self.level!r}"
 
 
 @dataclass(frozen=True)
@@ -163,10 +118,6 @@ class SinForm:
     def sup_d1(self) -> float:
         return abs(self.amp * self.omega)
 
-    @property
-    def sup_d2(self) -> float:
-        return abs(self.amp * self.omega ** 2)
-
     # z = (offset, amp sin(theta), amp cos(theta)), theta = omega t + phase
     @property
     def exo_S(self) -> np.ndarray:
@@ -179,9 +130,6 @@ class SinForm:
         th = self.omega * t + self.phase
         return np.column_stack((np.full(len(t), self.offset),
                                 self.amp * np.sin(th), self.amp * np.cos(th)))
-
-    def token(self) -> str:
-        return f"sin {self.offset!r} {self.amp!r} {self.omega!r} {self.phase!r}"
 
 
 @dataclass(frozen=True)
@@ -201,10 +149,6 @@ class CosForm:
     def sup_d1(self) -> float:
         return abs(self.amp * self.omega)
 
-    @property
-    def sup_d2(self) -> float:
-        return abs(self.amp * self.omega ** 2)
-
     # z = (amp cos(omega t), amp sin(omega t))
     @property
     def exo_S(self) -> np.ndarray:
@@ -216,9 +160,6 @@ class CosForm:
     def exo_z(self, t: np.ndarray) -> np.ndarray:
         th = self.omega * t
         return np.column_stack((self.amp * np.cos(th), self.amp * np.sin(th)))
-
-    def token(self) -> str:
-        return f"cos {self.amp!r} {self.omega!r}"
 
 
 @dataclass(frozen=True)

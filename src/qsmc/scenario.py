@@ -26,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .controllers import FORMS, KINDS
 from .errors import ConfigError
 from .matio import (MatrixFormatError, parse_matrix, parse_vector,
                     read_plant_file)
@@ -199,7 +200,7 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
 
     # --- controller ---
     kind = take("controller", "kind", required=True).lower()
-    if kind not in ("eq", "m1", "m2", "mm1", "mm2"):
+    if kind not in KINDS:
         raise ScenarioError(f"unknown controller kind {kind!r}",
                             "controller", "kind", where("controller", "kind"))
     alpha = take("controller", "alpha")
@@ -211,6 +212,9 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     beta = None if beta is None else _parse_float(beta, "controller", "beta",
                                                   where("controller", "beta"))
     form = take("controller", "form", default="recursive").lower()
+    if form not in FORMS:
+        raise ScenarioError(f"unknown controller form {form!r}",
+                            "controller", "form", where("controller", "form"))
 
     # --- timing ---
     T = _parse_float(take("timing", "t", required=True), "timing", "T",

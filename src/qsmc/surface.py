@@ -103,10 +103,6 @@ class SurfaceDesign:
         return self.base.annihilator
 
     @property
-    def to_normal(self):
-        return self.base.to_normal
-
-    @property
     def from_xi(self):
         return self.base.from_xi
 
@@ -150,19 +146,6 @@ def build_surface(plant: ContinuousPlant, disc: DiscretePlant, H,
         s_gain_cond=cond,
         xi_step=np.eye(n - m) + disc.T * (base.annihilator @ disc.drift_rate @ base.from_xi),
     )
-
-
-def to_normal_coords(design, x: np.ndarray):
-    """x -> (xi, s) = (M x, H C x).  Accepts a SurfaceDesign or NormalForm."""
-    base = design.base if isinstance(design, SurfaceDesign) else design
-    x = np.asarray(x, dtype=float)
-    n_m = base.annihilator.shape[0]
-    return base.annihilator @ x, base.to_normal[n_m:] @ x
-
-
-def from_normal_coords(design, xi, s) -> np.ndarray:
-    base = design.base if isinstance(design, SurfaceDesign) else design
-    return base.from_xi @ np.asarray(xi, float) + base.from_s @ np.asarray(s, float)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from qsmc import (ConfigError, augmented_vs_direct, build_aug, charpoly,
                   check_memory_spectrum, make_gains, memory_block,
-                  stability_over_T, variant_for_kind,
-                  verify_first_order_memory, verify_second_order_memory)
+                  stability_over_T, variant_for_kind)
 
 from conftest import (ALPHA_BENCH, BETA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH)
 
@@ -68,8 +67,9 @@ def test_memory_spectrum_deadbeat():
 
 
 def test_memory_spectrum_bench_design(bench_gains):
-    rep1 = verify_first_order_memory(bench_gains)
-    rep2 = verify_second_order_memory(bench_gains)
+    rep1, rep2 = (check_memory_spectrum(bench_gains.alpha, bench_gains.T,
+                                        bench_gains.drift_from_s, variant)
+                  for variant in ("aug1", "aug2"))
     assert rep1.ok(1e-12) and rep2.ok(1e-12)
     assert rep1.variant == "aug1" and rep2.variant == "aug2"
     assert rep1.m == 2 and rep1.alpha == ALPHA_BENCH

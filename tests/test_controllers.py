@@ -125,11 +125,15 @@ def test_eq_requires_oracle(bench_gains):
         st.step(np.ones(2))
 
 
-def test_alpha_eff(bench_gains):
-    assert ControllerState(kind="m1", gains=bench_gains).alpha_eff == 0.0
-    assert ControllerState(kind="m2", gains=bench_gains).alpha_eff == 0.0
-    assert ControllerState(kind="mm1", gains=bench_gains).alpha_eff == ALPHA_BENCH
-    assert ControllerState(kind="eq", gains=bench_gains).alpha_eff == ALPHA_BENCH
+def test_alpha_eff(bench_design, bench_gains):
+    # the deadbeat baselines are the contraction recursions at alpha = 0
+    deadbeat = make_gains(bench_design, alpha=0.0)
+    for kind, twin in (("m1", "mm1"), ("m2", "mm2")):
+        got, want = law_taps(bench_gains, kind), law_taps(deadbeat, twin)
+        assert got.warmup == want.warmup
+        assert len(got.K) == len(want.K) and len(got.C) == len(want.C)
+        for a, b in zip(got.K + got.C, want.K + want.C):
+            assert np.array_equal(a, b)
 
 
 def test_first_order_law_tracks_ideal_with_lagged_g():

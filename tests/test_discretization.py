@@ -295,7 +295,6 @@ class _Ramp:
     """f(t) = t; not part of the scenario grammar, duck-typed for tests.
     Its exosystem is z = (t, 1), z' = S z with S = [[0, 1], [0, 0]]."""
     sup_d1 = 1.0
-    sup_d2 = 0.0
     exo_S = np.array([[0.0, 1.0], [0.0, 0.0]])
     exo_E = np.array([1.0, 0.0])
     def value(self, t): return t

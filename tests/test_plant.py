@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qsmc import (ConfigError, ContinuousPlant, DisturbanceSignal, NoiseSpec,
-                  Segment, constant_signal, invariant_zeros, validate_plant,
-                  zero_signal)
+                  Segment, constant_signal, invariant_zeros, zero_signal)
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
@@ -21,26 +20,6 @@ def test_plant_shape_checks():
         ContinuousPlant(np.ones((2, 3)), np.ones((2, 1)), np.eye(2))
     with pytest.raises(ConfigError):
         ContinuousPlant(np.eye(2), np.ones((2, 1)), np.ones((2, 3)))
-
-
-def test_validate_benchmark_ok(bench_plant):
-    rep = validate_plant(bench_plant)
-    assert rep.ok
-    assert all(c.passed for c in rep.checks)
-
-
-def test_validate_flags_rank_deficient_input():
-    plant = ContinuousPlant(np.eye(3), np.zeros((3, 1)), np.eye(3)[:2])
-    rep = validate_plant(plant)
-    assert not rep.ok
-    assert any("input" in c.name and not c.passed for c in rep.checks)
-
-
-def test_validate_flags_square_output():
-    # p < n advisory check: full-state measurement is flagged, not fatal
-    plant = ContinuousPlant(np.eye(2), np.array([[1.0], [0.0]]), np.eye(2))
-    rep = validate_plant(plant)
-    assert any(not c.passed for c in rep.checks)
 
 
 # --- disturbance forms -----------------------------------------------------
@@ -61,10 +40,8 @@ def test_form_values_and_derivatives():
 def test_form_sup_bounds():
     sin = SinForm(offset=1.0, amp=2.0, omega=0.5)
     assert sin.sup_d1 == pytest.approx(1.0)
-    assert sin.sup_d2 == pytest.approx(0.5)
     assert CosForm(0.5, 2.0).sup_d1 == pytest.approx(1.0)
     assert ConstForm(9.0).sup_d1 == 0.0
-    assert ZeroForm().sup_d2 == 0.0
 
 
 def test_form_derivative_matches_finite_difference():

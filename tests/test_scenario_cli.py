@@ -394,6 +394,28 @@ def test_cli_short_disturbance_rejected_at_parse(tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_cli_unknown_form_rejected_at_parse(tmp_path, command):
+    # every command refuses an unknown law form before it runs anything
+    shipped = builtin_scenario_path("aircraft")
+    shutil.copy(os.path.join(os.path.dirname(shipped), "aircraft.plant"), tmp_path)
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "kind = mm1\n" in text
+    bad_text = text.replace("kind = mm1\n", "kind = mm1\nform = magic\n")
+    line = bad_text.splitlines().index("form = magic") + 1
+    bad = tmp_path / "bad.scn"
+    bad.write_text(bad_text)
+    res = cli(command, str(bad), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "unknown controller form 'magic'" in res.stderr
+    assert "section [controller]" in res.stderr
+    assert "key 'form'" in res.stderr
+    assert f"line {line}" in res.stderr
+    assert "certified" not in res.stdout
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_verify_reports_closed_loop_radius():
     res = cli("verify", "aircraft")
     assert res.returncode == 0, res.stderr

@@ -4,7 +4,7 @@ from scipy.linalg import null_space
 
 from qsmc import (AssumptionViolation, ConfigError, ContinuousPlant,
                   build_surface, certify_surface_over_T, discretize,
-                  from_normal_coords, input_annihilator, to_normal_coords)
+                  input_annihilator)
 from qsmc.surface import build_surface_raw
 
 from conftest import H_BENCH, T_BENCH
@@ -43,14 +43,6 @@ def test_annihilator_rejects_full_row_rank():
 
 
 # --- normal form -----------------------------------------------------------
-
-def test_transformation_round_trip(bench_design):
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x = rng.standard_normal(4)
-        xi, s = to_normal_coords(bench_design, x)
-        assert np.allclose(from_normal_coords(bench_design, xi, s), x, atol=1e-12)
-
 
 def test_inverse_blocks(bench_design):
     base = bench_design.base
