@@ -16,8 +16,7 @@ from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
                           closed_loop, equivalent_control, law_taps,
                           make_gains, reconstruct_g_prev)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
-                             difference_diagnostics, discretize,
-                             matched_residual_split)
+                             difference_diagnostics, discretize)
 from .errors import (AssumptionViolation, ConfigError, DisturbanceRangeError,
                      DivergenceError)
 from .experiments import (BenchmarkReport, BenchmarkRun, ScalingReport,
@@ -54,7 +53,7 @@ __all__ = [
     "default_steady_window", "difference_diagnostics", "discretize",
     "equivalent_control", "export_csv",
     "input_annihilator", "invariant_zeros", "law_taps",
-    "load_aircraft_scenario", "make_gains", "matched_residual_split",
+    "load_aircraft_scenario", "make_gains",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
     "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_batches", "run_sweep",
     "stability_over_T", "variant_for_kind", "zero_signal",

@@ -74,10 +74,6 @@ class AugmentedSystem:
     gains: GainSet
     design: SurfaceDesign
 
-    @property
-    def dim(self) -> int:
-        return self.A_aug.shape[0]
-
     def disturbance_vector(self, d_xi: np.ndarray, d_s: np.ndarray) -> np.ndarray:
         """Assemble the augmented disturbance from the projections of d[k]:
         d_xi = M d[k], d_s = H C d[k]."""

@@ -198,6 +198,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    band = args.band
+    if band is not None and not (len(band) == 2 and np.all(np.isfinite(band))
+                                 and band[0] <= band[1]):
+        raise ConfigError("--band wants two finite numbers lo,hi with "
+                          f"lo <= hi, got {','.join(map(str, band))}")
     sf = _apply_overrides(_resolve_scenario(args.scenario), args)
     sc = sf.scenario
     ladder = DEFAULT_LADDER
@@ -208,7 +213,6 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"bad ladder {args.ladder!r}") from None
     spec = SweepSpec(base=sc, T_values=ladder, metric=args.metric)
     rep = run_sweep(spec)
-    band = args.band
     if band is None:
         band = SLOPE_BANDS.get((sc.kind, rep.metric),
                                _XBOUND_BAND if rep.metric == "x_bound" else None)

@@ -181,24 +181,6 @@ def _apply(gain: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def matched_residual_split(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,
-                           k: int, sampler: DisturbanceSampler | None = None):
-    """Split d[k] into the held-input part and the sampling residual.
-
-    matched  = input_map f(kT)   (what a ZOH input equal to f[k] produces)
-    residual = d[k] - matched    (first-order small: O(T) relative, O(T^2)
-                                  absolute, provided f' is bounded on the
-                                  sample interval)
-    Returns (matched, residual).
-    """
-    if sampler is None:
-        sampler = DisturbanceSampler(plant, T, sig)
-    disc = discretize(plant, T)
-    matched = disc.input_map @ sig.value(k * T)
-    residual = sampler.at(k) - matched
-    return matched, residual
-
-
 @dataclass(frozen=True)
 class DiffReport:
     """Finite-difference growth diagnostics of the sampled disturbance."""
@@ -212,18 +194,17 @@ class DiffReport:
 
 
 def difference_diagnostics(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,
-                           k_range, sampler: DisturbanceSampler | None = None) -> DiffReport:
+                           k_range) -> DiffReport:
     """First and second differences of d[k] over k_range (an iterable of
     consecutive sample indices, at least 3 of them)."""
     ks = sorted(k_range)
     if len(ks) < 3:
         raise ConfigError("difference diagnostics need at least 3 samples")
-    if sampler is None:
-        sampler = DisturbanceSampler(plant, T, sig)
-    d = {k: sampler.at(k) for k in ks}
-    first = max(np.linalg.norm(d[k] - d[km]) for k, km in zip(ks[1:], ks[:-1]))
-    second = max(np.linalg.norm(d[k] - 2 * d[k1] + d[k2])
-                 for k, k1, k2 in zip(ks[2:], ks[1:-1], ks[:-2]))
+    table = DisturbanceSampler(plant, T, sig).table(ks[0], ks[-1] + 1)
+    d = table[np.subtract(ks, ks[0])]
+    first = max(np.linalg.norm(a - b) for a, b in zip(d[1:], d[:-1]))
+    second = max(np.linalg.norm(a - 2 * b + c)
+                 for a, b, c in zip(d[2:], d[1:-1], d[:-2]))
     spans = bool(sig.boundaries_within(ks[0] * T, (ks[-1] + 1) * T))
     return DiffReport(T=T, k_range=(ks[0], ks[-1]), first_diff_max=float(first),
                       second_diff_max=float(second), spans_boundary=spans)

@@ -18,6 +18,7 @@ each period builds its own sampler and nothing is cached.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -44,6 +45,8 @@ class SweepSpec:
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}")
         Ts = tuple(sorted(self.T_values, reverse=True))
+        if not all(0 < T < math.inf for T in Ts):
+            raise ConfigError(f"ladder periods must be finite and positive, got {Ts}")
         if len(Ts) < 3:
             raise ConfigError("ladder needs at least 3 periods")
         ratios = [Ts[i] / Ts[i + 1] for i in range(len(Ts) - 1)]
@@ -69,9 +72,6 @@ class ScalingReport:
     points: tuple
     slope: float | None
     half_width: float | None   # 1-sigma from the fit residuals
-
-    def values(self):
-        return {p.T: p.value for p in self.points}
 
 
 def shared_sampler(plant, T, sig) -> DisturbanceSampler:

@@ -239,14 +239,6 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             disturbance = DisturbanceSignal(seg_sorted)
         except ConfigError as exc:
             raise ScenarioError(str(exc), "disturbance", "segment") from None
-        t_end = disturbance.t_end
-        if t_end < horizon:
-            # the first sample whose hold interval leaves the segments
-            k = int(math.floor(t_end / T + 1e-9))
-            raise ScenarioError(
-                f"segments end at t = {t_end}, before the horizon {horizon}: "
-                f"sample {k} covers [{k * T}, {(k + 1) * T}) with no disturbance",
-                "disturbance", "segment", segments[-1][0])
 
     # --- noise ---
     noise_kind = take("noise", "kind", default="none").lower()
@@ -284,6 +276,15 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
                             beta=beta, x0=x0, form=form)
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from None
+    # checked once Scenario has found T and horizon finite and positive
+    if disturbance is not None and disturbance.t_end < horizon:
+        # the first sample whose hold interval leaves the segments
+        t_end = disturbance.t_end
+        k = int(math.floor(t_end / T + 1e-9))
+        raise ScenarioError(
+            f"segments end at t = {t_end}, before the horizon {horizon}: "
+            f"sample {k} covers [{k * T}, {(k + 1) * T}) with no disturbance",
+            "disturbance", "segment", segments[-1][0])
     return ScenarioFile(scenario=scenario, out_dir=out_dir, formats=formats)
 
 

@@ -8,10 +8,7 @@ u held; across samples the state moves by the exact affine map
 where d[k] is exact too (one exosystem block exponential per segment, see
 discretization.DisturbanceSampler), so the integration carries no
 truncation error; the whole d sequence is taken as one table before the
-loop.  Inter-sample states (record_intersample) come from the same route
-at the period h = T/substeps: x[k] is carried across its sample by the
-h-period map with u[k] held and the h-period d table, which splits
-sub-samples at disturbance segment boundaries.
+loop.
 
 The controller is handed the measured switching vector s[k] = H y[k]
 only - y[k] carries the measurement noise - while the noiseless
@@ -68,15 +65,12 @@ class Scenario:
     alpha: float | None = None
     beta: float | None = None
     x0: np.ndarray | None = None
-    substeps: int = 1
-    record_intersample: bool = False
     form: str = "recursive"
 
     def __post_init__(self):
-        if self.T <= 0 or self.horizon <= 0:
-            raise ConfigError("T and horizon must be positive")
-        if self.substeps < 1:
-            raise ConfigError("substeps must be >= 1")
+        if not (0 < self.T < math.inf and 0 < self.horizon < math.inf):
+            raise ConfigError(f"T and horizon must be finite and positive, "
+                              f"got T = {self.T}, horizon = {self.horizon}")
         if self.disturbance is None:
             object.__setattr__(self, "disturbance", zero_signal(self.plant.m))
         if self.x0 is None:
@@ -107,8 +101,6 @@ class Trajectory:
     u: np.ndarray
     f: np.ndarray        # disturbance at sample instants
     summary: dict = field(default_factory=dict)
-    inter_t: np.ndarray | None = None
-    inter_x: np.ndarray | None = None
 
     @property
     def u_peak(self) -> float:
@@ -128,8 +120,7 @@ def default_steady_window(sig: DisturbanceSignal, horizon: float):
 
 # fields every run of a batch shares; kind, form, alpha, beta, noise and
 # x0 may differ from run to run
-_SHARED = ("plant", "T", "H", "horizon", "disturbance", "record_intersample",
-           "substeps")
+_SHARED = ("plant", "T", "H", "horizon", "disturbance")
 
 
 def _same(a, b) -> bool:
@@ -173,7 +164,6 @@ class _Shared:
     t: np.ndarray
     F: np.ndarray
     window: tuple
-    inter: tuple | None  # record_intersample: (state map, input map, d table)
 
 
 def _law_key(sc: Scenario) -> tuple:
@@ -193,9 +183,7 @@ def run_batches(batches):
     steady window.  Each batch is psi[k+1] = A_cl psi[k] + drive[k] on the
     lifted state of controllers.closed_loop, with drive[k] = B_d d[k] +
     B_v v[k] known for every sample before the loop; the warm-up samples
-    are stepped one at a time and the rest is a blocked scan.  When the
-    runs record inter-sample states, the h = T/substeps discretization
-    and d table of the inter-sample record are shared too.  Only one
+    are stepped one at a time and the rest is a blocked scan.  Only one
     batch's working arrays are alive at a time."""
     batches = [list(batch) for batch in batches]
     if not batches or not all(batches):
@@ -229,14 +217,8 @@ def run_batches(batches):
     t = np.arange(steps + 1) * T
     # past its end the disturbance holds its last defined value
     F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
-    inter = None
-    if base.record_intersample:
-        S = base.substeps
-        disc_h = discretize(plant, T / S)
-        d_h = DisturbanceSampler(plant, T / S, sig).table(0, steps * S)
-        inter = (disc_h.state_map, disc_h.input_map, d_h.reshape(steps, S, plant.n))
     shared = _Shared(base, design, laws, closed_loop(design), dk, noise, t, F,
-                     default_steady_window(sig, base.horizon), inter)
+                     default_steady_window(sig, base.horizon))
     for batch in batches:
         # the batch's working arrays are locals of _run_one and die with it
         yield _run_one(shared, batch)
@@ -297,16 +279,11 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     for r, sc in enumerate(scenarios):
         Y[r] += shared.noise[sc.noise]
     St = X @ hc.T
-    if shared.inter is not None:
-        inter_t, inter_x = _intersample(shared, X, U)
     window = shared.window
     trajs = []
     for r, (sc, law) in enumerate(zip(scenarios, laws)):
         traj = Trajectory(T=T, k=np.arange(steps + 1), t=shared.t.copy(), x=X[r],
                           y=Y[r], s=S[r], s_true=St[r], u=U[r], f=shared.F.copy())
-        if shared.inter is not None:
-            traj.inter_t = inter_t.copy()
-            traj.inter_x = inter_x[r]
         traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
                         "kind": sc.kind, "window": window, "rho_cl": law.rho,
                         "warmup": int(warmup[r])}
@@ -351,25 +328,6 @@ def _blocked_scan(A, psi, blocks, carry):
     for j in range(L):
         drives[:, :, j] += prev @ A_t
         prev = drives[:, :, j]
-
-
-def _intersample(shared: _Shared, X, U) -> tuple:
-    """(inter_t, inter_x) of a batch: the times kT + j h, j = 1..S, h = T/S,
-    of every sample k < steps as a (steps S,) array, and every run's states
-    there as an (R, steps S, n) array.  Each sample starts from x[k] and
-    takes S - 1 steps z <- Phi_h z + Gamma_h u[k] + d_h[kS + j], all samples
-    of all runs at once; the entry at t[k + 1] is the scan's own x[k + 1]."""
-    Phi, Gamma, d_h = shared.inter
-    steps, S, n = d_h.shape
-    inter_t = shared.t[:steps, None] + shared.base.T / S * np.arange(1, S + 1)
-    inter_t[:, -1] = shared.t[1:]
-    inter_x = np.empty((len(X), steps, S, n))
-    held = U[:, :steps] @ Gamma.T
-    z = X[:, :steps]
-    for j in range(S - 1):
-        z = inter_x[:, :, j] = z @ Phi.T + held + d_h[:, j]
-    inter_x[:, :, -1] = X[:, 1:]
-    return inter_t.reshape(-1), inter_x.reshape(len(X), steps * S, n)
 
 
 def measure_quasi_sliding(traj: Trajectory, window) -> tuple:

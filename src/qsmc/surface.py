@@ -103,16 +103,8 @@ class SurfaceDesign:
         return self.base.annihilator
 
     @property
-    def from_xi(self):
-        return self.base.from_xi
-
-    @property
     def from_s(self):
         return self.base.from_s
-
-    @property
-    def zero_dynamics(self):
-        return self.base.zero_dynamics
 
     @property
     def T(self):

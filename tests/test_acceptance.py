@@ -205,7 +205,7 @@ def test_criterion_8_reduced_dynamics_placement(bench_file):
     zeros = invariant_zeros(sc.plant)
     zero_ok = len(zeros) == 1 and abs(zeros[0] - (-0.1796)) <= 1e-2
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), H_BENCH)
-    eigs = np.linalg.eigvals(design.zero_dynamics)
+    eigs = np.linalg.eigvals(design.base.zero_dynamics)
     placed_ok = bool(np.any(np.abs(eigs - (-2.0)) <= 1e-2))
     carried_ok = bool(np.any(np.abs(eigs - zeros[0]) <= 1e-6))
     ok = zero_ok and placed_ok and carried_ok

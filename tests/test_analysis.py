@@ -105,8 +105,8 @@ def test_variant_for_kind():
 def test_build_aug_dimensions(bench_design, bench_gains):
     a1 = build_aug(bench_design, bench_gains, "aug1")
     a2 = build_aug(bench_design, bench_gains, "aug2")
-    assert a1.dim == 6 and a1.A_aug.shape == (6, 6)
-    assert a2.dim == 10 and a2.A_aug.shape == (10, 10)
+    assert a1.A_aug.shape == (6, 6)
+    assert a2.A_aug.shape == (10, 10)
     # top-left block is the reduced-motion step in both variants
     assert np.array_equal(a1.A_aug[:2, :2], bench_design.xi_step)
     assert np.array_equal(a2.A_aug[:2, :2], bench_design.xi_step)

@@ -162,7 +162,7 @@ def test_batch_divergence_carries_diverging_runs_radius(bench_scenario):
 
 @pytest.mark.parametrize("field, value", [
     ("T", 0.02), ("H", H_UNSTABLE), ("horizon", 10.0),
-    ("disturbance", zero_signal(2)), ("record_intersample", True),
+    ("disturbance", zero_signal(2)),
 ])
 def test_batch_rejects_unshared_fields(bench_scenario, field, value):
     other = bench_scenario.with_(**{field: value})
@@ -173,22 +173,6 @@ def test_batch_rejects_unshared_fields(bench_scenario, field, value):
 def test_batch_rejects_empty():
     with pytest.raises(ConfigError):
         run_batch([])
-
-
-def test_batch_rk4_route_matches_exact(bench_scenario):
-    S = 20
-    base = bench_scenario.with_(horizon=0.5, substeps=S)
-    scenarios = [base.with_(kind=kind) for kind in ("m1", "mm2")]
-    exact = run_batch(scenarios)
-    recorded = run_batch([sc.with_(record_intersample=True) for sc in scenarios])
-    for sc, te, tr in zip(scenarios, exact, recorded):
-        for name in FIELDS:
-            assert getattr(tr, name).tobytes() == getattr(te, name).tobytes(), name
-        assert tr.inter_t.shape == (S * 50,)
-        assert tr.inter_x.shape == (S * 50, 4)
-        ref = rk4_states(sc.plant, sc.disturbance, tr.x[:-1], tr.u[:-1],
-                         tr.t[:-1], sc.T, S, steps=10)
-        assert np.max(np.abs(tr.inter_x - ref.reshape(-1, 4))) <= 1e-7
 
 
 # --- the f column --------------------------------------------------------------
@@ -376,64 +360,58 @@ def test_batch_matches_oracle_on_random_plants(seed):
     assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit
 
 
-def _rk4_bound(plant, T, S, steps, lam, F, X, U):
-    """Bound on |inter_x - rk4_states| over one sample, in infinity norms,
-    for a run with state scale X and input scale U, lam >= |A| and >= every
-    omega of the disturbance, and F >= |offset| + |amp| of every form.
+def _rk4_bound(plant, T, steps, lam, F, X, U):
+    """Bound on |exact - rk4_states| at the end of one sample, in infinity
+    norms, for a run with state scale X and input scale U, lam >= |A| and
+    >= every omega of the disturbance, and F >= |offset| + |amp| of every
+    form.
 
     Truncation: one RK4 step of width dt on x' = A x + g(t) errs by the
     first terms its stages miss, (A dt)^5 x / 120 and dt^5 A^(4-j) g^(j) / c_j
     with c_j >= 120, j = 0..4 (Simpson on the convolution integral and its
     A-weighted companions): at most dt^5 lam^4 (lam X + 5 G) / 120, where
     G = |B| (U + F) bounds |g| and |g^(j)| / lam^j.  Twice that covers the
-    higher terms (lam dt <= 0.02).  A sample takes at most N = 2 S steps RK4
-    steps, two pieces per sub-interval, each no wider than dt = T / (S steps),
-    and errors grow by at most exp(lam T).  Rounding: every RK4 step and
-    every h-map step rounds at most ten units of eps on the scale X + T G."""
+    higher terms (lam dt <= 0.02).  A sample takes at most N = 2 steps RK4
+    steps, two pieces when a segment join cuts it, each no wider than
+    dt = T / steps, and errors grow by at most exp(lam T).  Rounding: every
+    RK4 step and the exact route round at most ten units of eps on the
+    scale X + T G."""
     G = np.linalg.norm(plant.B, np.inf) * (U + F)
-    dt = T / (S * steps)
-    N = 2 * S * steps
+    dt = T / steps
+    N = 2 * steps
     trunc = 2 * N * dt ** 5 * lam ** 4 * (lam * X + 5 * G) / 120
-    rounding = 10 * np.finfo(float).eps * (N + S) * (X + T * G)
+    rounding = 10 * np.finfo(float).eps * (N + 1) * (X + T * G)
     return math.exp(lam * T) * (trunc + rounding)
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), S=st.integers(2, 6),
-       where=st.floats(0.0, 1.0, exclude_max=True), sub=st.integers(0, 5),
-       frac=st.floats(0.05, 0.95))
-def test_intersample_record_matches_rk4_on_random_plants(seed, S, where, sub, frac):
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       where=st.floats(0.0, 1.0, exclude_max=True), frac=st.floats(0.05, 0.95))
+def test_exact_dk_matches_rk4_on_random_plants(seed, where, frac):
+    # d[k] is the state one sample after x[k] = 0 with u[k] = 0
     sc, _ = _random_loop(seed)
-    T = sc.T
-    sc = sc.with_(horizon=max(sc.horizon, 1.5 * T))
-    steps = sc.steps
-    # a second segment starts inside sub-interval `sub` of sample kb, so the
-    # h-period sampler splits that sub-sample and the oracle cuts it there
-    kb, jb = int(where * steps), sub % S
-    t_b = kb * T + (jb + frac) * T / S
+    plant, T = sc.plant, sc.T
+    steps = max(sc.steps, 1)
+    # a second segment starts strictly inside sample kb, so the sampler
+    # splits that sample and the oracle cuts it there
+    kb = int(where * steps)
+    t_b = (kb + frac) * T
     rng = np.random.default_rng(seed)
     forms = tuple(SinForm(*rng.uniform([-1.0, 0.0, 0.1, 0.0], [1.0, 2.0, 5.0, 6.0]))
-                  for _ in range(sc.plant.m))
+                  for _ in range(plant.m))
     first = sc.disturbance.segments[0]
     sig = DisturbanceSignal([Segment(0.0, t_b, first.forms),
                              Segment(t_b, math.inf, forms)])
-    sc = sc.with_(disturbance=sig, record_intersample=True, substeps=S)
-    traj = run_batch([sc])[0]
-    n = sc.plant.n
-    inter = traj.inter_x.reshape(steps, S, n)
-    assert np.array_equal(inter[:, -1], traj.x[1:])
-    assert np.array_equal(traj.inter_t[S - 1::S], traj.t[1:])
+    dk = DisturbanceSampler(plant, T, sig).table(0, steps)
     every = first.forms + forms
-    lam = max(np.linalg.norm(sc.plant.A, np.inf), *(f.omega for f in every))
+    lam = max(np.linalg.norm(plant.A, np.inf), *(f.omega for f in every))
     F = max(abs(f.offset) + abs(f.amp) for f in every)
-    rk_steps = math.ceil(lam * T / S / 0.02)
-    ref = rk4_states(sc.plant, sig, traj.x[:-1], traj.u[:-1], traj.t[:-1], T, S,
-                     steps=rk_steps)
-    X = max(np.max(np.abs(inter)), np.max(np.abs(traj.x)))
-    bound = _rk4_bound(sc.plant, T, S, rk_steps, lam, F, X, np.max(np.abs(traj.u)))
-    # the entries at sample instants are the scan's x[k + 1], checked above
-    # and against the loop oracle elsewhere
-    assert np.max(np.abs(inter[:, :-1] - ref[:, :-1])) <= bound
+    rk_steps = math.ceil(lam * T / 0.02)
+    t = np.arange(steps + 1) * T
+    ref = rk4_states(plant, sig, np.zeros((steps, plant.n)),
+                     np.zeros((steps, plant.m)), t[:-1], T, 1, steps=rk_steps)[:, -1]
+    bound = _rk4_bound(plant, T, rk_steps, lam, F, np.max(np.abs(dk)), 0.0)
+    assert np.max(np.abs(dk - ref)) <= bound
 
 
 # --- several batches from one run_batches -----------------------------------
@@ -466,7 +444,7 @@ def test_run_batches_equal_lone_batches(bench_scenario):
 
 @pytest.mark.parametrize("field, value", [
     ("T", 0.02), ("H", H_UNSTABLE), ("horizon", 10.0),
-    ("disturbance", zero_signal(2)), ("record_intersample", True),
+    ("disturbance", zero_signal(2)),
 ])
 def test_run_batches_check_every_batch_first(bench_scenario, field, value):
     other = bench_scenario.with_(**{field: value})

@@ -15,8 +15,7 @@ from scipy.linalg import expm
 
 from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
                   DisturbanceSignal, Segment, constant_signal,
-                  difference_diagnostics, discretize, matched_residual_split,
-                  zero_signal)
+                  difference_diagnostics, discretize, zero_signal)
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
@@ -290,6 +289,14 @@ def test_exact_dk_differential(case, window):
 
 
 # --- matched part and residual ---------------------------------------------
+
+def matched_residual_split(plant, T, sig, k):
+    """(matched, residual) of d[k]: matched = input_map f(kT), what a held
+    input equal to f[k] produces, and residual = d[k] - matched, which is
+    O(T^2) absolute where f' is bounded on the sample."""
+    matched = discretize(plant, T).input_map @ sig.value(k * T)
+    return matched, sampled_disturbance(plant, T, sig, k) - matched
+
 
 class _Ramp:
     """f(t) = t; not part of the scenario grammar, duck-typed for tests.

@@ -62,7 +62,7 @@ def test_sweep_input_peak_bounded(bench_scenario):
                      T_values=(0.02, 0.01, 0.005))
     rep = run_sweep(spec)
     assert -0.3 <= rep.slope <= 0.3
-    vals = list(rep.values().values())
+    vals = [p.value for p in rep.points]
     assert max(vals) / min(vals) < 2.0
 
 

@@ -1,12 +1,16 @@
+import dataclasses
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsmc import ScenarioError, builtin_scenario_path, parse_scenario_text
+from qsmc import (ContinuousPlant, Scenario, ScenarioError,
+                  builtin_scenario_path, load_aircraft_scenario,
+                  parse_scenario_text)
 from qsmc.scenario import parse_scenario_file
 
 from conftest import X0_BENCH
@@ -58,6 +62,25 @@ def test_parse_builtin_benchmark():
     assert len(sc.disturbance.segments) == 3
     assert sc.disturbance.segments[1].t_end == pytest.approx(5 * np.pi)
     assert sc.noise.halfwidth == 0.005
+
+
+def test_readme_example_scenario_parses():
+    # the README's ini block is the shipped scenario with its comments
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    got = parse_scenario_text(
+        block, base_dir=os.path.dirname(builtin_scenario_path("aircraft")))
+    want = load_aircraft_scenario()
+    for field in dataclasses.fields(Scenario):
+        a, b = getattr(got.scenario, field.name), getattr(want.scenario, field.name)
+        if isinstance(a, ContinuousPlant):
+            for name in "ABC":
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        elif isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+    assert (got.out_dir, got.formats) == (want.out_dir, want.formats)
 
 
 def test_parse_unknown_section():
@@ -444,3 +467,47 @@ def test_sweep_gate_is_verify_closed_loop_radius(capsys):
     gate = float(sweep["points.2.rho_cl"])
     assert gate == float(verify[f"stability.{row}.rho_cl.m1"])
     assert gate != float(verify[f"stability.{row}.rho_aug1"])
+
+
+# --- non-finite and malformed numbers, in process ----------------------------
+
+def _main_exit(argv, capsys):
+    """(exit code, stderr) of cli.main; argparse errors leave by SystemExit."""
+    from qsmc.cli import main
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "aircraft", "--T", "nan"],
+    ["run", "aircraft", "--horizon", "inf"],
+    ["sweep", "aircraft", "--ladder", "0.02,0.01,inf"],
+    ["sweep", "aircraft", "--ladder=-0.01,-0.02,-0.04"],
+], ids=["T-nan", "horizon-inf", "ladder-inf", "ladder-negative"])
+def test_cli_non_finite_timing_exit_2(tmp_path, capsys, argv):
+    code, err = _main_exit(argv + ["--out", str(tmp_path / "o")], capsys)
+    assert code == 2, err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra", ["", "[disturbance]\nsegment = 0 0.5 : const 1.0\n"],
+                         ids=["plain", "short-disturbance"])
+def test_cli_scenario_file_nan_period_exit_2(tmp_path, capsys, extra):
+    path = tmp_path / "nan.scn"
+    path.write_text(MINIMAL.replace("T = 0.01", "T = nan") + extra)
+    code, err = _main_exit(["run", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2, err
+    assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("band", ["0.5", "1.3,0.7", "0.7,1.3,9", "nan,1", "0.7,fast"])
+def test_cli_sweep_band_needs_two_ordered_numbers(tmp_path, capsys, band):
+    code, err = _main_exit(["sweep", "aircraft", "--band", band,
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "--band" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()

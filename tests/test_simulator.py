@@ -37,10 +37,15 @@ def test_scenario_rejects_bad_config(bench_plant):
         Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=0.01, horizon=0.0)
     with pytest.raises(ConfigError):
         Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=0.01, horizon=1.0,
-                 substeps=0)
-    with pytest.raises(ConfigError):
-        Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=0.01, horizon=1.0,
                  x0=np.zeros(3))
+
+
+@pytest.mark.parametrize("T, horizon", [
+    (np.nan, 1.0), (np.inf, 1.0), (0.01, np.nan), (0.01, np.inf), (0.0, 1.0),
+])
+def test_scenario_rejects_non_finite_timing(bench_plant, T, horizon):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=T, horizon=horizon)
 
 
 # --- record layout -----------------------------------------------------------
@@ -105,46 +110,16 @@ def test_eq_needs_the_disturbance_at_the_last_sample(bench_scenario):
     assert traj.f[-1].tolist() == [0.5, -0.2]
 
 
-# --- inter-sample record vs the RK4 oracle -----------------------------------
-
-# columns of the sample record, which recording inter-sample states leaves alone
-SAMPLE_FIELDS = ("k", "t", "x", "y", "s", "s_true", "u", "f")
-
+# --- the exact map vs the RK4 oracle -----------------------------------------
 
 def test_exact_map_matches_rk4(bench_scenario):
-    # every inter-sample state against RK4 from the sample's own x[k] with
-    # u[k] held, one RK4 step per sub-interval of 1e-5 s
-    S = 1000
-    base = bench_scenario.with_(horizon=2.0)
-    exact = run(base)
-    traj = run(base.with_(record_intersample=True, substeps=S))
-    for name in SAMPLE_FIELDS:
-        assert getattr(traj, name).tobytes() == getattr(exact, name).tobytes(), name
-    ref = rk4_states(base.plant, base.disturbance, traj.x[:-1], traj.u[:-1],
-                     traj.t[:-1], base.T, S)
-    assert np.max(np.abs(traj.inter_x - ref.reshape(traj.inter_x.shape))) <= 1e-7
-
-
-def test_intersample_recording(bench_scenario):
-    sc = bench_scenario.with_(horizon=0.1, record_intersample=True, substeps=10)
+    # every x[k + 1] against RK4 from the sample's own x[k] with u[k] held,
+    # 1000 RK4 steps per sample
+    sc = bench_scenario.with_(horizon=2.0)
     traj = run(sc)
-    plain = run(sc.with_(record_intersample=False))
-    for name in SAMPLE_FIELDS:
-        assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes(), name
-    assert traj.inter_t is not None
-    assert traj.inter_t.shape == (10 * 10,)
-    assert traj.inter_x.shape == (10 * 10, 4)
-    # the entries at sample instants are the sample record itself
-    assert np.array_equal(traj.inter_t[9::10], traj.t[1:])
-    assert np.array_equal(traj.inter_x[9::10], traj.x[1:])
-    # the others sit on the uniform sub-grid in between
-    grid = traj.t[:-1, None] + 0.001 * np.arange(1, 11)
-    assert np.allclose(traj.inter_t, grid.reshape(-1), rtol=0, atol=1e-15)
-
-
-def test_rk4_without_recording_not_stored(bench_scenario):
-    traj = run(bench_scenario.with_(horizon=0.5))
-    assert traj.inter_t is None and traj.inter_x is None
+    ref = rk4_states(sc.plant, sc.disturbance, traj.x[:-1], traj.u[:-1],
+                     traj.t[:-1], sc.T, substeps=1, steps=1000)[:, -1]
+    assert np.max(np.abs(traj.x[1:] - ref)) <= 1e-7
 
 
 # --- divergence guard ----------------------------------------------------------
