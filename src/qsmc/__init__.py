@@ -13,7 +13,7 @@ from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
                        check_memory_spectrum, memory_block, stability_over_T,
                        variant_for_kind)
 from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
-                          closed_loop, equivalent_control, law_taps,
+                          Loop, closed_loop, equivalent_control, law_taps,
                           make_gains, reconstruct_g_prev)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
                              difference_diagnostics, discretize)
@@ -32,22 +32,21 @@ from .simulate import (Scenario, Trajectory, csv_header,
                        default_steady_window, export_csv,
                        measure_quasi_sliding, run, run_batch,
                        run_batches)
-from .surface import (CertReport, NormalForm, SurfaceDesign, build_surface,
-                      certify_surface_over_T, input_annihilator)
+from .surface import NormalForm, SurfaceDesign, build_surface, input_annihilator
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolation", "AugmentedSystem", "BenchmarkReport",
-    "BenchmarkRun", "CertReport", "ConfigError", "ContinuousPlant",
+    "BenchmarkRun", "ConfigError", "ContinuousPlant",
     "ControllerState", "DiffReport", "DiscretePlant", "DisturbanceRangeError",
     "DisturbanceSampler", "DisturbanceSignal", "DivergenceError", "GainSet",
-    "KINDS", "LawTaps", "NoiseSpec", "NormalForm", "ScalingReport", "Scenario",
-    "ScenarioError", "ScenarioFile", "Segment", "SpectrumReport",
+    "KINDS", "LawTaps", "Loop", "NoiseSpec", "NormalForm", "ScalingReport",
+    "Scenario", "ScenarioError", "ScenarioFile", "Segment", "SpectrumReport",
     "StabilityReport", "StabilityRow", "SurfaceDesign", "SweepPoint",
     "SweepSpec", "Trajectory", "WARMUP",
     "Xoshiro256StarStar", "aircraft_benchmark", "augmented_vs_direct",
-    "build_aug", "build_surface", "builtin_scenario_path", "certify_surface_over_T",
+    "build_aug", "build_surface", "builtin_scenario_path",
     "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
     "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",

@@ -15,10 +15,11 @@ here through characteristic-polynomial coefficients because the zero
 eigenvalues of the aug2 block are defective (Jordan blocks of size 3) and
 generic eigensolvers scatter them.
 
-The simulator runs each law as controllers.closed_loop, a second
-derivation on the lifted state [x; s[k-1]; s[k-2]; u[k-1]; u[k-2]]; its
+The simulator runs each law as a controllers.Loop, a second derivation
+on the lifted state [x; s[k-1]; s[k-2]; u[k-1]; u[k-2]]; its
 characteristic polynomial is lambda^extra times that of A_aug, and
-stability_over_T reports its spectral radius for every kind.
+stability_over_T reports the Loop's radius for every kind, from one
+surface design per period.
 """
 
 from __future__ import annotations
@@ -181,6 +182,7 @@ def check_memory_spectrum(alpha: float, T: float, coupling, variant: str) -> Spe
 class StabilityRow:
     T: float
     alpha: float
+    cond: float           # condition number of the sampled coupling (s_gain_cond)
     rho_aug1: float
     rho_aug2: float
     cluster_dist_aug1: float
@@ -189,7 +191,7 @@ class StabilityRow:
     # away from the defective zero group of the aug2 memory block)
     conditioned_dist_aug1: float
     conditioned_dist_aug2: float
-    # spectral radius of the simulated closed loop (controllers.closed_loop)
+    # spectral radius of the simulated closed loop (controllers.Loop.rho)
     # per kind; m1/m2 run at alpha = 0, which neither augmented variant covers
     rho_cl: dict
 
@@ -230,9 +232,11 @@ def _cluster_distances(aug: AugmentedSystem):
 
 def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport:
     """Spectral radii of both augmented variants and of every kind's
-    simulated closed loop per period.  With beta given, alpha is recomputed
-    per T (fixed contraction rate in time); with alpha given it is held
-    constant."""
+    simulated closed loop per period, from one surface design per period;
+    raises AssumptionViolation at the first period, in increasing order,
+    whose sampled coupling is singular.  With beta given, alpha is
+    recomputed per T (fixed contraction rate in time); with alpha given it
+    is held constant."""
     if alpha is None and beta is None:
         raise ConfigError("need alpha or beta")
     rows = []
@@ -245,11 +249,11 @@ def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport
         dist1, cdist1 = _cluster_distances(a1)
         dist2, cdist2 = _cluster_distances(a2)
         rows.append(StabilityRow(
-            T=T, alpha=gains.alpha,
+            T=T, alpha=gains.alpha, cond=design.s_gain_cond,
             rho_aug1=spectral_radius(a1.A_aug), rho_aug2=spectral_radius(a2.A_aug),
             cluster_dist_aug1=dist1, cluster_dist_aug2=dist2,
             conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2,
-            rho_cl={kind: spectral_radius(closed_loop(design, law_taps(gains, kind))[0])
+            rho_cl={kind: closed_loop(design, law_taps(gains, kind)).rho
                     for kind in LAWS}))
     certified = [r.T for r in rows if r.certified]
     return StabilityReport(rows=tuple(rows),

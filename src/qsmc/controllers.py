@@ -21,13 +21,15 @@ lead and the reconstruction matrices, are derived independently and agree
 to rounding.  The deadbeat baselines m1/m2 are the
 same recursions evaluated at alpha = 0 (target s[k+1] = 0); their gain
 grows like 1/T, which is the behavior the contraction target removes.
-closed_loop turns a law's taps and the plant into the one closed-loop
-matrix that the simulator runs and the stability analysis inspects.
+closed_loop turns a law's taps and the plant into one Loop value: the
+closed-loop recursion that the simulator runs and whose spectral radius
+the stability analysis reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -189,16 +191,31 @@ def lifted_slices(n: int, m: int) -> tuple:
             slice(n + 2 * m, n + 3 * m), slice(n + 3 * m, n + 4 * m))
 
 
-def closed_loop(design: SurfaceDesign, taps: LawTaps | None = None):
+@dataclass(frozen=True)
+class Loop:
     """One law's closed loop as a linear recursion on the lifted state
 
         psi[k] = [x[k], s[k-1], s[k-2], u[k-1], u[k-2]]      (n + 4m)
-        psi[k+1] = A_cl psi[k] + B_d d[k] + B_v v[k],
+        psi[k+1] = A psi[k] + B_d d[k] + B_v v[k],
 
     where s[k] = H (C x[k] + v[k]) is the measured switching vector and v[k]
-    the measurement noise; returns (A_cl, B_d, B_v).  psi[k+1] carries s[k]
-    and u[k], the sample-k values a run logs.  With taps None the law rows
-    are zeroed (u[k] = 0): the loop that the warm-up samples follow."""
+    the measurement noise.  psi[k+1] carries s[k] and u[k], the sample-k
+    values a run logs.  taps is None for the loop with the law rows zeroed
+    (u[k] = 0), which the warm-up samples follow."""
+    taps: LawTaps | None
+    A: np.ndarray
+    B_d: np.ndarray
+    B_v: np.ndarray
+
+    @cached_property
+    def rho(self) -> float:
+        """Spectral radius of A, computed on first read."""
+        return spectral_radius(self.A)
+
+
+def closed_loop(design: SurfaceDesign, taps: LawTaps | None = None) -> Loop:
+    """The Loop of one law's taps on one surface design; with taps None
+    the law rows are zeroed."""
     disc, H, C = design.disc, design.H, design.plant.C
     m, p = H.shape
     n = C.shape[1]
@@ -215,7 +232,7 @@ def closed_loop(design: SurfaceDesign, taps: LawTaps | None = None):
     B_v = np.zeros((N, p))
     B_v[s1] = H
     if taps is None:
-        return A, B_d, B_v
+        return Loop(None, A, B_d, B_v)
     # u[k] = law psi[k] + law_d d[k] + law_v v[k], fed to u[k]'s row and,
     # through input_map, to x[k+1]
     law = np.zeros((m, N))
@@ -233,7 +250,7 @@ def closed_loop(design: SurfaceDesign, taps: LawTaps | None = None):
     feed = np.zeros((N, m))
     feed[xs] = disc.input_map
     feed[u1] = np.eye(m)
-    return A + feed @ law, B_d + feed @ law_d, B_v + feed @ law_v
+    return Loop(taps, A + feed @ law, B_d + feed @ law_d, B_v + feed @ law_v)
 
 
 # ---------------------------------------------------------------------------

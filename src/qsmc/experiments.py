@@ -106,11 +106,7 @@ def _sweep_point(scenario: Scenario, beta: float, T: float,
 
 def run_sweep(spec: SweepSpec) -> ScalingReport:
     base = spec.base
-    beta = base.beta
-    if beta is None:
-        if base.alpha is None:
-            raise ConfigError("no beta available for the sweep")
-        beta = (1.0 - base.alpha) / base.T
+    beta = base.rate
     window = default_steady_window(base.disturbance, base.horizon)
     # T_values is sorted longest period first
     points = [_sweep_point(base, beta, T, spec.metric) for T in spec.T_values]

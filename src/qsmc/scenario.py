@@ -186,6 +186,9 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             x0 = parse_vector(take("plant", "x0"))
         except MatrixFormatError as exc:
             raise ScenarioError(str(exc), "plant", "x0", where("plant", "x0")) from None
+        if x0.shape != (plant.n,):
+            raise ScenarioError(f"x0 must have {plant.n} entries, got {x0.size}",
+                                "plant", "x0", where("plant", "x0"))
 
     # --- surface ---
     h_text = take("surface", "h", required=True)
@@ -221,6 +224,11 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
                      where("timing", "t"))
     horizon = _parse_float(take("timing", "horizon", required=True),
                            "timing", "horizon", where("timing", "horizon"))
+    # before anything divides or multiplies by T
+    for key, value in (("T", T), ("horizon", horizon)):
+        if not 0 < value < math.inf:
+            raise ScenarioError(f"{key} must be finite and positive, got {value}",
+                                "timing", key, where("timing", key.lower()))
 
     if alpha is not None and beta is not None and abs((1 - alpha) - beta * T) > 1e-12:
         raise ScenarioError(
@@ -270,13 +278,10 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             raise ScenarioError(f"unknown key {key!r}", section, key,
                                 where(section, key))
 
-    try:
-        scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
-                            disturbance=disturbance, noise=noise, alpha=alpha,
-                            beta=beta, x0=x0, form=form)
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from None
-    # checked once Scenario has found T and horizon finite and positive
+    # every check Scenario makes has been made above, with its location
+    scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
+                        disturbance=disturbance, noise=noise, alpha=alpha,
+                        beta=beta, x0=x0, form=form)
     if disturbance is not None and disturbance.t_end < horizon:
         # the first sample whose hold interval leaves the segments
         t_end = disturbance.t_end

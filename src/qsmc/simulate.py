@@ -16,11 +16,12 @@ s_true[k] = H C x[k] is logged in parallel for analysis.
 
 Every control law is a set of taps (controllers.law_taps), so the whole
 closed loop is one linear recursion psi[k+1] = A_cl psi[k] + drive[k] on a
-lifted state (controllers.closed_loop).  run_batches takes several batches
-of runs that share plant, period, surface, horizon and disturbance, builds
-what they share once (discretization, surface, each distinct law's loop,
-the d table, the f column and one lockstep draw of every distinct noise
-spec's table) and then yields each batch as one stacked recursion;
+lifted state, held as one controllers.Loop value (closed_loop).
+run_batches takes several batches of runs that share plant, period,
+surface, horizon and disturbance, builds what they share once
+(discretization, surface, each distinct law's Loop and its blocked-scan
+carry, the d table, the f column and one lockstep draw of every distinct
+noise spec's table) and then yields each batch as one stacked recursion;
 run_batch is a run_batches of one batch and run a batch of one.  The drive
 of every sample is known before the loop, which steps the warm-up samples
 one at a time and the rest as a blocked scan that advances all blocks
@@ -31,12 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .controllers import (LawTaps, closed_loop, law_taps, lifted_slices,
-                          make_gains, spectral_radius)
+from .controllers import Loop, closed_loop, law_taps, lifted_slices, make_gains
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
@@ -80,6 +79,16 @@ class Scenario:
             if x0.shape != (self.plant.n,):
                 raise ConfigError(f"x0 must have {self.plant.n} entries")
             object.__setattr__(self, "x0", x0)
+
+    @property
+    def rate(self) -> float:
+        """The contraction rate in time: beta if given, else (1 - alpha) / T.
+        A period override holds it fixed and recomputes alpha."""
+        if self.beta is not None:
+            return self.beta
+        if self.alpha is None:
+            raise ConfigError("need alpha or beta")
+        return (1.0 - self.alpha) / self.T
 
     @property
     def steps(self) -> int:
@@ -144,21 +153,14 @@ def run_batch(scenarios) -> list:
     return next(run_batches([scenarios]))
 
 
-class _Law(NamedTuple):
-    """What every run of one (kind, form, alpha, beta) shares."""
-    taps: LawTaps
-    loop: tuple          # closed_loop: (A_cl, B_d, B_v)
-    carry: np.ndarray    # A_cl^BLOCK, formed in long double (see _blocked_scan)
-    rho: float           # spectral radius of A_cl
-
-
 @dataclass(frozen=True)
 class _Shared:
     """What every batch of one run_batches call shares."""
     base: Scenario
     design: SurfaceDesign
-    laws: dict           # (kind, form, alpha, beta) -> _Law
-    warm: tuple          # closed_loop with the law rows zeroed
+    loops: dict          # (kind, form, alpha, beta) -> controllers.Loop
+    carry: dict          # same key -> A^BLOCK, formed in long double
+    warm: Loop           # the loop with the law rows zeroed
     dk: np.ndarray       # d[0..steps], or d[0..steps) when no run is eq
     noise: dict          # noise spec -> (steps + 1, p) table
     t: np.ndarray
@@ -177,10 +179,10 @@ def run_batches(batches):
     Every run of every batch must share plant, T, H, horizon and
     disturbance; that is checked before anything runs.  What the batches
     share is then built once: the discretization and surface, each
-    distinct law's taps, closed loop, blocked-scan carry and spectral
-    radius, the d[k] table, the noise table of every distinct noise spec
-    (one lockstep lane draw, rng.symmetric_tables), the f column and the
-    steady window.  Each batch is psi[k+1] = A_cl psi[k] + drive[k] on the
+    distinct law's Loop (taps, matrices and spectral radius) and its
+    blocked-scan carry, the d[k] table, the noise table of every distinct
+    noise spec (one lockstep lane draw, rng.symmetric_tables), the f column
+    and the steady window.  Each batch is psi[k+1] = A_cl psi[k] + drive[k] on the
     lifted state of controllers.closed_loop, with drive[k] = B_d d[k] +
     B_v v[k] known for every sample before the loop; the warm-up samples
     are stepped one at a time and the rest is a blocked scan.  Only one
@@ -197,19 +199,18 @@ def run_batches(batches):
     plant, T, sig, steps = base.plant, base.T, base.disturbance, base.steps
     disc = discretize(plant, T)
     design = build_surface(plant, disc, base.H)  # raises if assumptions fail
-    laws = {}
+    loops = {}
     for sc in runs:
         key = _law_key(sc)
-        if key not in laws:
-            taps = law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta),
-                            sc.kind, sc.form)
-            loop = closed_loop(design, taps)
-            carry = np.linalg.matrix_power(loop[0].astype(np.longdouble),
-                                           BLOCK).astype(float)
-            laws[key] = _Law(taps, loop, carry, spectral_radius(loop[0]))
+        if key not in loops:
+            gains = make_gains(design, alpha=sc.alpha, beta=sc.beta)
+            loops[key] = closed_loop(design, law_taps(gains, sc.kind, sc.form))
+    carry = {key: np.linalg.matrix_power(loop.A.astype(np.longdouble),
+                                         BLOCK).astype(float)
+             for key, loop in loops.items()}
     # the eq oracle feeds d[k] into u[k], so it also reads d[steps]; without
     # it d[steps] only moves x[steps + 1], which is not kept
-    eq = any(law.taps.K_g is not None for law in laws.values())
+    eq = any(loop.taps.K_g is not None for loop in loops.values())
     dk = DisturbanceSampler(plant, T, sig).table(0, steps + 1 if eq else steps)
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
@@ -217,8 +218,8 @@ def run_batches(batches):
     t = np.arange(steps + 1) * T
     # past its end the disturbance holds its last defined value
     F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
-    shared = _Shared(base, design, laws, closed_loop(design), dk, noise, t, F,
-                     default_steady_window(sig, base.horizon))
+    shared = _Shared(base, design, loops, carry, closed_loop(design), dk, noise,
+                     t, F, default_steady_window(sig, base.horizon))
     for batch in batches:
         # the batch's working arrays are locals of _run_one and die with it
         yield _run_one(shared, batch)
@@ -228,28 +229,29 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     """One batch of run_batches on the parts every batch shares."""
     base, design = shared.base, shared.design
     plant, T, steps = base.plant, base.T, base.steps
-    laws = [shared.laws[_law_key(sc)] for sc in scenarios]
+    keys = [_law_key(sc) for sc in scenarios]
+    loops = [shared.loops[key] for key in keys]
     dk = shared.dk
-    if all(law.taps.K_g is None for law in laws):
+    if all(loop.taps.K_g is None for loop in loops):
         dk = dk[:steps]
     R, n, m = len(scenarios), plant.n, plant.m
-    A = np.stack([law.loop[0] for law in laws])
+    A = np.stack([loop.A for loop in loops])
     warm = shared.warm
-    warmup = np.array([law.taps.warmup for law in laws])
+    warmup = np.array([loop.taps.warmup for loop in loops])
     # samples stepped one at a time; the scan takes the rest in blocks
     stepped = min(int(warmup.max()), steps + 1)
     blocks = -(-(steps + 1 - stepped) // BLOCK)
     # psi[k] is row k; drive[k] is written into row k + 1 and the
     # recursion adds A_cl psi[k] onto it
     psi = np.zeros((R, stepped + blocks * BLOCK + 1, A.shape[1]))
-    for r, (sc, law) in enumerate(zip(scenarios, laws)):
+    for r, (sc, loop) in enumerate(zip(scenarios, loops)):
         v = shared.noise[sc.noise]
         drive = psi[r, 1:steps + 2]
         wu = min(warmup[r], steps + 1)
-        for rows, (_, B_d, B_v) in ((slice(0, wu), warm), (slice(wu, None), law.loop)):
-            np.matmul(v[rows], B_v.T, out=drive[rows])
+        for rows, each in ((slice(0, wu), warm), (slice(wu, None), loop)):
+            np.matmul(v[rows], each.B_v.T, out=drive[rows])
             d = dk[rows]
-            drive[rows][:len(d)] += d @ B_d.T
+            drive[rows][:len(d)] += d @ each.B_d.T
         psi[r, 0, :n] = sc.x0
     # psi[k] holds x[k]; psi[k + 1] holds s[k] and u[k]
     xs, ss, _, us, _ = lifted_slices(n, m)
@@ -257,11 +259,11 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     # a diverging run overflows harmlessly; it is reported after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(stepped):
-            Ak = np.where((warmup > k)[:, None, None], warm[0], A)
+            Ak = np.where((warmup > k)[:, None, None], warm.A, A)
             psi[:, k + 1] += (Ak @ psi[:, k, :, None])[:, :, 0]
         if blocks:
             _blocked_scan(A, psi[:, stepped:], blocks,
-                          np.stack([law.carry for law in laws]))
+                          np.stack([shared.carry[key] for key in keys]))
         X = psi[:, :steps + 1, xs].copy()
         norms = np.max(np.abs(X), axis=2)
         bad = ~(norms <= _OVERFLOW)
@@ -269,7 +271,7 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
         k = int(np.argmax(bad.any(axis=0)))
         r = int(np.argmax(bad[:, k]))
         raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None,
-                              rho_cl=laws[r].rho)
+                              rho_cl=loops[r].rho)
 
     S = psi[:, 1:steps + 2, ss].copy()
     U = psi[:, 1:steps + 2, us].copy()
@@ -281,11 +283,11 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     St = X @ hc.T
     window = shared.window
     trajs = []
-    for r, (sc, law) in enumerate(zip(scenarios, laws)):
+    for r, (sc, loop) in enumerate(zip(scenarios, loops)):
         traj = Trajectory(T=T, k=np.arange(steps + 1), t=shared.t.copy(), x=X[r],
                           y=Y[r], s=S[r], s_true=St[r], u=U[r], f=shared.F.copy())
         traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
-                        "kind": sc.kind, "window": window, "rho_cl": law.rho,
+                        "kind": sc.kind, "window": window, "rho_cl": loop.rho,
                         "warmup": int(warmup[r])}
         if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
             try:

@@ -8,7 +8,9 @@ the input matrix (M B = 0) completes H C to the change of basis
 whose inverse splits into [from_xi, from_s].  In these coordinates the
 surface motion s and the reduced motion xi decouple up to O(T) terms; the
 reduced-motion matrix zero_dynamics = M A from_xi carries the plant's
-invariant zeros plus the surface-assigned eigenvalues.
+invariant zeros plus the surface-assigned eigenvalues.  build_surface
+makes the design of one period T; a ladder of periods is one design each
+(analysis.stability_over_T).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import AssumptionViolation, ConfigError
-from .discretization import DiscretePlant, discretize
+from .discretization import DiscretePlant
 from .plant import ContinuousPlant
 
 _COND_LIMIT = 1e12
@@ -138,43 +140,3 @@ def build_surface(plant: ContinuousPlant, disc: DiscretePlant, H,
         s_gain_cond=cond,
         xi_step=np.eye(n - m) + disc.T * (base.annihilator @ disc.drift_rate @ base.from_xi),
     )
-
-
-@dataclass(frozen=True)
-class CertRow:
-    T: float
-    invertible: bool
-    cond: float
-
-
-@dataclass(frozen=True)
-class CertReport:
-    rows: tuple
-    smallest_certified: float | None
-    largest_certified: float | None
-
-    @property
-    def all_certified(self) -> bool:
-        return all(r.invertible for r in self.rows)
-
-
-def certify_surface_over_T(plant: ContinuousPlant, H, T_list) -> CertReport:
-    """Invertibility and conditioning of the sampled coupling H C input_rate
-    across sampling periods.  Report-based: nothing raised for failures."""
-    if not len(T_list):
-        raise ConfigError("empty period list")
-    rows = []
-    for T in sorted(T_list):
-        if not T > 0:
-            raise ConfigError(f"sampling period must be positive, got {T}")
-        disc = discretize(plant, T)
-        try:
-            design = build_surface(plant, disc, H)
-            rows.append(CertRow(T=T, invertible=True, cond=design.s_gain_cond))
-        except AssumptionViolation:
-            cond = float(np.linalg.cond(np.atleast_2d(H) @ plant.C @ disc.input_rate))
-            rows.append(CertRow(T=T, invertible=False, cond=cond))
-    certified = [r.T for r in rows if r.invertible]
-    return CertReport(rows=tuple(rows),
-                      smallest_certified=min(certified) if certified else None,
-                      largest_certified=max(certified) if certified else None)

@@ -237,7 +237,7 @@ def test_closed_loop_charpoly_matches_augmented(bench_plant, T, kind):
     from qsmc import build_surface, closed_loop, discretize, law_taps
     design = build_surface(bench_plant, discretize(bench_plant, T), H_BENCH)
     gains = make_gains(design, beta=BETA_BENCH)
-    A_cl = closed_loop(design, law_taps(gains, kind))[0]
+    A_cl = closed_loop(design, law_taps(gains, kind)).A
     # the deadbeat baselines run at alpha = 0
     aug_gains = make_gains(design, alpha=0.0) if kind in ("m1", "m2") else gains
     A_aug = build_aug(design, aug_gains, variant_for_kind(kind)).A_aug

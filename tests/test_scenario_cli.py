@@ -272,9 +272,8 @@ def test_cli_malformed_scenario_exit_2(tmp_path):
     assert "configuration error" in res.stderr
 
 
-def test_cli_singular_coupling_exit_3(tmp_path):
-    scn = tmp_path / "rot.scn"
-    scn.write_text("""
+# a rotation held over T = 1.0 averages its one input direction to zero
+ROTATION = """
 [plant]
 A = 0 3.141592653589793 ; -3.141592653589793 0
 B = 1 ; 0
@@ -290,7 +289,12 @@ beta = 0.03
 [timing]
 T = 1.0
 horizon = 5.0
-""")
+"""
+
+
+def test_cli_singular_coupling_exit_3(tmp_path):
+    scn = tmp_path / "rot.scn"
+    scn.write_text(ROTATION)
     res = cli("run", str(scn))
     assert res.returncode == 3
     assert "assumption violated" in res.stderr
@@ -511,3 +515,59 @@ def test_cli_sweep_band_needs_two_ordered_numbers(tmp_path, capsys, band):
     assert code == 2
     assert "--band" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_verify_singular_period_exit_3(tmp_path, capsys):
+    # verify builds one design per period; the singular one stops it before
+    # any report is written
+    scn = tmp_path / "rot.scn"
+    scn.write_text(ROTATION)
+    code, err = _main_exit(["verify", str(scn), "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert "assumption violated" in err and "at T = 1.0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _shipped_copy(tmp_path, old, new):
+    """(path, line of new) of a copy of the shipped scenario with the line
+    old replaced by new, next to a copy of its plant file."""
+    shipped = builtin_scenario_path("aircraft")
+    shutil.copy(os.path.join(os.path.dirname(shipped), "aircraft.plant"), tmp_path)
+    lines = Path(shipped).read_text(encoding="utf-8").splitlines()
+    at = lines.index(old)
+    lines[at] = new
+    path = tmp_path / "copy.scn"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, at + 1
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("T = 0.01", "T = nan", "timing", "T"),
+    ("horizon = 20.0", "horizon = -1", "timing", "horizon"),
+    ("x0 = -1.0 1.0 1.0 -2.0", "x0 = 1 2 3", "plant", "x0"),
+    # alpha and beta are both set: T is checked before they are compared
+    ("T = 0.01", "T = inf", "timing", "T"),
+], ids=["T-nan", "horizon-negative", "x0-short", "T-inf-alpha-beta"])
+def test_cli_scenario_value_errors_name_location(tmp_path, capsys, old, new,
+                                                 section, key):
+    path, line = _shipped_copy(tmp_path, old, new)
+    code, err = _main_exit(["run", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2, err
+    assert f"(section [{section}], key '{key}', line {line})" in err
+    assert "disagree" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_T_override_holds_beta_of_alpha_only_file(tmp_path, capsys):
+    # --T alone keeps beta fixed; a file without beta holds the one its
+    # alpha and T give (3.0 here), as the shipped file, which sets it, does
+    from qsmc.cli import main
+    path, _ = _shipped_copy(tmp_path, "beta = 3.0", "")
+    summaries = []
+    for scenario in (str(path), "aircraft"):
+        assert main(["run", scenario, "--T", "0.005",
+                     "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        summaries.append([ln for ln in out.splitlines() if not ln.startswith("wrote")])
+    assert summaries[0] == summaries[1]
+    assert "T = 0.005" in summaries[0]

@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import null_space
 
 from qsmc import (AssumptionViolation, ConfigError, ContinuousPlant,
-                  build_surface, certify_surface_over_T, discretize,
-                  input_annihilator)
+                  build_surface, discretize, input_annihilator)
 from qsmc.surface import build_surface_raw
 
 from conftest import H_BENCH, T_BENCH
@@ -129,11 +128,12 @@ def test_rotation_plant_coupling_vanishes_at_resonance():
     # at T = 1 the held rotation averages the first input direction to zero
     plant = rotation_plant()
     H = np.array([[1.0, 0.0]])
-    with pytest.raises(AssumptionViolation):
+    with pytest.raises(AssumptionViolation, match="T = 1.0"):
         build_surface(plant, discretize(plant, 1.0), H)
     # away from resonance the design goes through
     design = build_surface(plant, discretize(plant, 0.1), H)
     assert design.s_gain_cond == pytest.approx(1.0, abs=1e-9)
+    assert np.isfinite(build_surface(plant, discretize(plant, 0.5), H).s_gain_cond)
 
 
 def test_sampled_coupling_near_continuous_limit(bench_design, bench_plant):
@@ -159,29 +159,7 @@ def test_discrete_blocks_identities(bench_plant, bench_disc, bench_design):
                        atol=1e-12)
 
 
-# --- certification sweep ---------------------------------------------------
-
-def test_certify_benchmark_periods(bench_plant):
-    rep = certify_surface_over_T(bench_plant, H_BENCH, [0.1, 0.01, 0.001])
-    assert rep.all_certified
-    assert rep.smallest_certified == 0.001
-    assert rep.largest_certified == 0.1
-    assert all(r.cond < 50 for r in rep.rows)
-
-
-def test_certify_rotation_plant_mixed():
-    plant = rotation_plant()
-    rep = certify_surface_over_T(plant, [[1.0, 0.0]], [1.0, 0.5, 0.1])
-    by_T = {r.T: r for r in rep.rows}
-    assert not by_T[1.0].invertible
-    assert by_T[0.5].invertible
-    assert by_T[0.1].invertible
-    assert not rep.all_certified
-    assert rep.largest_certified == 0.5
-
-
-def test_certify_rejects_bad_input(bench_plant):
-    with pytest.raises(ConfigError):
-        certify_surface_over_T(bench_plant, H_BENCH, [])
-    with pytest.raises(ConfigError):
-        certify_surface_over_T(bench_plant, H_BENCH, [0.1, -0.1])
+def test_benchmark_coupling_conditioned_over_periods(bench_plant):
+    for T in (0.1, 0.01, 0.001):
+        design = build_surface(bench_plant, discretize(bench_plant, T), H_BENCH)
+        assert design.s_gain_cond < 50
