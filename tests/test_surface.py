@@ -133,7 +133,6 @@ def test_rotation_plant_coupling_vanishes_at_resonance():
     # away from resonance the design goes through
     design = build_surface(plant, discretize(plant, 0.1), H)
     assert design.s_gain_cond == pytest.approx(1.0, abs=1e-9)
-    assert np.isfinite(build_surface(plant, discretize(plant, 0.5), H).s_gain_cond)
 
 
 def test_sampled_coupling_near_continuous_limit(bench_design, bench_plant):
@@ -163,3 +162,15 @@ def test_benchmark_coupling_conditioned_over_periods(bench_plant):
     for T in (0.1, 0.01, 0.001):
         design = build_surface(bench_plant, discretize(bench_plant, T), H_BENCH)
         assert design.s_gain_cond < 50
+
+
+def test_certify_rotation_plant_mixed():
+    # per period: singular at T = 1.0, invertible at 0.5 and 0.1
+    plant = rotation_plant()
+    H = np.array([[1.0, 0.0]])
+    with pytest.raises(AssumptionViolation, match="T = 1.0"):
+        build_surface(plant, discretize(plant, 1.0), H)
+    for T in (0.5, 0.1):
+        design = build_surface(plant, discretize(plant, T), H)
+        assert np.isfinite(design.s_gain_cond)
+        assert np.allclose(design.s_gain_inv @ design.s_gain, np.eye(1), atol=1e-12)
