@@ -13,8 +13,7 @@ from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
                        check_memory_spectrum, memory_block, stability_over_T,
                        variant_for_kind)
 from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
-                          Loop, closed_loop, equivalent_control, law_taps,
-                          make_gains, reconstruct_g_prev)
+                          Loop, closed_loop, law_taps, make_gains)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
                              difference_diagnostics, discretize)
 from .errors import (AssumptionViolation, ConfigError, DisturbanceRangeError,
@@ -50,10 +49,10 @@ __all__ = [
     "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
     "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",
-    "equivalent_control", "export_csv",
+    "export_csv",
     "input_annihilator", "invariant_zeros", "law_taps",
     "load_aircraft_scenario", "make_gains",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
-    "parse_scenario_text", "reconstruct_g_prev", "run", "run_batch", "run_batches", "run_sweep",
+    "parse_scenario_text", "run", "run_batch", "run_batches", "run_sweep",
     "stability_over_T", "variant_for_kind", "zero_signal",
 ]

@@ -194,6 +194,8 @@ class StabilityRow:
     # spectral radius of the simulated closed loop (controllers.Loop.rho)
     # per kind; m1/m2 run at alpha = 0, which neither augmented variant covers
     rho_cl: dict
+    # drift_from_s of the period's design, the memory block's coupling
+    coupling: np.ndarray
 
     @property
     def certified(self) -> bool:
@@ -254,7 +256,8 @@ def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport
             cluster_dist_aug1=dist1, cluster_dist_aug2=dist2,
             conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2,
             rho_cl={kind: closed_loop(design, law_taps(gains, kind)).rho
-                    for kind in LAWS}))
+                    for kind in LAWS},
+            coupling=design.drift_from_s))
     certified = [r.T for r in rows if r.certified]
     return StabilityReport(rows=tuple(rows),
                            largest_certified=max(certified) if certified else None)

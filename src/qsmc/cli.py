@@ -14,15 +14,14 @@ import sys
 import numpy as np
 
 from .analysis import check_memory_spectrum, stability_over_T
-from .controllers import KINDS, LAWS, make_gains
-from .discretization import difference_diagnostics, discretize
+from .controllers import KINDS, LAWS
+from .discretization import difference_diagnostics
 from .errors import AssumptionViolation, ConfigError, DivergenceError
 from .experiments import (DEFAULT_LADDER, METRICS, SweepSpec,
                           aircraft_benchmark, builtin_scenario_path, run_sweep)
 from .report import render_kv
 from .scenario import ScenarioFile, parse_scenario_file
 from .simulate import export_csv, run
-from .surface import build_surface
 from .svgplot import line_plot
 
 # default slope acceptance bands per (kind, metric)
@@ -134,14 +133,13 @@ def cmd_verify(args) -> int:
     sc = sf.scenario
     T_list = sorted(set(DEFAULT_LADDER) | {sc.T})
 
-    design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
-    gains = make_gains(design, alpha=sc.alpha, beta=sc.beta)
-    spec1, spec2 = (check_memory_spectrum(gains.alpha, gains.T,
-                                          gains.drift_from_s, variant)
-                    for variant in ("aug1", "aug2"))
     # raises AssumptionViolation (exit 3) on a period that is not invertible,
     # so every certify row below is an invertible one
     stab = stability_over_T(sc.plant, sc.H, T_list, beta=sc.rate)
+    # the memory spectrum of the scenario's own period, from that period's row
+    row = next(r for r in stab.rows if r.T == sc.T)
+    spec1, spec2 = (check_memory_spectrum(row.alpha, row.T, row.coupling, variant)
+                    for variant in ("aug1", "aug2"))
 
     report = {
         "certify": [{"T": r.T, "invertible": True, "cond": r.cond}

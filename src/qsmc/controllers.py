@@ -13,14 +13,14 @@ implementable laws replace g[k] by delayed reconstructions:
     first-order  (mm1):  g[k] ~ g[k-1]            -> residual O(T^2)
     second-order (mm2):  g[k] ~ 2 g[k-1] - g[k-2] -> residual O(T^3)
 
-Folding the reconstruction into the law gives recursions in (s, u) history
-alone.  Every law is built once as its taps (law_taps): the coefficients of
-u[k] = sum_i K_i s[k-i] + sum_j C_j u[k-j].  The folded ("recursive") taps
-and the explicit ("estimate") taps, composed from the equivalent-control
-lead and the reconstruction matrices, are derived independently and agree
-to rounding.  The deadbeat baselines m1/m2 are the
-same recursions evaluated at alpha = 0 (target s[k+1] = 0); their gain
-grows like 1/T, which is the behavior the contraction target removes.
+Folding the reconstruction into the law by hand gives recursions in (s, u)
+history alone.  Every law is built once as its taps (law_taps): the
+coefficients of u[k] = sum_i K_i s[k-i] + sum_j C_j u[k-j].  The tests
+keep an independent derivation, composed from the equivalent control and
+the algebraic reconstruction of g[k-1], as the oracle of these taps.  The
+deadbeat baselines m1/m2 are the same recursions evaluated at alpha = 0
+(target s[k+1] = 0); their gain grows like 1/T, which is the behavior the
+contraction target removes.
 closed_loop turns a law's taps and the plant into one Loop value: the
 closed-loop recursion that the simulator runs and whose spectral radius
 the stability analysis reports.
@@ -41,7 +41,6 @@ LAWS = ("m1", "m2", "mm1", "mm2")
 KINDS = ("eq",) + LAWS
 # deadbeat baselines run the same recursions at alpha = 0
 DEADBEAT = ("m1", "m2")
-FORMS = ("recursive", "estimate")
 
 # first sample index at which each law may emit a nonzero input; earlier
 # samples output zero while history fills
@@ -85,46 +84,16 @@ def make_gains(design: SurfaceDesign, alpha: float | None = None,
                    drift_from_s=design.drift_from_s)
 
 
-# ---------------------------------------------------------------------------
-# primitive laws, each also available as the matrices that evaluate it
-
 def _eq_terms(gains: GainSet, alpha: float):
-    """equivalent_control as (lead, E): u[k] = lead s[k] + E g[k]."""
+    """The ideal law as (lead, E): u[k] = lead s[k] + E g[k]."""
     T = gains.T
     m = gains.s_gain.shape[0]
     E = -(1.0 / T) * gains.gain
     return E @ ((1.0 - alpha) * np.eye(m) + T * gains.drift_from_s), E
 
 
-def _reconstruction(gains: GainSet):
-    """reconstruct_g_prev as (R0, R1, Ru):
-    g[k-1] = R0 s[k] + R1 s[k-1] + Ru u[k-1]."""
-    T = gains.T
-    m = gains.s_gain.shape[0]
-    return np.eye(m), -(np.eye(m) + T * gains.drift_from_s), -T * gains.s_gain
-
-
-def equivalent_control(gains: GainSet, s_k: np.ndarray, g_k: np.ndarray) -> np.ndarray:
-    """Ideal law given the true g[k]; oracle/analysis use only (g[k] is not
-    available online).  With the exact g the surface contracts exactly:
-    s[k+1] = alpha s[k]."""
-    lead, E = _eq_terms(gains, gains.alpha)
-    return lead @ s_k + E @ g_k
-
-
-def reconstruct_g_prev(gains: GainSet, s_k, s_km1, u_km1) -> np.ndarray:
-    """Exact g[k-1] from observed history: algebraic inversion of the
-    one-step surface update."""
-    R0, R1, Ru = _reconstruction(gains)
-    return R0 @ s_k + R1 @ s_km1 + Ru @ u_km1
-
-
 # ---------------------------------------------------------------------------
 # control laws as taps
-
-# weights of the delayed reconstructions in each law's estimate of g[k]
-_EXTRAPOLATION = {"m1": (1.0,), "mm1": (1.0,), "m2": (2.0, -1.0), "mm2": (2.0, -1.0)}
-
 
 @dataclass(frozen=True)
 class LawTaps:
@@ -141,44 +110,26 @@ class LawTaps:
     K_g: np.ndarray | None = None
 
 
-def law_taps(gains: GainSet, kind: str, form: str = "recursive") -> LawTaps:
-    """Taps of one law.  The recursive form is the hand-folded recursion;
-    the estimate form is composed from the equivalent-control lead and the
-    reconstruct_g_prev matrices, so the two are independent derivations
-    that agree to rounding."""
+def law_taps(gains: GainSet, kind: str) -> LawTaps:
+    """Taps of one law: the hand-folded recursion, or for eq the ideal law
+    with its g[k] term."""
     if kind not in KINDS:
         raise ConfigError(f"unknown controller kind {kind!r}")
-    if form not in FORMS:
-        raise ConfigError(f"unknown controller form {form!r}")
     a = 0.0 if kind in DEADBEAT else gains.alpha
     if kind == "eq":
         lead, E = _eq_terms(gains, a)
         return LawTaps((lead,), (), WARMUP[kind], K_g=E)
-    m = gains.s_gain.shape[0]
-    if form == "recursive":
-        I = np.eye(m)
-        cpl = gains.T * gains.drift_from_s
-        E = -(1.0 / gains.T) * gains.gain
-        if kind in ("m1", "mm1"):
-            K = (E @ ((2.0 - a) * I + cpl), -E @ (I + cpl))
-            C = (I,)
-        else:
-            K = (E @ ((3.0 - a) * I + cpl), -E @ (3.0 * I + 2.0 * cpl),
-                 E @ (I + cpl))
-            C = (2.0 * I, -I)
-        return LawTaps(K, C, WARMUP[kind])
-    # estimate: u[k] = lead s[k] + E sum_j w_j g[k-j], each g[k-j] rebuilt
-    # from (s[k-j+1], s[k-j], u[k-j])
-    lead, E = _eq_terms(gains, a)
-    R0, R1, Ru = _reconstruction(gains)
-    weights = _EXTRAPOLATION[kind]
-    K = [lead] + [np.zeros((m, m)) for _ in weights]
-    C = []
-    for j, w in enumerate(weights, start=1):
-        K[j - 1] = K[j - 1] + w * (E @ R0)
-        K[j] = K[j] + w * (E @ R1)
-        C.append(w * (E @ Ru))
-    return LawTaps(tuple(K), tuple(C), WARMUP[kind])
+    I = np.eye(gains.s_gain.shape[0])
+    cpl = gains.T * gains.drift_from_s
+    E = -(1.0 / gains.T) * gains.gain
+    if kind in ("m1", "mm1"):
+        K = (E @ ((2.0 - a) * I + cpl), -E @ (I + cpl))
+        C = (I,)
+    else:
+        K = (E @ ((3.0 - a) * I + cpl), -E @ (3.0 * I + 2.0 * cpl),
+             E @ (I + cpl))
+        C = (2.0 * I, -I)
+    return LawTaps(K, C, WARMUP[kind])
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -263,7 +214,6 @@ class ControllerState:
     time (the simulator evaluates the same taps for many runs at once)."""
     kind: str
     gains: GainSet
-    form: str = "recursive"   # recursive | estimate
     k: int = 0
     s_km1: np.ndarray | None = None
     s_km2: np.ndarray | None = None
@@ -271,7 +221,7 @@ class ControllerState:
     u_km2: np.ndarray | None = None
 
     def __post_init__(self):
-        self.taps = law_taps(self.gains, self.kind, self.form)
+        self.taps = law_taps(self.gains, self.kind)
         m = self.gains.s_gain.shape[0]
         zero = np.zeros(m)
         self.s_km1 = zero.copy() if self.s_km1 is None else self.s_km1

@@ -8,8 +8,7 @@ line.  Full-line comments start with '#'.  Sections:
                  -- or inline --  A = r ; r ; ...   B = ...   C = ...
                  x0 = v1 v2 ... (optional initial state, default zeros)
   [surface]      H = r ; r
-  [controller]   kind = eq|m1|m2|mm1|mm2, alpha and/or beta,
-                 form = recursive|estimate (optional)
+  [controller]   kind = eq|m1|m2|mm1|mm2, alpha and/or beta
   [timing]       T, horizon
   [disturbance]  segment = t0 t1 : form ; form ; ...   (repeatable, ordered)
                  forms: zero | const c | sin offset amp omega phase
@@ -26,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .controllers import FORMS, KINDS
+from .controllers import KINDS
 from .errors import ConfigError
 from .matio import (MatrixFormatError, parse_matrix, parse_vector,
                     read_plant_file)
@@ -214,10 +213,6 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
                                                     where("controller", "alpha"))
     beta = None if beta is None else _parse_float(beta, "controller", "beta",
                                                   where("controller", "beta"))
-    form = take("controller", "form", default="recursive").lower()
-    if form not in FORMS:
-        raise ScenarioError(f"unknown controller form {form!r}",
-                            "controller", "form", where("controller", "form"))
 
     # --- timing ---
     T = _parse_float(take("timing", "t", required=True), "timing", "T",
@@ -281,7 +276,7 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     # every check Scenario makes has been made above, with its location
     scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
                         disturbance=disturbance, noise=noise, alpha=alpha,
-                        beta=beta, x0=x0, form=form)
+                        beta=beta, x0=x0)
     if disturbance is not None and disturbance.t_end < horizon:
         # the first sample whose hold interval leaves the segments
         t_end = disturbance.t_end

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controllers import Loop, closed_loop, law_taps, lifted_slices, make_gains
-from .discretization import DisturbanceSampler, discretize
-from .errors import ConfigError, DivergenceError
+from .discretization import _EDGE, DisturbanceSampler, discretize
+from .errors import ConfigError, DisturbanceRangeError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
                     noise_tables, zero_signal)
 from .surface import SurfaceDesign, build_surface
@@ -64,7 +64,6 @@ class Scenario:
     alpha: float | None = None
     beta: float | None = None
     x0: np.ndarray | None = None
-    form: str = "recursive"
 
     def __post_init__(self):
         if not (0 < self.T < math.inf and 0 < self.horizon < math.inf):
@@ -127,8 +126,8 @@ def default_steady_window(sig: DisturbanceSignal, horizon: float):
     return (horizon * (1 - _WINDOW_FRACTION), horizon)
 
 
-# fields every run of a batch shares; kind, form, alpha, beta, noise and
-# x0 may differ from run to run
+# fields every run of a batch shares; kind, alpha, beta, noise and x0 may
+# differ from run to run
 _SHARED = ("plant", "T", "H", "horizon", "disturbance")
 
 
@@ -158,7 +157,7 @@ class _Shared:
     """What every batch of one run_batches call shares."""
     base: Scenario
     design: SurfaceDesign
-    loops: dict          # (kind, form, alpha, beta) -> controllers.Loop
+    loops: dict          # (kind, alpha, beta) -> controllers.Loop
     carry: dict          # same key -> A^BLOCK, formed in long double
     warm: Loop           # the loop with the law rows zeroed
     dk: np.ndarray       # d[0..steps], or d[0..steps) when no run is eq
@@ -169,7 +168,7 @@ class _Shared:
 
 
 def _law_key(sc: Scenario) -> tuple:
-    return (sc.kind, sc.form, sc.alpha, sc.beta)
+    return (sc.kind, sc.alpha, sc.beta)
 
 
 def run_batches(batches):
@@ -197,6 +196,14 @@ def run_batches(batches):
             if not _same(getattr(base, name), getattr(sc, name)):
                 raise ConfigError(f"scenarios in one batch must share {name}")
     plant, T, sig, steps = base.plant, base.T, base.disturbance, base.steps
+    # the eq oracle feeds d[k] into u[k], so it also reads d[steps]; without
+    # it d[steps] only moves x[steps + 1], which is not kept
+    eq = any(sc.kind == "eq" for sc in runs)
+    if eq and (steps + 1) * T > sig.t_end + _EDGE:
+        raise DisturbanceRangeError(
+            f"the eq oracle reads d[{steps}], one period past the horizon: "
+            f"sample {steps} covers [{steps * T}, {(steps + 1) * T}), "
+            f"outside [0, {sig.t_end})")
     disc = discretize(plant, T)
     design = build_surface(plant, disc, base.H)  # raises if assumptions fail
     loops = {}
@@ -204,13 +211,10 @@ def run_batches(batches):
         key = _law_key(sc)
         if key not in loops:
             gains = make_gains(design, alpha=sc.alpha, beta=sc.beta)
-            loops[key] = closed_loop(design, law_taps(gains, sc.kind, sc.form))
+            loops[key] = closed_loop(design, law_taps(gains, sc.kind))
     carry = {key: np.linalg.matrix_power(loop.A.astype(np.longdouble),
                                          BLOCK).astype(float)
              for key, loop in loops.items()}
-    # the eq oracle feeds d[k] into u[k], so it also reads d[steps]; without
-    # it d[steps] only moves x[steps + 1], which is not kept
-    eq = any(loop.taps.K_g is not None for loop in loops.values())
     dk = DisturbanceSampler(plant, T, sig).table(0, steps + 1 if eq else steps)
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],

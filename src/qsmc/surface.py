@@ -126,7 +126,13 @@ def build_surface(plant: ContinuousPlant, disc: DiscretePlant, H,
     scale = (np.linalg.norm(base.H, 2) * np.linalg.norm(plant.C, 2)
              * np.linalg.norm(disc.input_rate, 2))
     cond = float(np.linalg.cond(s_gain))
-    if _smallest_sv(s_gain) <= 1e-12 * max(scale, 1e-300) or cond > _COND_LIMIT:
+    # name the test that fired: a 1x1 coupling has cond 1 however small it is
+    relative = _smallest_sv(s_gain) / max(scale, 1e-300)
+    if relative <= 1e-12:
+        raise AssumptionViolation(
+            f"sampled surface-to-input coupling is singular at T = {disc.T} "
+            f"(smallest singular value {relative:.3e} of |H| |C| |input_rate|)")
+    if cond > _COND_LIMIT:
         raise AssumptionViolation(
             f"sampled surface-to-input coupling is singular at T = {disc.T} "
             f"(cond = {cond:.3e})")

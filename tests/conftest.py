@@ -1,8 +1,15 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from qsmc import (ContinuousPlant, DisturbanceSignal, Segment, build_surface,
-                  discretize, load_aircraft_scenario, make_gains)
+import qsmc.controllers
+import qsmc.simulate
+from qsmc import (ContinuousPlant, DisturbanceSignal, LawTaps, Segment,
+                  build_surface, discretize, law_taps, load_aircraft_scenario,
+                  make_gains)
+from qsmc.controllers import DEADBEAT, WARMUP, _eq_terms
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
 # shipped benchmark plant: lateral aircraft dynamics, 4 states, 2 inputs,
@@ -40,6 +47,73 @@ H_UNSTABLE = np.array([
 T_BENCH = 0.01
 ALPHA_BENCH = 0.97
 BETA_BENCH = 3.0
+
+
+# --- estimate-form taps: the oracle of controllers.law_taps -----------------
+#
+# law_taps folds each law's reconstruction of g[k] into its taps by hand.
+# estimate_taps composes the same law from the equivalent-control lead and
+# the algebraic reconstruction of g[k-1], so the two are independent
+# derivations that agree to rounding.
+
+def _reconstruction(gains):
+    """reconstruct_g_prev as (R0, R1, Ru):
+    g[k-1] = R0 s[k] + R1 s[k-1] + Ru u[k-1]."""
+    T = gains.T
+    m = gains.s_gain.shape[0]
+    return np.eye(m), -(np.eye(m) + T * gains.drift_from_s), -T * gains.s_gain
+
+
+def equivalent_control(gains, s_k, g_k):
+    """Ideal law given the true g[k] (not available online).  With the exact
+    g the surface contracts exactly: s[k+1] = alpha s[k]."""
+    lead, E = _eq_terms(gains, gains.alpha)
+    return lead @ s_k + E @ g_k
+
+
+def reconstruct_g_prev(gains, s_k, s_km1, u_km1):
+    """Exact g[k-1] from observed history: algebraic inversion of the
+    one-step surface update."""
+    R0, R1, Ru = _reconstruction(gains)
+    return R0 @ s_k + R1 @ s_km1 + Ru @ u_km1
+
+
+# weights of the delayed reconstructions in each law's estimate of g[k]
+_EXTRAPOLATION = {"m1": (1.0,), "mm1": (1.0,), "m2": (2.0, -1.0), "mm2": (2.0, -1.0)}
+
+
+def estimate_taps(gains, kind):
+    """Taps of one law composed as u[k] = lead s[k] + E sum_j w_j g[k-j],
+    each g[k-j] rebuilt from (s[k-j+1], s[k-j], u[k-j]); eq (and an unknown
+    kind's error) is law_taps'."""
+    if kind not in _EXTRAPOLATION:
+        return law_taps(gains, kind)
+    a = 0.0 if kind in DEADBEAT else gains.alpha
+    m = gains.s_gain.shape[0]
+    lead, E = _eq_terms(gains, a)
+    R0, R1, Ru = _reconstruction(gains)
+    weights = _EXTRAPOLATION[kind]
+    K = [lead] + [np.zeros((m, m)) for _ in weights]
+    C = []
+    for j, w in enumerate(weights, start=1):
+        K[j - 1] = K[j - 1] + w * (E @ R0)
+        K[j] = K[j] + w * (E @ R1)
+        C.append(w * (E @ Ru))
+    return LawTaps(tuple(K), tuple(C), WARMUP[kind])
+
+
+# each form's taps; "recursive" is the program's own law_taps
+FORMS = {"recursive": law_taps, "estimate": estimate_taps}
+
+
+@contextlib.contextmanager
+def law_form(form):
+    """Inside the block the simulator and ControllerState build every law's
+    taps with FORMS[form], so either form runs the same code path."""
+    taps = FORMS[form]
+    with mock.patch.object(qsmc.simulate, "law_taps", taps), \
+            mock.patch.object(qsmc.controllers, "law_taps", taps):
+        yield
 
 
 def segment_value(sig, idx, t):

@@ -16,7 +16,7 @@ from qsmc import (aircraft_benchmark, augmented_vs_direct, build_surface,
                   invariant_zeros, load_aircraft_scenario, make_gains,
                   measure_quasi_sliding, run, stability_over_T, zero_signal)
 
-from conftest import ALPHA_BENCH, BETA_BENCH, H_BENCH
+from conftest import ALPHA_BENCH, BETA_BENCH, H_BENCH, law_form
 
 _LINES = []
 
@@ -154,14 +154,16 @@ def test_criterion_5_accuracy_order_ladder(bench_file):
 
 
 def test_criterion_6_formulation_equivalence(bench_file):
-    """Recursive and estimate controller forms agree to 1e-10 over the full
+    """The program's hand-folded taps and the estimate taps of the test
+    oracle, each run through the simulator, agree to 1e-10 over the full
     benchmark; the augmented recursion reproduces the direct simulation to
     1e-8."""
     sc = bench_file.scenario
     worst_forms = 0.0
     for kind in ("m1", "m2", "mm1", "mm2"):
-        rec = run(sc.with_(kind=kind, form="recursive"))
-        est = run(sc.with_(kind=kind, form="estimate"))
+        rec = run(sc.with_(kind=kind))
+        with law_form("estimate"):
+            est = run(sc.with_(kind=kind))
         worst_forms = max(worst_forms, float(np.max(np.abs(rec.u - est.u))))
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
     gains = make_gains(design, alpha=ALPHA_BENCH)

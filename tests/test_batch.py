@@ -27,10 +27,9 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
 from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
-from conftest import H_UNSTABLE, rk4_states
+from conftest import FORMS, H_UNSTABLE, law_form, rk4_states
 
 KINDS = ("eq", "m1", "m2", "mm1", "mm2")
-FORMS = ("recursive", "estimate")
 SEEDS = (5, 20260815)
 
 
@@ -50,7 +49,7 @@ def loop_oracle(scenario):
     disc = discretize(plant, T)
     design = build_surface(plant, disc, scenario.H)
     gains = make_gains(design, alpha=scenario.alpha, beta=scenario.beta)
-    controller = ControllerState(kind=scenario.kind, gains=gains, form=scenario.form)
+    controller = ControllerState(kind=scenario.kind, gains=gains)
     hc = design.H @ plant.C
     sig = scenario.disturbance
     steps = scenario.steps
@@ -80,12 +79,16 @@ def _noise(seed):
 
 
 def test_batch_matches_loop_oracle(bench_scenario):
-    # every kind and form under two noise seeds, as one mixed batch
-    scenarios = [bench_scenario.with_(kind=kind, form=form, noise=_noise(seed))
-                 for kind in KINDS for form in FORMS for seed in SEEDS]
-    for sc, traj in zip(scenarios, run_batch(scenarios)):
-        ref = loop_oracle(sc)
-        tag = (sc.kind, sc.form, sc.noise.seed)
+    # every kind under two noise seeds as one mixed batch, once per form
+    scenarios = [bench_scenario.with_(kind=kind, noise=_noise(seed))
+                 for kind in KINDS for seed in SEEDS]
+    runs = []
+    for form in FORMS:
+        with law_form(form):
+            runs += [(form, sc, traj, loop_oracle(sc))
+                     for sc, traj in zip(scenarios, run_batch(scenarios))]
+    for form, sc, traj, ref in runs:
+        tag = (sc.kind, form, sc.noise.seed)
         assert np.max(np.abs(traj.x - ref["x"])) <= 1e-12, tag
         assert np.max(np.abs(traj.u - ref["u"])) <= 1e-12, tag
         assert np.max(np.abs(traj.s - ref["s"])) <= 1e-12, tag
@@ -98,8 +101,7 @@ def test_batch_matches_loop_oracle(bench_scenario):
 
 def test_batch_row_matches_lone_run(bench_scenario):
     scenarios = [bench_scenario.with_(kind="m2", noise=_noise(3)),
-                 bench_scenario.with_(kind="mm1", form="estimate", alpha=0.95,
-                                      beta=None),
+                 bench_scenario.with_(kind="mm1", alpha=0.95, beta=None),
                  bench_scenario.with_(kind="eq", x0=np.zeros(4))]
     for sc, traj in zip(scenarios, run_batch(scenarios)):
         lone = run(sc)
@@ -205,7 +207,7 @@ _MOVING = DisturbanceSignal([Segment(0.0, math.inf, (SinForm(0.5, 1.0, 3.0, 0.2)
 
 def _assert_matches_oracle(sc, traj, tol=1e-12):
     ref = loop_oracle(sc)
-    tag = (sc.kind, sc.form, sc.steps)
+    tag = (sc.kind, sc.steps)
     for key in ("x", "u", "s", "s_true", "y"):
         assert np.max(np.abs(getattr(traj, key) - ref[key])) <= tol, (key,) + tag
     assert not np.any(traj.u[:WARMUP[sc.kind]]), tag
@@ -270,10 +272,10 @@ def test_batch_divergence_on_block_edges(bench_scenario, offset):
 # --- random admissible plants ------------------------------------------------
 
 def _random_loop(seed):
-    """(scenario, A_cl): a stable closed loop of a random plant with
-    m <= p < n and a surface drawn as invariant_zeros draws it; draws with
-    cond(H C B) > 1e8, a singular sampled coupling or rho(A_cl) >= 1 are
-    redrawn."""
+    """(scenario, form, A_cl): a stable closed loop of a random plant with
+    m <= p < n and a surface drawn as invariant_zeros draws it, its law's
+    taps drawn from FORMS; draws with cond(H C B) > 1e8, a singular sampled
+    coupling or rho(A_cl) >= 1 are redrawn."""
     rng = np.random.default_rng(seed)
     gen = Xoshiro256StarStar(seed)
     while True:
@@ -292,9 +294,9 @@ def _random_loop(seed):
         except AssumptionViolation:
             continue
         kind = str(rng.choice(KINDS))
-        form = str(rng.choice(FORMS))
+        form = str(rng.choice(list(FORMS)))
         alpha = float(rng.uniform(0.0, 0.99))
-        A_cl = closed_loop(design, law_taps(make_gains(design, alpha=alpha), kind, form)).A
+        A_cl = closed_loop(design, FORMS[form](make_gains(design, alpha=alpha), kind)).A
         if np.max(np.abs(np.linalg.eigvals(A_cl))) >= 1.0:
             continue
         samples = int(rng.integers(1, 8 * BLOCK))
@@ -303,16 +305,16 @@ def _random_loop(seed):
         sc = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=(samples - 0.5) * T,
                       disturbance=DisturbanceSignal([Segment(0.0, math.inf, forms)]),
                       noise=NoiseSpec(kind="uniform", halfwidth=0.01, seed=seed),
-                      alpha=alpha, x0=rng.standard_normal(n), form=form)
-        return sc, A_cl
+                      alpha=alpha, x0=rng.standard_normal(n))
+        return sc, form, A_cl
 
 
-def _wide_recursion(sc):
+def _wide_recursion(sc, form):
     """(x, u) of the lifted recursion stepped one sample at a time in long
     double: the scan's reference without its rounding."""
     plant = sc.plant
     design = build_surface(plant, discretize(plant, sc.T), sc.H)
-    taps = law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta), sc.kind, sc.form)
+    taps = FORMS[form](make_gains(design, alpha=sc.alpha, beta=sc.beta), sc.kind)
     law, warm = ([M.astype(np.longdouble) for M in (loop.A, loop.B_d, loop.B_v)]
                  for loop in (closed_loop(design, taps), closed_loop(design)))
     dk = DisturbanceSampler(plant, sc.T, sc.disturbance).table(0, sc.steps + 1)
@@ -350,14 +352,15 @@ _ORACLE_UNITS = 100.0
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @example(seed=1333)  # high-gain, non-normal: a double-formed A^L loses 2 digits
 def test_batch_matches_oracle_on_random_plants(seed):
-    sc, A_cl = _random_loop(seed)
-    traj = run_batch([sc])[0]
-    ref = loop_oracle(sc)
+    sc, form, A_cl = _random_loop(seed)
+    with law_form(form):
+        traj = run_batch([sc])[0]
+        ref = loop_oracle(sc)
     unit = _rounding_unit(A_cl, max(1.0, *(np.max(np.abs(ref[key]))
                                            for key in ("x", "u", "s"))))
     for key in ("x", "u", "s", "s_true", "y"):
         assert np.max(np.abs(getattr(traj, key) - ref[key])) <= _ORACLE_UNITS * unit, key
-    x, u = _wide_recursion(sc)
+    x, u = _wide_recursion(sc, form)
     assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit
     assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit
 
@@ -391,7 +394,7 @@ def _rk4_bound(plant, T, steps, lam, F, X, U):
        where=st.floats(0.0, 1.0, exclude_max=True), frac=st.floats(0.05, 0.95))
 def test_exact_dk_matches_rk4_on_random_plants(seed, where, frac):
     # d[k] is the state one sample after x[k] = 0 with u[k] = 0
-    sc, _ = _random_loop(seed)
+    sc, _, _ = _random_loop(seed)
     plant, T = sc.plant, sc.T
     steps = max(sc.steps, 1)
     # a second segment starts strictly inside sample kb, so the sampler
@@ -459,7 +462,7 @@ def _radius_rounding(A):
 def test_closed_loop_charpoly_matches_augmented_on_random_plants(seed):
     # charpoly(A_cl) = lambda^extra charpoly(A_aug) for every law on the
     # random plant and surface, the deadbeat pair at alpha = 0
-    sc, _ = _random_loop(seed)
+    sc, _, _ = _random_loop(seed)
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
     gains = make_gains(design, alpha=sc.alpha)
     m = sc.plant.m
@@ -491,7 +494,7 @@ def test_run_batches_equal_lone_batches(bench_scenario):
     batches = [
         [bench_scenario.with_(kind=kind, noise=shared) for kind in ("m1", "mm2")],
         [bench_scenario.with_(kind="eq", noise=_noise(1)),
-         bench_scenario.with_(kind="mm1", form="estimate", noise=shared,
+         bench_scenario.with_(kind="mm1", noise=shared,
                               x0=np.array([0.1, -0.2, 0.0, 0.05]))],
         [bench_scenario.with_(kind="m2", alpha=0.9, beta=None, noise=_noise(2)),
          bench_scenario.with_(kind="mm1", noise=NoiseSpec())],

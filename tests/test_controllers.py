@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qsmc import (ConfigError, ControllerState, GainSet, equivalent_control,
-                  law_taps, make_gains, reconstruct_g_prev, run)
+from qsmc import ConfigError, ControllerState, GainSet, law_taps, make_gains, run
 
-from conftest import ALPHA_BENCH, BETA_BENCH, T_BENCH
+from conftest import (ALPHA_BENCH, BETA_BENCH, T_BENCH, equivalent_control,
+                      estimate_taps, law_form, reconstruct_g_prev)
 
 
 def random_gains(m=2, T=0.01, alpha=0.9, seed=0):
@@ -114,8 +114,6 @@ def test_controller_warmup_emits_zero(bench_gains):
 def test_controller_rejects_unknown_kind(bench_gains):
     with pytest.raises(ConfigError):
         ControllerState(kind="pid", gains=bench_gains)
-    with pytest.raises(ConfigError):
-        ControllerState(kind="mm1", gains=bench_gains, form="magic")
 
 
 def test_eq_requires_oracle(bench_gains):
@@ -173,8 +171,8 @@ def test_recursive_and_estimate_taps_agree(kind):
     # the hand-folded taps and the ones composed from the equivalent-control
     # lead and the reconstruction are two derivations of one law
     gains = random_gains(seed=21)
-    rec = law_taps(gains, kind, "recursive")
-    est = law_taps(gains, kind, "estimate")
+    rec = law_taps(gains, kind)
+    est = estimate_taps(gains, kind)
     assert len(rec.K) == len(est.K) == rec.warmup + 1
     assert len(rec.C) == len(est.C) == rec.warmup
     scale = max(np.max(np.abs(K)) for K in rec.K)
@@ -193,12 +191,14 @@ def test_eq_taps_are_the_equivalent_control():
 
 
 # --- two-form equivalence over the shipped benchmark ------------------------
+# the estimate taps run through the simulator in place of law_taps
 
 @pytest.mark.parametrize("kind", ["m1", "m2", "mm1", "mm2"])
 def test_recursive_and_estimate_forms_agree(bench_scenario, kind):
     base = bench_scenario.with_(kind=kind)
-    t_rec = run(base.with_(form="recursive"))
-    t_est = run(base.with_(form="estimate"))
+    t_rec = run(base)
+    with law_form("estimate"):
+        t_est = run(base)
     gap = np.max(np.abs(t_rec.u - t_est.u))
     assert gap <= 1e-10
     gap_s = np.max(np.abs(t_rec.s_true - t_est.s_true))

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import qsmc.cli
-from qsmc import builtin_scenario_path
 
 SRC = Path(qsmc.cli.__file__).resolve().parent
 
@@ -18,7 +17,6 @@ SCALAR_VALUE = "scalar helper of the tracer-pinned DisturbanceSignal.value"
 RNG_ORACLE = "scalar xoshiro256** route, the oracle the published test vectors pin"
 ERROR = "error constructor"
 DERIV = "form derivative, used by acceptance criterion 7"
-ORACLE = "test oracle of the estimate-form taps"
 CLAIM = "paper-claim check awaiting a verify key (ROADMAP item 3)"
 
 ALLOWED = {
@@ -49,8 +47,6 @@ ALLOWED = {
     "plant.ConstForm.deriv": DERIV,
     "plant.SinForm.deriv": DERIV,
     "plant.CosForm.deriv": DERIV,
-    "controllers.equivalent_control": ORACLE,
-    "controllers.reconstruct_g_prev": ORACLE,
     "analysis.augmented_vs_direct": CLAIM,
     "analysis.variant_for_kind": CLAIM,
     "analysis.AugmentedSystem.disturbance_vector": CLAIM,
@@ -81,13 +77,6 @@ def _defined():
 
 def _commands(tmp_path):
     """(argv, expected exit code) of every traced invocation."""
-    scn = tmp_path / "estimate.scn"
-    shipped = Path(builtin_scenario_path("aircraft"))
-    scn.write_text(shipped.read_text(encoding="utf-8")
-                   .replace("kind = mm1", "kind = mm1\nform = estimate")
-                   .replace("file = aircraft.plant",
-                            f"file = {shipped.parent / 'aircraft.plant'}"),
-                   encoding="utf-8")
     out = lambda name: ["--out", str(tmp_path / name)]
     return [
         (["run", "aircraft", "--plot", "--noise", "0.005", "--seed", "7", *out("run")], 0),
@@ -99,7 +88,6 @@ def _commands(tmp_path):
         (["sweep", "aircraft", "--metric", "x_bound", *out("x_bound")], 1),
         (["benchmark", *out("benchmark")], 0),
         (["benchmark", "--noise", "--seeds", "3", *out("noisy")], 0),
-        (["run", str(scn), *out("estimate")], 0),
     ]
 
 

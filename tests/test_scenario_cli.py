@@ -34,9 +34,15 @@ horizon = 1.0
 """
 
 
+# the package's source tree, so `python -m qsmc` runs it from any directory
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def cli(*args, cwd=None):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "qsmc", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -423,19 +429,20 @@ def test_cli_short_disturbance_rejected_at_parse(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
 def test_cli_unknown_form_rejected_at_parse(tmp_path, command):
-    # every command refuses an unknown law form before it runs anything
+    # there is one derivation of each law: every command refuses a form key
+    # as it refuses any unknown key, before it runs anything
     shipped = builtin_scenario_path("aircraft")
     shutil.copy(os.path.join(os.path.dirname(shipped), "aircraft.plant"), tmp_path)
     with open(shipped, encoding="utf-8") as fh:
         text = fh.read()
     assert "kind = mm1\n" in text
-    bad_text = text.replace("kind = mm1\n", "kind = mm1\nform = magic\n")
-    line = bad_text.splitlines().index("form = magic") + 1
+    bad_text = text.replace("kind = mm1\n", "kind = mm1\nform = estimate\n")
+    line = bad_text.splitlines().index("form = estimate") + 1
     bad = tmp_path / "bad.scn"
     bad.write_text(bad_text)
     res = cli(command, str(bad), "--out", str(tmp_path / "o"))
     assert res.returncode == 2
-    assert "unknown controller form 'magic'" in res.stderr
+    assert "unknown key 'form'" in res.stderr
     assert "section [controller]" in res.stderr
     assert "key 'form'" in res.stderr
     assert f"line {line}" in res.stderr
@@ -526,6 +533,57 @@ def test_cli_verify_singular_period_exit_3(tmp_path, capsys):
     assert code == 3
     assert "assumption violated" in err and "at T = 1.0" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_singular_coupling_names_the_test_that_fired(tmp_path, capsys):
+    # the 1x1 coupling has cond 1 however small it is; what fires is its
+    # singular value at rounding level relative to |H| |C| |input_rate|
+    scn = tmp_path / "rot.scn"
+    scn.write_text(ROTATION)
+    code, err = _main_exit(["run", str(scn), "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert "singular at T = 1.0" in err and "cond" not in err
+    lead = "smallest singular value "
+    assert lead in err
+    figure = float(err.split(lead, 1)[1].split()[0])
+    assert 0.0 <= figure <= 1e-12
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_builds_one_design_per_period(monkeypatch, capsys):
+    # the scenario period is on the ladder; its memory-spectrum check reads
+    # the same design as its stability row
+    from qsmc.cli import main
+    from qsmc.surface import build_surface as real
+    calls = []
+
+    def counted(plant, disc, H, annihilator=None):
+        calls.append(disc.T)
+        return real(plant, disc, H, annihilator=annihilator)
+
+    # every module that binds the name calls through the counter
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qsmc.") and getattr(module, "build_surface", None) is real:
+            monkeypatch.setattr(module, "build_surface", counted)
+    assert main(["verify", "aircraft"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [0.0025, 0.005, 0.01, 0.02]
+
+
+def test_cli_eq_disturbance_ending_at_horizon_exit_2(tmp_path, capsys):
+    # eq reads d[steps], one period past the horizon; a file whose last
+    # segment ends at the horizon is refused before anything runs, while the
+    # implementable laws run on it
+    from qsmc.cli import main
+    last = "segment = 15.707963267948966 inf : sin 1.0 1.0 0.5 0.0 ; cos 0.5 1.0"
+    path, _ = _shipped_copy(tmp_path, last, last.replace(" inf ", " 20 "))
+    code, err = _main_exit(["run", str(path), "--controller", "eq",
+                            "--out", str(tmp_path / "eq")], capsys)
+    assert code == 2, err
+    assert "the eq oracle reads d[2000], one period past the horizon" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eq").exists()
+    assert main(["run", str(path), "--out", str(tmp_path / "mm1")]) == 0
 
 
 def _shipped_copy(tmp_path, old, new):

@@ -242,3 +242,20 @@ def test_csv_round_trip(tmp_path, bench_scenario):
     assert np.array_equal(got_x, traj.x[k])
     got_f = np.array([float(v) for v in row[-2:]])
     assert np.array_equal(got_f, traj.f[k])
+
+
+def test_csv_keeps_negative_zero(tmp_path, bench_scenario):
+    # -0.0 and 0.0 compare equal but are distinct doubles; the CSV keeps
+    # the sign, so a writer that shares the text of equal values must key
+    # on the bit pattern
+    traj = run(bench_scenario.with_(horizon=0.05))
+    assert traj.u[0].tolist() == [0.0, 0.0]      # warm-up sample
+    traj.u[0, 1] = -0.0
+    path = tmp_path / "zeros.csv"
+    export_csv(traj, path)
+    header, first = path.read_text().split("\n")[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert (row["u1"], row["u2"]) == ("0.0", "-0.0")
+    back = np.array([float(row["u1"]), float(row["u2"])])
+    assert back.tobytes() == traj.u[0].tobytes()
+    assert np.signbit(back).tolist() == [False, True]
