@@ -12,8 +12,8 @@ from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
                        StabilityRow, augmented_vs_direct, build_aug, charpoly,
                        check_memory_spectrum, memory_block, stability_over_T,
                        variant_for_kind)
-from .controllers import (KINDS, WARMUP, ControllerState, GainSet, LawTaps,
-                          Loop, closed_loop, law_taps, make_gains)
+from .controllers import (KINDS, WARMUP, ControllerState, LawTaps, Loop,
+                          closed_loop, contraction_alpha, law_taps)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
                              difference_diagnostics, discretize)
 from .errors import (AssumptionViolation, ConfigError, DisturbanceRangeError,
@@ -39,7 +39,7 @@ __all__ = [
     "AssumptionViolation", "AugmentedSystem", "BenchmarkReport",
     "BenchmarkRun", "ConfigError", "ContinuousPlant",
     "ControllerState", "DiffReport", "DiscretePlant", "DisturbanceRangeError",
-    "DisturbanceSampler", "DisturbanceSignal", "DivergenceError", "GainSet",
+    "DisturbanceSampler", "DisturbanceSignal", "DivergenceError",
     "KINDS", "LawTaps", "Loop", "NoiseSpec", "NormalForm", "ScalingReport",
     "Scenario", "ScenarioError", "ScenarioFile", "Segment", "SpectrumReport",
     "StabilityReport", "StabilityRow", "SurfaceDesign", "SweepPoint",
@@ -47,11 +47,12 @@ __all__ = [
     "Xoshiro256StarStar", "aircraft_benchmark", "augmented_vs_direct",
     "build_aug", "build_surface", "builtin_scenario_path",
     "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
+    "contraction_alpha",
     "csv_header",
     "default_steady_window", "difference_diagnostics", "discretize",
     "export_csv",
     "input_annihilator", "invariant_zeros", "law_taps",
-    "load_aircraft_scenario", "make_gains",
+    "load_aircraft_scenario",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
     "parse_scenario_text", "run", "run_batch", "run_batches", "run_sweep",
     "stability_over_T", "variant_for_kind", "zero_signal",

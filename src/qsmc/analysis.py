@@ -19,7 +19,9 @@ The simulator runs each law as a controllers.Loop, a second derivation
 on the lifted state [x; s[k-1]; s[k-2]; u[k-1]; u[k-2]]; its
 characteristic polynomial is lambda^extra times that of A_aug, and
 stability_over_T reports the Loop's radius for every kind, from one
-surface design per period.
+surface design per period.  Both recursions are built from a design and
+the contraction target alpha; stability_over_T holds the rate beta fixed
+in time and takes each period's alpha from controllers.contraction_alpha.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import (DEADBEAT, LAWS, GainSet, closed_loop, law_taps,
-                          make_gains, spectral_radius)
+from .controllers import (DEADBEAT, LAWS, closed_loop, contraction_alpha,
+                          law_taps, spectral_radius)
 from .discretization import DisturbanceSampler, discretize
 from .errors import ConfigError
 from .surface import SurfaceDesign, build_surface
@@ -71,17 +73,16 @@ def memory_block(alpha: float, T: float, coupling: np.ndarray, variant: str) -> 
 class AugmentedSystem:
     variant: str
     A_aug: np.ndarray
-    xi_step: np.ndarray
-    gains: GainSet
+    alpha: float
     design: SurfaceDesign
 
     def disturbance_vector(self, d_xi: np.ndarray, d_s: np.ndarray) -> np.ndarray:
         """Assemble the augmented disturbance from the projections of d[k]:
         d_xi = M d[k], d_s = H C d[k]."""
-        a, T = self.gains.alpha, self.gains.T
+        a, T = self.alpha, self.design.T
         m = d_s.shape[0]
         I = np.eye(m)
-        cpl = self.gains.drift_from_s
+        cpl = self.design.drift_from_s
         if self.variant == "aug1":
             tail = -(((2.0 - a) * I + T * cpl) @ d_s)
             return np.concatenate([d_xi, d_s, tail])
@@ -90,12 +91,11 @@ class AugmentedSystem:
         return np.concatenate([d_xi, d_s, z, tail, z])
 
 
-def build_aug(design: SurfaceDesign, gains: GainSet, variant: str) -> AugmentedSystem:
+def build_aug(design: SurfaceDesign, alpha: float, variant: str) -> AugmentedSystem:
+    """The augmented recursion of one design at contraction target alpha."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    if abs(gains.T - design.T) > 1e-15:
-        raise ConfigError("gains and design disagree on T")
-    T, a = gains.T, gains.alpha
+    T, a = design.T, alpha
     M = design.annihilator
     disc = design.disc
     n_m = M.shape[0]
@@ -116,8 +116,7 @@ def build_aug(design: SurfaceDesign, gains: GainSet, variant: str) -> AugmentedS
         N_s = np.vstack([cx1, Zs,
                          -(((3.0 - a) * np.eye(m) + T * design.drift_from_s) @ cx1), Zs])
     A_aug = np.block([[design.xi_step, T * N_x], [T * N_s, mem]])
-    return AugmentedSystem(variant=variant, A_aug=A_aug, xi_step=design.xi_step,
-                           gains=gains, design=design)
+    return AugmentedSystem(variant=variant, A_aug=A_aug, alpha=alpha, design=design)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +216,10 @@ def _cluster_distances(aug: AugmentedSystem):
     eig(xi_step) union {alpha, 0}.  Second value restricts to eigenvalues
     matched to nonzero references: the zero group of the aug2 memory block
     is defective, so its perturbation order is structurally lower."""
-    a = aug.gains.alpha
-    m = aug.gains.s_gain.shape[0]
+    a = aug.alpha
+    m = aug.design.s_gain.shape[0]
     zeros = m if aug.variant == "aug1" else 3 * m
-    ref = np.concatenate([np.linalg.eigvals(aug.xi_step),
+    ref = np.concatenate([np.linalg.eigvals(aug.design.xi_step),
                           np.full(m, a + 0j), np.zeros(zeros, dtype=complex)])
     d_all = d_cond = 0.0
     for lam in np.linalg.eigvals(aug.A_aug):
@@ -232,30 +231,27 @@ def _cluster_distances(aug: AugmentedSystem):
     return d_all, d_cond
 
 
-def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport:
+def stability_over_T(plant, H, T_list, beta) -> StabilityReport:
     """Spectral radii of both augmented variants and of every kind's
-    simulated closed loop per period, from one surface design per period;
-    raises AssumptionViolation at the first period, in increasing order,
-    whose sampled coupling is singular.  With beta given, alpha is
-    recomputed per T (fixed contraction rate in time); with alpha given it
-    is held constant."""
-    if alpha is None and beta is None:
-        raise ConfigError("need alpha or beta")
+    simulated closed loop per period, from one surface design per period,
+    with the contraction rate beta held fixed in time (alpha = 1 - beta T
+    per period); raises AssumptionViolation at the first period, in
+    increasing order, whose sampled coupling is singular."""
     rows = []
     for T in sorted(T_list):
         disc = discretize(plant, T)
         design = build_surface(plant, disc, H)
-        gains = make_gains(design, alpha=alpha, beta=beta if alpha is None else None)
-        a1 = build_aug(design, gains, "aug1")
-        a2 = build_aug(design, gains, "aug2")
+        alpha = contraction_alpha(T, beta=beta)
+        a1 = build_aug(design, alpha, "aug1")
+        a2 = build_aug(design, alpha, "aug2")
         dist1, cdist1 = _cluster_distances(a1)
         dist2, cdist2 = _cluster_distances(a2)
         rows.append(StabilityRow(
-            T=T, alpha=gains.alpha, cond=design.s_gain_cond,
+            T=T, alpha=alpha, cond=design.s_gain_cond,
             rho_aug1=spectral_radius(a1.A_aug), rho_aug2=spectral_radius(a2.A_aug),
             cluster_dist_aug1=dist1, cluster_dist_aug2=dist2,
             conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2,
-            rho_cl={kind: closed_loop(design, law_taps(gains, kind)).rho
+            rho_cl={kind: closed_loop(design, law_taps(design, alpha, kind)).rho
                     for kind in LAWS},
             coupling=design.drift_from_s))
     certified = [r.T for r in rows if r.certified]
@@ -266,7 +262,7 @@ def stability_over_T(plant, H, T_list, alpha=None, beta=None) -> StabilityReport
 # ---------------------------------------------------------------------------
 # augmented recursion vs direct simulation
 
-def augmented_vs_direct(design: SurfaceDesign, gains: GainSet, variant: str,
+def augmented_vs_direct(design: SurfaceDesign, alpha: float, variant: str,
                         scenario) -> float:
     """Run the closed loop both as the plant recursion + controller and as
     the augmented recursion driven by ground-truth disturbance projections;
@@ -282,18 +278,18 @@ def augmented_vs_direct(design: SurfaceDesign, gains: GainSet, variant: str,
         raise ConfigError("equivalence check requires a noise-free scenario")
     # deadbeat baselines run the recursions at alpha = 0; the augmented
     # matrix must be assembled with the same effective alpha
-    if kind in DEADBEAT and gains.alpha != 0.0:
-        gains = make_gains(design, alpha=0.0)
+    if kind in DEADBEAT:
+        alpha = 0.0
     traj = run(scenario)
     M, H, C = design.annihilator, design.H, design.plant.C
     hc = H @ C
-    T = gains.T
+    T = design.T
     steps = traj.x.shape[0] - 1
     dk = DisturbanceSampler(design.plant, T, scenario.disturbance).table(0, steps)
     xi = traj.x @ M.T
     s = traj.s_true
     w = traj.u @ (T * design.s_gain).T
-    aug = build_aug(design, gains, variant)
+    aug = build_aug(design, alpha, variant)
     if variant == "aug1":
         psi = np.concatenate([xi[0], s[0], w[0]])
         k0 = 0

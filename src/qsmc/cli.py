@@ -51,14 +51,12 @@ def _resolve_scenario(path: str) -> ScenarioFile:
 
 def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
     sc = sf.scenario
+    if getattr(args, "T", None) is not None:
+        # the rate in time stays fixed unless alpha or beta is overridden too
+        sc = sc.at_period(args.T)
     kw = {}
     if getattr(args, "controller", None):
         kw["kind"] = args.controller
-    if getattr(args, "T", None) is not None:
-        kw["T"] = args.T
-        # keep the time-domain rate fixed unless alpha is overridden too
-        kw["beta"] = sc.rate
-        kw["alpha"] = None
     if getattr(args, "alpha", None) is not None:
         kw["alpha"] = args.alpha
         kw["beta"] = None
@@ -75,8 +73,7 @@ def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
         from dataclasses import replace
         kw["noise"] = replace(base, kind="uniform" if args.noise > 0 else "none",
                               halfwidth=args.noise)
-    if kw:
-        sf.scenario = sc.with_(**kw)
+    sf.scenario = sc.with_(**kw)
     if getattr(args, "out", None):
         sf.out_dir = args.out
     return sf

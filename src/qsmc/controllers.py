@@ -1,8 +1,10 @@
 """Discrete-time surface-feedback control laws.
 
 All laws steer the switching vector toward the contraction target
-s[k+1] = alpha s[k] with alpha = 1 - beta T.  Writing gain = s_gain_inv and
-cpl = drift_from_s, the ideal (non-causal) law is
+s[k+1] = alpha s[k] with alpha = 1 - beta T; contraction_alpha is the one
+place that resolves alpha from a scenario's (alpha, beta) at a period T.
+A law is built from a surface design and alpha.  Writing gain = s_gain_inv
+and cpl = drift_from_s of the design, the ideal (non-causal) law is
 
     u[k] = -(1/T) gain (((1-alpha) I + T cpl) s[k] + g[k]),
 
@@ -47,49 +49,34 @@ DEADBEAT = ("m1", "m2")
 WARMUP = {"eq": 1, "m1": 1, "mm1": 1, "m2": 2, "mm2": 2}
 
 
-@dataclass(frozen=True)
-class GainSet:
-    """Contraction parameters bound to one surface design."""
-    T: float
-    alpha: float
-    beta: float
-    s_gain: np.ndarray        # H C input_rate
-    gain: np.ndarray          # its inverse
-    drift_from_xi: np.ndarray
-    drift_from_s: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if abs((1.0 - self.alpha) - self.beta * self.T) > 1e-12:
-            raise ConfigError(
-                f"alpha/beta inconsistent: 1 - alpha = {1 - self.alpha}, "
-                f"beta T = {self.beta * self.T}")
-
-
-def make_gains(design: SurfaceDesign, alpha: float | None = None,
-               beta: float | None = None) -> GainSet:
-    """Derive the missing one of (alpha, beta) from 1 - alpha = beta T; if
-    both are given they must already satisfy the identity."""
-    T = design.T
+def contraction_alpha(T: float, alpha: float | None = None,
+                      beta: float | None = None) -> float:
+    """The contraction target alpha of s[k+1] = alpha s[k] at period T:
+    alpha itself, or 1 - beta T from the rate in time beta.  If both are
+    given they must already satisfy 1 - alpha = beta T; alpha must lie in
+    [0, 1)."""
     if alpha is None and beta is None:
         raise ConfigError("need alpha or beta")
     if alpha is None:
         alpha = 1.0 - beta * T
     elif beta is None:
         beta = (1.0 - alpha) / T
-    return GainSet(T=T, alpha=float(alpha), beta=float(beta),
-                   s_gain=design.s_gain, gain=design.s_gain_inv,
-                   drift_from_xi=design.drift_from_xi,
-                   drift_from_s=design.drift_from_s)
+    alpha, beta = float(alpha), float(beta)
+    if not 0.0 <= alpha < 1.0:
+        raise ConfigError(f"alpha must lie in [0, 1), got {alpha}")
+    if abs((1.0 - alpha) - beta * T) > 1e-12:
+        raise ConfigError(
+            f"alpha/beta inconsistent: 1 - alpha = {1 - alpha}, "
+            f"beta T = {beta * T}")
+    return alpha
 
 
-def _eq_terms(gains: GainSet, alpha: float):
+def _eq_terms(design: SurfaceDesign, alpha: float):
     """The ideal law as (lead, E): u[k] = lead s[k] + E g[k]."""
-    T = gains.T
-    m = gains.s_gain.shape[0]
-    E = -(1.0 / T) * gains.gain
-    return E @ ((1.0 - alpha) * np.eye(m) + T * gains.drift_from_s), E
+    T = design.T
+    m = design.s_gain.shape[0]
+    E = -(1.0 / T) * design.s_gain_inv
+    return E @ ((1.0 - alpha) * np.eye(m) + T * design.drift_from_s), E
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +97,19 @@ class LawTaps:
     K_g: np.ndarray | None = None
 
 
-def law_taps(gains: GainSet, kind: str) -> LawTaps:
-    """Taps of one law: the hand-folded recursion, or for eq the ideal law
-    with its g[k] term."""
+def law_taps(design: SurfaceDesign, alpha: float, kind: str) -> LawTaps:
+    """Taps of one law on one design at contraction target alpha: the
+    hand-folded recursion, or for eq the ideal law with its g[k] term.  The
+    deadbeat baselines ignore alpha and run at 0."""
     if kind not in KINDS:
         raise ConfigError(f"unknown controller kind {kind!r}")
-    a = 0.0 if kind in DEADBEAT else gains.alpha
+    a = 0.0 if kind in DEADBEAT else alpha
     if kind == "eq":
-        lead, E = _eq_terms(gains, a)
+        lead, E = _eq_terms(design, a)
         return LawTaps((lead,), (), WARMUP[kind], K_g=E)
-    I = np.eye(gains.s_gain.shape[0])
-    cpl = gains.T * gains.drift_from_s
-    E = -(1.0 / gains.T) * gains.gain
+    I = np.eye(design.s_gain.shape[0])
+    cpl = design.T * design.drift_from_s
+    E = -(1.0 / design.T) * design.s_gain_inv
     if kind in ("m1", "mm1"):
         K = (E @ ((2.0 - a) * I + cpl), -E @ (I + cpl))
         C = (I,)
@@ -213,7 +201,8 @@ class ControllerState:
     vector, never the plant state.  Evaluates its law's taps one step at a
     time (the simulator evaluates the same taps for many runs at once)."""
     kind: str
-    gains: GainSet
+    design: SurfaceDesign
+    alpha: float
     k: int = 0
     s_km1: np.ndarray | None = None
     s_km2: np.ndarray | None = None
@@ -221,8 +210,8 @@ class ControllerState:
     u_km2: np.ndarray | None = None
 
     def __post_init__(self):
-        self.taps = law_taps(self.gains, self.kind)
-        m = self.gains.s_gain.shape[0]
+        self.taps = law_taps(self.design, self.alpha, self.kind)
+        m = self.design.s_gain.shape[0]
         zero = np.zeros(m)
         self.s_km1 = zero.copy() if self.s_km1 is None else self.s_km1
         self.s_km2 = zero.copy() if self.s_km2 is None else self.s_km2

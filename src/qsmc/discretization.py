@@ -188,9 +188,10 @@ class DiffReport:
     k_range: tuple
     first_diff_max: float    # max_k |d[k] - d[k-1]|, expected O(T^2)
     second_diff_max: float   # max_k |d[k] - 2d[k-1] + d[k-2]|, expected O(T^3)
-    first_order: int = 2
-    second_order: int = 3
     spans_boundary: bool = False
+    # the expected orders in T of the two differences
+    first_order = 2
+    second_order = 3
 
 
 def difference_diagnostics(plant: ContinuousPlant, T: float, sig: DisturbanceSignal,

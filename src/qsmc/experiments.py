@@ -81,13 +81,14 @@ def shared_sampler(plant, T, sig) -> DisturbanceSampler:
     return DisturbanceSampler(plant, T, sig)
 
 
-def _sweep_point(scenario: Scenario, beta: float, T: float,
-                 metric: str) -> SweepPoint:
-    """One rung: one run at period T.  Its metric counts only if the loop
-    that ran is stable (rho_cl < 1), read from the run's summary or, when
-    the run diverged, from the DivergenceError."""
+def _sweep_point(scenario: Scenario, T: float, metric: str) -> SweepPoint:
+    """One rung: one run of the scenario at period T, its rate held.  Its
+    metric counts only if the loop that ran is stable (rho_cl < 1), read
+    from the run's summary or, when the run diverged, from the
+    DivergenceError."""
+    rung = scenario.at_period(T)
     try:
-        traj = run(scenario.with_(T=T, alpha=None, beta=beta))
+        traj = run(rung)
     except DivergenceError as exc:
         traj, rho, flag = None, exc.rho_cl, f"diverged: {exc}"
     except ConfigError as exc:
@@ -106,10 +107,9 @@ def _sweep_point(scenario: Scenario, beta: float, T: float,
 
 def run_sweep(spec: SweepSpec) -> ScalingReport:
     base = spec.base
-    beta = base.rate
     window = default_steady_window(base.disturbance, base.horizon)
     # T_values is sorted longest period first
-    points = [_sweep_point(base, beta, T, spec.metric) for T in spec.T_values]
+    points = [_sweep_point(base, T, spec.metric) for T in spec.T_values]
     good = [(p.T, p.value) for p in points if p.certified and p.value and p.value > 0]
     slope = half = None
     if len(good) >= 2:

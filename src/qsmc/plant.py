@@ -273,8 +273,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "uniform"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "uniform" and self.halfwidth < 0:
-            raise ConfigError("noise halfwidth must be >= 0")
+        # whatever the kind: benchmark --noise switches a kind-none spec on
+        # at its halfwidth
+        if not 0 <= self.halfwidth < math.inf:
+            raise ConfigError(f"noise halfwidth must be finite and >= 0, "
+                              f"got {self.halfwidth}")
 
     def stream(self):
         return NoiseStream(self)

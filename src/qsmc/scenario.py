@@ -247,6 +247,9 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     noise_kind = take("noise", "kind", default="none").lower()
     halfwidth = _parse_float(take("noise", "halfwidth", default="0"),
                              "noise", "halfwidth", where("noise", "halfwidth"))
+    if not 0 <= halfwidth < math.inf:
+        raise ScenarioError(f"halfwidth must be finite and >= 0, got {halfwidth}",
+                            "noise", "halfwidth", where("noise", "halfwidth"))
     seed_text = take("noise", "seed", default="0")
     try:
         seed = int(seed_text)

@@ -19,13 +19,14 @@ closed loop is one linear recursion psi[k+1] = A_cl psi[k] + drive[k] on a
 lifted state, held as one controllers.Loop value (closed_loop).
 run_batches takes several batches of runs that share plant, period,
 surface, horizon and disturbance, builds what they share once
-(discretization, surface, each distinct law's Loop and its blocked-scan
-carry, the d table, the f column and one lockstep draw of every distinct
-noise spec's table) and then yields each batch as one stacked recursion;
-run_batch is a run_batches of one batch and run a batch of one.  The drive
-of every sample is known before the loop, which steps the warm-up samples
-one at a time and the rest as a blocked scan that advances all blocks
-together; y, s_true and f are filled after it.
+(discretization, surface, each distinct law's alpha from
+controllers.contraction_alpha, its Loop and its blocked-scan carry, the d
+table, the f column and one lockstep draw of every distinct noise spec's
+table) and then yields each batch as one stacked recursion; run_batch is
+a run_batches of one batch and run a batch of one.  The drive of every
+sample is known before the loop, which steps the warm-up samples one at a
+time and the rest as a blocked scan that advances all blocks together;
+y, s_true and f are filled after it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import Loop, closed_loop, law_taps, lifted_slices, make_gains
+from .controllers import (Loop, closed_loop, contraction_alpha, law_taps,
+                          lifted_slices)
 from .discretization import _EDGE, DisturbanceSampler, discretize
 from .errors import ConfigError, DisturbanceRangeError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
@@ -81,13 +83,18 @@ class Scenario:
 
     @property
     def rate(self) -> float:
-        """The contraction rate in time: beta if given, else (1 - alpha) / T.
-        A period override holds it fixed and recomputes alpha."""
+        """The contraction rate in time: beta if given, else (1 - alpha) / T."""
         if self.beta is not None:
             return self.beta
         if self.alpha is None:
             raise ConfigError("need alpha or beta")
         return (1.0 - self.alpha) / self.T
+
+    def at_period(self, T: float) -> "Scenario":
+        """The same scenario at period T with its contraction rate held fixed
+        in time: beta kept, alpha cleared, so each law's alpha is
+        recomputed as 1 - beta T."""
+        return replace(self, T=T, alpha=None, beta=self.rate)
 
     @property
     def steps(self) -> int:
@@ -210,8 +217,8 @@ def run_batches(batches):
     for sc in runs:
         key = _law_key(sc)
         if key not in loops:
-            gains = make_gains(design, alpha=sc.alpha, beta=sc.beta)
-            loops[key] = closed_loop(design, law_taps(gains, sc.kind))
+            alpha = contraction_alpha(T, sc.alpha, sc.beta)
+            loops[key] = closed_loop(design, law_taps(design, alpha, sc.kind))
     carry = {key: np.linalg.matrix_power(loop.A.astype(np.longdouble),
                                          BLOCK).astype(float)
              for key, loop in loops.items()}

@@ -7,8 +7,7 @@ import pytest
 import qsmc.controllers
 import qsmc.simulate
 from qsmc import (ContinuousPlant, DisturbanceSignal, LawTaps, Segment,
-                  build_surface, discretize, law_taps, load_aircraft_scenario,
-                  make_gains)
+                  build_surface, discretize, law_taps, load_aircraft_scenario)
 from qsmc.controllers import DEADBEAT, WARMUP, _eq_terms
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
@@ -54,27 +53,28 @@ BETA_BENCH = 3.0
 # law_taps folds each law's reconstruction of g[k] into its taps by hand.
 # estimate_taps composes the same law from the equivalent-control lead and
 # the algebraic reconstruction of g[k-1], so the two are independent
-# derivations that agree to rounding.
+# derivations that agree to rounding.  Each takes a surface design, or any
+# object with its T, s_gain, s_gain_inv and drift_from_s.
 
-def _reconstruction(gains):
+def _reconstruction(design):
     """reconstruct_g_prev as (R0, R1, Ru):
     g[k-1] = R0 s[k] + R1 s[k-1] + Ru u[k-1]."""
-    T = gains.T
-    m = gains.s_gain.shape[0]
-    return np.eye(m), -(np.eye(m) + T * gains.drift_from_s), -T * gains.s_gain
+    T = design.T
+    m = design.s_gain.shape[0]
+    return np.eye(m), -(np.eye(m) + T * design.drift_from_s), -T * design.s_gain
 
 
-def equivalent_control(gains, s_k, g_k):
+def equivalent_control(design, alpha, s_k, g_k):
     """Ideal law given the true g[k] (not available online).  With the exact
     g the surface contracts exactly: s[k+1] = alpha s[k]."""
-    lead, E = _eq_terms(gains, gains.alpha)
+    lead, E = _eq_terms(design, alpha)
     return lead @ s_k + E @ g_k
 
 
-def reconstruct_g_prev(gains, s_k, s_km1, u_km1):
+def reconstruct_g_prev(design, s_k, s_km1, u_km1):
     """Exact g[k-1] from observed history: algebraic inversion of the
     one-step surface update."""
-    R0, R1, Ru = _reconstruction(gains)
+    R0, R1, Ru = _reconstruction(design)
     return R0 @ s_k + R1 @ s_km1 + Ru @ u_km1
 
 
@@ -82,16 +82,16 @@ def reconstruct_g_prev(gains, s_k, s_km1, u_km1):
 _EXTRAPOLATION = {"m1": (1.0,), "mm1": (1.0,), "m2": (2.0, -1.0), "mm2": (2.0, -1.0)}
 
 
-def estimate_taps(gains, kind):
+def estimate_taps(design, alpha, kind):
     """Taps of one law composed as u[k] = lead s[k] + E sum_j w_j g[k-j],
     each g[k-j] rebuilt from (s[k-j+1], s[k-j], u[k-j]); eq (and an unknown
     kind's error) is law_taps'."""
     if kind not in _EXTRAPOLATION:
-        return law_taps(gains, kind)
-    a = 0.0 if kind in DEADBEAT else gains.alpha
-    m = gains.s_gain.shape[0]
-    lead, E = _eq_terms(gains, a)
-    R0, R1, Ru = _reconstruction(gains)
+        return law_taps(design, alpha, kind)
+    a = 0.0 if kind in DEADBEAT else alpha
+    m = design.s_gain.shape[0]
+    lead, E = _eq_terms(design, a)
+    R0, R1, Ru = _reconstruction(design)
     weights = _EXTRAPOLATION[kind]
     K = [lead] + [np.zeros((m, m)) for _ in weights]
     C = []
@@ -190,11 +190,6 @@ def bench_disc(bench_plant):
 @pytest.fixture(scope="session")
 def bench_design(bench_plant, bench_disc):
     return build_surface(bench_plant, bench_disc, H_BENCH)
-
-
-@pytest.fixture(scope="session")
-def bench_gains(bench_design):
-    return make_gains(bench_design, alpha=ALPHA_BENCH, beta=BETA_BENCH)
 
 
 @pytest.fixture(scope="session")

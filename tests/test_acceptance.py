@@ -1,9 +1,10 @@
 """Acceptance battery: one test per shipped claim, one PASS/FAIL line each.
 
 Each test prints `acceptance N: PASS|FAIL ...` and the same lines are
-collected into acceptance_report.txt next to the test run.  Two claims are
-known not to hold on the shipped benchmark and their tests fail honestly;
-the numbers are printed so the gap is visible, not hidden.
+collected into acceptance_report.txt next to the test run, once all eight
+criteria have given their line; a partial run leaves the file alone.  Two
+claims are known not to hold on the shipped benchmark and their tests fail
+honestly; the numbers are printed so the gap is visible, not hidden.
 """
 
 import time
@@ -13,26 +14,28 @@ import pytest
 
 from qsmc import (aircraft_benchmark, augmented_vs_direct, build_surface,
                   check_memory_spectrum, difference_diagnostics, discretize,
-                  invariant_zeros, load_aircraft_scenario, make_gains,
+                  invariant_zeros, load_aircraft_scenario,
                   measure_quasi_sliding, run, stability_over_T, zero_signal)
 
 from conftest import ALPHA_BENCH, BETA_BENCH, H_BENCH, law_form
 
-_LINES = []
+CRITERIA = 8
+_LINES = {}
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
     line = f"acceptance {num}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
-    _LINES.append(line)
+    _LINES[num] = line
     return ok
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _write_report():
     yield
-    with open("acceptance_report.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_LINES) + "\n")
+    if len(_LINES) == CRITERIA:
+        with open("acceptance_report.txt", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(_LINES[num] for num in sorted(_LINES)) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +102,7 @@ def test_criterion_4_stability_and_decay(bench_file):
     """Both augmented spectral radii below one at the nominal design point,
     and the unforced closed loop settles below 1e-6."""
     sc = bench_file.scenario
-    rep = stability_over_T(sc.plant, sc.H, [sc.T], alpha=ALPHA_BENCH)
+    rep = stability_over_T(sc.plant, sc.H, [sc.T], beta=BETA_BENCH)
     row = rep.rows[0]
     radii_ok = row.rho_aug1 < 1.0 and row.rho_aug2 < 1.0
     quiet = sc.with_(disturbance=zero_signal(2), horizon=90.0)
@@ -166,11 +169,10 @@ def test_criterion_6_formulation_equivalence(bench_file):
             est = run(sc.with_(kind=kind))
         worst_forms = max(worst_forms, float(np.max(np.abs(rec.u - est.u))))
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
-    gains = make_gains(design, alpha=ALPHA_BENCH)
     worst_aug = 0.0
     for kind, variant in (("mm1", "aug1"), ("mm2", "aug2"),
                           ("m1", "aug1"), ("m2", "aug2")):
-        gap = augmented_vs_direct(design, gains, variant, sc.with_(kind=kind))
+        gap = augmented_vs_direct(design, ALPHA_BENCH, variant, sc.with_(kind=kind))
         worst_aug = max(worst_aug, gap)
     ok = worst_forms <= 1e-10 and worst_aug <= 1e-8
     assert _verdict(6, ok, f"form gap {worst_forms:.2e}, "

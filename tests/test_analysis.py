@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsmc import (ConfigError, augmented_vs_direct, build_aug, charpoly,
-                  check_memory_spectrum, make_gains, memory_block,
+                  check_memory_spectrum, contraction_alpha, memory_block,
                   stability_over_T, variant_for_kind)
 
 from conftest import (ALPHA_BENCH, BETA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH)
@@ -66,9 +66,9 @@ def test_memory_spectrum_deadbeat():
         assert np.allclose(rep.expected[1:], 0.0, atol=0)
 
 
-def test_memory_spectrum_bench_design(bench_gains):
-    rep1, rep2 = (check_memory_spectrum(bench_gains.alpha, bench_gains.T,
-                                        bench_gains.drift_from_s, variant)
+def test_memory_spectrum_bench_design(bench_design):
+    rep1, rep2 = (check_memory_spectrum(ALPHA_BENCH, bench_design.T,
+                                        bench_design.drift_from_s, variant)
                   for variant in ("aug1", "aug2"))
     assert rep1.ok(1e-12) and rep2.ok(1e-12)
     assert rep1.variant == "aug1" and rep2.variant == "aug2"
@@ -102,25 +102,25 @@ def test_variant_for_kind():
     assert variant_for_kind("mm2") == "aug2"
 
 
-def test_build_aug_dimensions(bench_design, bench_gains):
-    a1 = build_aug(bench_design, bench_gains, "aug1")
-    a2 = build_aug(bench_design, bench_gains, "aug2")
+def test_build_aug_dimensions(bench_design):
+    a1 = build_aug(bench_design, ALPHA_BENCH, "aug1")
+    a2 = build_aug(bench_design, ALPHA_BENCH, "aug2")
     assert a1.A_aug.shape == (6, 6)
     assert a2.A_aug.shape == (10, 10)
     # top-left block is the reduced-motion step in both variants
     assert np.array_equal(a1.A_aug[:2, :2], bench_design.xi_step)
     assert np.array_equal(a2.A_aug[:2, :2], bench_design.xi_step)
     with pytest.raises(ConfigError):
-        build_aug(bench_design, bench_gains, "aug9")
+        build_aug(bench_design, ALPHA_BENCH, "aug9")
 
 
-def test_disturbance_vector_assembly(bench_design, bench_gains):
-    a1 = build_aug(bench_design, bench_gains, "aug1")
-    a2 = build_aug(bench_design, bench_gains, "aug2")
+def test_disturbance_vector_assembly(bench_design):
+    a1 = build_aug(bench_design, ALPHA_BENCH, "aug1")
+    a2 = build_aug(bench_design, ALPHA_BENCH, "aug2")
     d_xi = np.array([1.0, -2.0])
     d_s = np.array([0.5, 0.25])
-    T, a = bench_gains.T, bench_gains.alpha
-    cpl = bench_gains.drift_from_s
+    T, a = bench_design.T, ALPHA_BENCH
+    cpl = bench_design.drift_from_s
     v1 = a1.disturbance_vector(d_xi, d_s)
     assert v1.shape == (6,)
     tail = -(((2 - a) * np.eye(2) + T * cpl) @ d_s)
@@ -132,18 +132,11 @@ def test_disturbance_vector_assembly(bench_design, bench_gains):
     assert np.allclose(v2[6:8], tail2, atol=0)
 
 
-def test_build_aug_rejects_period_mismatch(bench_plant, bench_design):
-    from qsmc import build_surface, discretize
-    other = build_surface(bench_plant, discretize(bench_plant, 0.02), H_BENCH)
-    gains_other = make_gains(other, beta=BETA_BENCH)
-    with pytest.raises(ConfigError):
-        build_aug(bench_design, gains_other, "aug1")
-
-
 # --- stability over sampling periods ----------------------------------------
 
 def test_stability_benchmark_point(bench_plant):
-    rep = stability_over_T(bench_plant, H_BENCH, [T_BENCH], alpha=ALPHA_BENCH)
+    # 1 - BETA_BENCH T_BENCH is ALPHA_BENCH to the bit
+    rep = stability_over_T(bench_plant, H_BENCH, [T_BENCH], beta=BETA_BENCH)
     row = rep.rows[0]
     assert row.certified
     assert row.rho_aug1 == pytest.approx(0.9982520070918972, abs=1e-10)
@@ -172,15 +165,15 @@ def test_stability_margin_scales_with_period(bench_plant):
 
 def test_stability_flags_destabilizing_surface(bench_plant):
     rep = stability_over_T(bench_plant, H_UNSTABLE, [0.02, 0.01, 0.005],
-                           alpha=ALPHA_BENCH)
+                           beta=BETA_BENCH)
     assert not rep.all_certified
     assert rep.largest_certified is None
     assert all(r.rho_aug1 > 1.0 for r in rep.rows)
 
 
-def test_stability_needs_rate(bench_plant):
-    with pytest.raises(ConfigError):
-        stability_over_T(bench_plant, H_BENCH, [0.01])
+def test_stability_needs_rate():
+    with pytest.raises(ConfigError, match="need alpha or beta"):
+        contraction_alpha(0.01)
 
 
 def test_eigenvalue_clustering_tightens(bench_plant):
@@ -202,22 +195,21 @@ def test_eigenvalue_clustering_tightens(bench_plant):
 
 @pytest.mark.parametrize("kind,variant", [("mm1", "aug1"), ("m1", "aug1"),
                                           ("mm2", "aug2"), ("m2", "aug2")])
-def test_augmented_matches_direct(bench_design, bench_gains, bench_scenario,
-                                  kind, variant):
-    gap = augmented_vs_direct(bench_design, bench_gains, variant,
+def test_augmented_matches_direct(bench_design, bench_scenario, kind, variant):
+    gap = augmented_vs_direct(bench_design, ALPHA_BENCH, variant,
                               bench_scenario.with_(kind=kind, horizon=5.0))
     assert gap <= 1e-8
 
 
-def test_augmented_vs_direct_guards(bench_design, bench_gains, bench_scenario):
+def test_augmented_vs_direct_guards(bench_design, bench_scenario):
     with pytest.raises(ConfigError):
-        augmented_vs_direct(bench_design, bench_gains, "aug2",
+        augmented_vs_direct(bench_design, ALPHA_BENCH, "aug2",
                             bench_scenario.with_(kind="mm1"))
     from qsmc import NoiseSpec
     noisy = bench_scenario.with_(kind="mm1",
                                  noise=NoiseSpec(kind="uniform", halfwidth=0.005))
     with pytest.raises(ConfigError):
-        augmented_vs_direct(bench_design, bench_gains, "aug1", noisy)
+        augmented_vs_direct(bench_design, ALPHA_BENCH, "aug1", noisy)
 
 
 # --- the simulated closed loop against the augmented recursion ----------------
@@ -236,11 +228,11 @@ def test_closed_loop_charpoly_matches_augmented(bench_plant, T, kind):
     # roots are defective.
     from qsmc import build_surface, closed_loop, discretize, law_taps
     design = build_surface(bench_plant, discretize(bench_plant, T), H_BENCH)
-    gains = make_gains(design, beta=BETA_BENCH)
-    A_cl = closed_loop(design, law_taps(gains, kind)).A
+    alpha = contraction_alpha(T, beta=BETA_BENCH)
+    A_cl = closed_loop(design, law_taps(design, alpha, kind)).A
     # the deadbeat baselines run at alpha = 0
-    aug_gains = make_gains(design, alpha=0.0) if kind in ("m1", "m2") else gains
-    A_aug = build_aug(design, aug_gains, variant_for_kind(kind)).A_aug
+    aug_alpha = 0.0 if kind in ("m1", "m2") else alpha
+    A_aug = build_aug(design, aug_alpha, variant_for_kind(kind)).A_aug
     extra = A_cl.shape[0] - A_aug.shape[0]
     assert extra == EXTRA_ZEROS[kind]
     got = charpoly(A_cl)
@@ -259,5 +251,5 @@ def test_stability_reports_closed_loop_radius(bench_plant):
         assert row.rho_cl["mm1"] == pytest.approx(row.rho_aug1, abs=1e-13)
         assert row.rho_cl["mm2"] == pytest.approx(row.rho_aug2, abs=1e-13)
         assert all(0.0 < rho < 1.0 for rho in row.rho_cl.values())
-    unstable = stability_over_T(bench_plant, H_UNSTABLE, [0.01], alpha=ALPHA_BENCH)
+    unstable = stability_over_T(bench_plant, H_UNSTABLE, [0.01], beta=BETA_BENCH)
     assert all(rho > 1.0 for rho in unstable.rows[0].rho_cl.values())

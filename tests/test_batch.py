@@ -21,9 +21,9 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
                   ControllerState, DisturbanceRangeError, DisturbanceSampler,
                   DisturbanceSignal, DivergenceError, NoiseSpec, Scenario,
                   Segment, Xoshiro256StarStar, build_aug, build_surface,
-                  charpoly, closed_loop, constant_signal, discretize, law_taps,
-                  make_gains, run, stability_over_T, variant_for_kind,
-                  zero_signal)
+                  charpoly, closed_loop, constant_signal, contraction_alpha,
+                  discretize, law_taps, run, stability_over_T,
+                  variant_for_kind, zero_signal)
 from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
@@ -48,8 +48,8 @@ def loop_oracle(scenario):
     plant, T = scenario.plant, scenario.T
     disc = discretize(plant, T)
     design = build_surface(plant, disc, scenario.H)
-    gains = make_gains(design, alpha=scenario.alpha, beta=scenario.beta)
-    controller = ControllerState(kind=scenario.kind, gains=gains)
+    alpha = contraction_alpha(T, scenario.alpha, scenario.beta)
+    controller = ControllerState(kind=scenario.kind, design=design, alpha=alpha)
     hc = design.H @ plant.C
     sig = scenario.disturbance
     steps = scenario.steps
@@ -152,7 +152,7 @@ def test_batch_divergence_names_first_bad_run(bench_scenario):
 def test_batch_divergence_carries_diverging_runs_radius(bench_scenario):
     unstable = bench_scenario.with_(H=H_UNSTABLE, disturbance=zero_signal(2))
     rho = stability_over_T(unstable.plant, H_UNSTABLE, [unstable.T],
-                           alpha=unstable.alpha).rows[0].rho_cl["mm1"]
+                           beta=unstable.beta).rows[0].rho_cl["mm1"]
     # run 0 is an m1 loop, with a radius of its own, started far smaller so
     # that the mm1 run 1 crosses the guard first
     m1 = unstable.with_(kind="m1", x0=1e-6 * unstable.x0)
@@ -236,7 +236,7 @@ def test_eq_input_reads_last_disturbance_sample(bench_scenario):
     traj = run(sc)
     _assert_matches_oracle(sc, traj)
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
-    taps = law_taps(make_gains(design, alpha=sc.alpha, beta=sc.beta), "eq")
+    taps = law_taps(design, contraction_alpha(sc.T, sc.alpha, sc.beta), "eq")
     d_last = DisturbanceSampler(sc.plant, sc.T, _MOVING).table(sc.steps, sc.steps + 1)[0]
     assert np.linalg.norm(taps.K_g @ design.H @ sc.plant.C @ d_last) > 1e-3
 
@@ -296,7 +296,7 @@ def _random_loop(seed):
         kind = str(rng.choice(KINDS))
         form = str(rng.choice(list(FORMS)))
         alpha = float(rng.uniform(0.0, 0.99))
-        A_cl = closed_loop(design, FORMS[form](make_gains(design, alpha=alpha), kind)).A
+        A_cl = closed_loop(design, FORMS[form](design, alpha, kind)).A
         if np.max(np.abs(np.linalg.eigvals(A_cl))) >= 1.0:
             continue
         samples = int(rng.integers(1, 8 * BLOCK))
@@ -314,7 +314,7 @@ def _wide_recursion(sc, form):
     double: the scan's reference without its rounding."""
     plant = sc.plant
     design = build_surface(plant, discretize(plant, sc.T), sc.H)
-    taps = FORMS[form](make_gains(design, alpha=sc.alpha, beta=sc.beta), sc.kind)
+    taps = FORMS[form](design, contraction_alpha(sc.T, sc.alpha, sc.beta), sc.kind)
     law, warm = ([M.astype(np.longdouble) for M in (loop.A, loop.B_d, loop.B_v)]
                  for loop in (closed_loop(design, taps), closed_loop(design)))
     dk = DisturbanceSampler(plant, sc.T, sc.disturbance).table(0, sc.steps + 1)
@@ -464,13 +464,12 @@ def test_closed_loop_charpoly_matches_augmented_on_random_plants(seed):
     # random plant and surface, the deadbeat pair at alpha = 0
     sc, _, _ = _random_loop(seed)
     design = build_surface(sc.plant, discretize(sc.plant, sc.T), sc.H)
-    gains = make_gains(design, alpha=sc.alpha)
     m = sc.plant.m
     for kind in ("m1", "m2", "mm1", "mm2"):
-        loop = closed_loop(design, law_taps(gains, kind))
-        aug_gains = make_gains(design, alpha=0.0) if kind in ("m1", "m2") else gains
+        loop = closed_loop(design, law_taps(design, sc.alpha, kind))
+        aug_alpha = 0.0 if kind in ("m1", "m2") else sc.alpha
         variant = variant_for_kind(kind)
-        A_aug = build_aug(design, aug_gains, variant).A_aug
+        A_aug = build_aug(design, aug_alpha, variant).A_aug
         N = len(loop.A)
         extra = N - len(A_aug)
         assert extra == (3 * m if variant == "aug1" else m)

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from qsmc import (ContinuousPlant, Scenario, ScenarioError,
                   builtin_scenario_path, load_aircraft_scenario,
                   parse_scenario_text)
+from qsmc.cli import main
 from qsmc.scenario import parse_scenario_file
 
 from conftest import X0_BENCH
@@ -38,11 +42,31 @@ horizon = 1.0
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def cli(*args, cwd=None):
+class CliResult(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def cli(*args):
+    """`qsmc *args` run in process through cli.main, with its output
+    captured; an argparse error leaves by SystemExit and gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
+def cli_process(*args):
+    """`python -m qsmc *args` in a subprocess: the entry point itself and
+    the exit codes a shell sees."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "qsmc", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, env=env)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -187,7 +211,7 @@ def test_parse_plant_file_relative(tmp_path):
 
 def test_cli_run_benchmark(tmp_path):
     out = tmp_path / "o"
-    res = cli("run", "aircraft", "--out", str(out))
+    res = cli_process("run", "aircraft", "--out", str(out))
     assert res.returncode == 0, res.stderr
     csv = out / "aircraft_mm1.csv"
     assert csv.exists()
@@ -273,7 +297,7 @@ def test_cli_missing_scenario_exit_2():
 def test_cli_malformed_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text(MINIMAL.replace("H = 1 1", "H = 1 x"))
-    res = cli("run", str(bad))
+    res = cli_process("run", str(bad))
     assert res.returncode == 2
     assert "configuration error" in res.stderr
 
@@ -301,7 +325,7 @@ horizon = 5.0
 def test_cli_singular_coupling_exit_3(tmp_path):
     scn = tmp_path / "rot.scn"
     scn.write_text(ROTATION)
-    res = cli("run", str(scn))
+    res = cli_process("run", str(scn))
     assert res.returncode == 3
     assert "assumption violated" in res.stderr
 
@@ -326,7 +350,7 @@ alpha = 0.97
 T = 0.01
 horizon = 20.0
 """)
-    res = cli("run", str(scn))
+    res = cli_process("run", str(scn))
     assert res.returncode == 4
     assert "divergence" in res.stderr
     assert "1246" in res.stderr
@@ -464,7 +488,6 @@ def test_cli_verify_reports_closed_loop_radius():
 def test_sweep_gate_is_verify_closed_loop_radius(capsys):
     # an m1 rung is gated on the loop that runs (alpha = 0), the radius
     # verify prints as rho_cl.m1, not on the contraction-alpha augmented one
-    from qsmc.cli import main
     from qsmc.report import parse_kv
     assert main(["verify", "aircraft"]) == 0
     verify = parse_kv(capsys.readouterr().out)
@@ -480,26 +503,20 @@ def test_sweep_gate_is_verify_closed_loop_radius(capsys):
     assert gate != float(verify[f"stability.{row}.rho_aug1"])
 
 
-# --- non-finite and malformed numbers, in process ----------------------------
-
-def _main_exit(argv, capsys):
-    """(exit code, stderr) of cli.main; argparse errors leave by SystemExit."""
-    from qsmc.cli import main
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().err
-
+# --- non-finite and malformed numbers -----------------------------------------
 
 @pytest.mark.parametrize("argv", [
     ["run", "aircraft", "--T", "nan"],
     ["run", "aircraft", "--horizon", "inf"],
     ["sweep", "aircraft", "--ladder", "0.02,0.01,inf"],
     ["sweep", "aircraft", "--ladder=-0.01,-0.02,-0.04"],
-], ids=["T-nan", "horizon-inf", "ladder-inf", "ladder-negative"])
-def test_cli_non_finite_timing_exit_2(tmp_path, capsys, argv):
-    code, err = _main_exit(argv + ["--out", str(tmp_path / "o")], capsys)
+    ["run", "aircraft", "--noise", "inf"],
+    ["run", "aircraft", "--noise", "nan"],
+    ["run", "aircraft", "--noise", "-1"],
+], ids=["T-nan", "horizon-inf", "ladder-inf", "ladder-negative", "noise-inf",
+        "noise-nan", "noise-negative"])
+def test_cli_non_finite_timing_exit_2(tmp_path, argv):
+    code, _, err = cli(*argv, "--out", str(tmp_path / "o"))
     assert code == 2, err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
@@ -507,40 +524,40 @@ def test_cli_non_finite_timing_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("extra", ["", "[disturbance]\nsegment = 0 0.5 : const 1.0\n"],
                          ids=["plain", "short-disturbance"])
-def test_cli_scenario_file_nan_period_exit_2(tmp_path, capsys, extra):
+def test_cli_scenario_file_nan_period_exit_2(tmp_path, extra):
     path = tmp_path / "nan.scn"
     path.write_text(MINIMAL.replace("T = 0.01", "T = nan") + extra)
-    code, err = _main_exit(["run", str(path), "--out", str(tmp_path / "o")], capsys)
+    code, _, err = cli("run", str(path), "--out", str(tmp_path / "o"))
     assert code == 2, err
     assert "finite and positive" in err
 
 
 @pytest.mark.parametrize("band", ["0.5", "1.3,0.7", "0.7,1.3,9", "nan,1", "0.7,fast"])
-def test_cli_sweep_band_needs_two_ordered_numbers(tmp_path, capsys, band):
-    code, err = _main_exit(["sweep", "aircraft", "--band", band,
-                            "--out", str(tmp_path / "o")], capsys)
+def test_cli_sweep_band_needs_two_ordered_numbers(tmp_path, band):
+    code, _, err = cli("sweep", "aircraft", "--band", band,
+                       "--out", str(tmp_path / "o"))
     assert code == 2
     assert "--band" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_verify_singular_period_exit_3(tmp_path, capsys):
+def test_cli_verify_singular_period_exit_3(tmp_path):
     # verify builds one design per period; the singular one stops it before
     # any report is written
     scn = tmp_path / "rot.scn"
     scn.write_text(ROTATION)
-    code, err = _main_exit(["verify", str(scn), "--out", str(tmp_path / "o")], capsys)
+    code, _, err = cli("verify", str(scn), "--out", str(tmp_path / "o"))
     assert code == 3
     assert "assumption violated" in err and "at T = 1.0" in err
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_singular_coupling_names_the_test_that_fired(tmp_path, capsys):
+def test_cli_singular_coupling_names_the_test_that_fired(tmp_path):
     # the 1x1 coupling has cond 1 however small it is; what fires is its
     # singular value at rounding level relative to |H| |C| |input_rate|
     scn = tmp_path / "rot.scn"
     scn.write_text(ROTATION)
-    code, err = _main_exit(["run", str(scn), "--out", str(tmp_path / "o")], capsys)
+    code, _, err = cli("run", str(scn), "--out", str(tmp_path / "o"))
     assert code == 3
     assert "singular at T = 1.0" in err and "cond" not in err
     lead = "smallest singular value "
@@ -553,7 +570,6 @@ def test_cli_singular_coupling_names_the_test_that_fired(tmp_path, capsys):
 def test_verify_builds_one_design_per_period(monkeypatch, capsys):
     # the scenario period is on the ladder; its memory-spectrum check reads
     # the same design as its stability row
-    from qsmc.cli import main
     from qsmc.surface import build_surface as real
     calls = []
 
@@ -570,20 +586,19 @@ def test_verify_builds_one_design_per_period(monkeypatch, capsys):
     assert sorted(calls) == [0.0025, 0.005, 0.01, 0.02]
 
 
-def test_cli_eq_disturbance_ending_at_horizon_exit_2(tmp_path, capsys):
+def test_cli_eq_disturbance_ending_at_horizon_exit_2(tmp_path):
     # eq reads d[steps], one period past the horizon; a file whose last
     # segment ends at the horizon is refused before anything runs, while the
     # implementable laws run on it
-    from qsmc.cli import main
     last = "segment = 15.707963267948966 inf : sin 1.0 1.0 0.5 0.0 ; cos 0.5 1.0"
     path, _ = _shipped_copy(tmp_path, last, last.replace(" inf ", " 20 "))
-    code, err = _main_exit(["run", str(path), "--controller", "eq",
-                            "--out", str(tmp_path / "eq")], capsys)
+    code, _, err = cli("run", str(path), "--controller", "eq",
+                       "--out", str(tmp_path / "eq"))
     assert code == 2, err
     assert "the eq oracle reads d[2000], one period past the horizon" in err
     assert "Traceback" not in err
     assert not (tmp_path / "eq").exists()
-    assert main(["run", str(path), "--out", str(tmp_path / "mm1")]) == 0
+    assert cli("run", str(path), "--out", str(tmp_path / "mm1")).returncode == 0
 
 
 def _shipped_copy(tmp_path, old, new):
@@ -605,11 +620,14 @@ def _shipped_copy(tmp_path, old, new):
     ("x0 = -1.0 1.0 1.0 -2.0", "x0 = 1 2 3", "plant", "x0"),
     # alpha and beta are both set: T is checked before they are compared
     ("T = 0.01", "T = inf", "timing", "T"),
-], ids=["T-nan", "horizon-negative", "x0-short", "T-inf-alpha-beta"])
-def test_cli_scenario_value_errors_name_location(tmp_path, capsys, old, new,
-                                                 section, key):
+    # kind = none: a halfwidth is checked whatever the kind
+    ("halfwidth = 0.005", "halfwidth = nan", "noise", "halfwidth"),
+    ("halfwidth = 0.005", "halfwidth = -0.5", "noise", "halfwidth"),
+], ids=["T-nan", "horizon-negative", "x0-short", "T-inf-alpha-beta",
+        "halfwidth-nan", "halfwidth-negative"])
+def test_cli_scenario_value_errors_name_location(tmp_path, old, new, section, key):
     path, line = _shipped_copy(tmp_path, old, new)
-    code, err = _main_exit(["run", str(path), "--out", str(tmp_path / "o")], capsys)
+    code, _, err = cli("run", str(path), "--out", str(tmp_path / "o"))
     assert code == 2, err
     assert f"(section [{section}], key '{key}', line {line})" in err
     assert "disagree" not in err
@@ -619,7 +637,6 @@ def test_cli_scenario_value_errors_name_location(tmp_path, capsys, old, new,
 def test_cli_T_override_holds_beta_of_alpha_only_file(tmp_path, capsys):
     # --T alone keeps beta fixed; a file without beta holds the one its
     # alpha and T give (3.0 here), as the shipped file, which sets it, does
-    from qsmc.cli import main
     path, _ = _shipped_copy(tmp_path, "beta = 3.0", "")
     summaries = []
     for scenario in (str(path), "aircraft"):

@@ -136,7 +136,7 @@ def test_divergence_carries_closed_loop_radius(bench_scenario):
     # the radius of the loop that diverged, as stability_over_T reports it
     sc = bench_scenario.with_(H=H_UNSTABLE, disturbance=zero_signal(2))
     rho = stability_over_T(sc.plant, H_UNSTABLE, [sc.T],
-                           alpha=sc.alpha).rows[0].rho_cl["mm1"]
+                           beta=sc.beta).rows[0].rho_cl["mm1"]
     with pytest.raises(DivergenceError) as err:
         run(sc)
     assert err.value.rho_cl == rho
