@@ -4,14 +4,13 @@ Discretize a linear MIMO plant under zero-order hold, design an output
 switching surface, and close the loop with one of several discrete sliding
 mode controllers that differ in how they estimate the unmeasured
 disturbance-plus-drift term.  Companion analysis tools certify the surface
-construction, compute closed-loop spectra of the augmented error dynamics,
+construction, compute the spectra of the closed loops the simulator runs,
 and measure empirical accuracy orders over sampling-period ladders.
 """
 
-from .analysis import (AugmentedSystem, SpectrumReport, StabilityReport,
-                       StabilityRow, augmented_vs_direct, build_aug, charpoly,
-                       check_memory_spectrum, memory_block, stability_over_T,
-                       variant_for_kind)
+from .analysis import (SpectrumReport, StabilityReport, StabilityRow,
+                       build_aug, charpoly, check_memory_spectrum,
+                       memory_block, stability_over_T)
 from .controllers import (KINDS, WARMUP, ControllerState, LawTaps, Loop,
                           closed_loop, contraction_alpha, law_taps)
 from .discretization import (DiffReport, DiscretePlant, DisturbanceSampler,
@@ -36,7 +35,7 @@ from .surface import NormalForm, SurfaceDesign, build_surface, input_annihilator
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolation", "AugmentedSystem", "BenchmarkReport",
+    "AssumptionViolation", "BenchmarkReport",
     "BenchmarkRun", "ConfigError", "ContinuousPlant",
     "ControllerState", "DiffReport", "DiscretePlant", "DisturbanceRangeError",
     "DisturbanceSampler", "DisturbanceSignal", "DivergenceError",
@@ -44,7 +43,7 @@ __all__ = [
     "Scenario", "ScenarioError", "ScenarioFile", "Segment", "SpectrumReport",
     "StabilityReport", "StabilityRow", "SurfaceDesign", "SweepPoint",
     "SweepSpec", "Trajectory", "WARMUP",
-    "Xoshiro256StarStar", "aircraft_benchmark", "augmented_vs_direct",
+    "Xoshiro256StarStar", "aircraft_benchmark",
     "build_aug", "build_surface", "builtin_scenario_path",
     "charpoly", "check_memory_spectrum", "closed_loop", "constant_signal",
     "contraction_alpha",
@@ -55,5 +54,5 @@ __all__ = [
     "load_aircraft_scenario",
     "measure_quasi_sliding", "memory_block", "parse_scenario_file",
     "parse_scenario_text", "run", "run_batch", "run_batches", "run_sweep",
-    "stability_over_T", "variant_for_kind", "zero_signal",
+    "stability_over_T", "zero_signal",
 ]

@@ -49,6 +49,8 @@ class SweepSpec:
             raise ConfigError(f"ladder periods must be finite and positive, got {Ts}")
         if len(Ts) < 3:
             raise ConfigError("ladder needs at least 3 periods")
+        if any(a == b for a, b in zip(Ts, Ts[1:])):
+            raise ConfigError(f"ladder periods must be distinct, got {Ts}")
         ratios = [Ts[i] / Ts[i + 1] for i in range(len(Ts) - 1)]
         if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
             raise ConfigError("ladder must be geometric (equal ratios)")
@@ -187,8 +189,9 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
     runs = {}
     peaks: dict = {k: [] for k in LAWS}
     batches = []
-    drawn = seeds if noise else seeds[:1]
-    for seed in drawn:
+    # a spec per seed, so every seed is range-checked, also those that a
+    # noise-free benchmark does not run
+    for seed in seeds:
         spec = base.noise
         if noise:
             spec = replace(spec, kind="uniform", seed=int(seed))
@@ -198,7 +201,8 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
             spec = replace(spec, kind="none", seed=int(seed))
         # one stacked batch per seed: the four kinds share its noise draw
         batches.append([base.with_(kind=kind, noise=spec) for kind in LAWS])
-    gen = run_batches(batches)
+    drawn = batches if noise else batches[:1]
+    gen = run_batches(drawn)
     firsts, batch_s = _next_batch(gen, peaks)
     for _ in drawn[1:]:
         # the helper's locals, this batch included, die when it returns

@@ -278,6 +278,9 @@ class NoiseSpec:
         if not 0 <= self.halfwidth < math.inf:
             raise ConfigError(f"noise halfwidth must be finite and >= 0, "
                               f"got {self.halfwidth}")
+        # xoshiro256** takes a 64-bit seed; a wider one would wrap silently
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"noise seed must lie in [0, 2**64), got {self.seed}")
 
     def stream(self):
         return NoiseStream(self)

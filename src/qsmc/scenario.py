@@ -257,9 +257,13 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         raise ScenarioError(f"expected integer seed, got {seed_text!r}",
                             "noise", "seed", where("noise", "seed")) from None
     try:
-        noise = NoiseSpec(kind=noise_kind, halfwidth=halfwidth, seed=seed)
+        noise = NoiseSpec(kind=noise_kind, halfwidth=halfwidth)
     except ConfigError as exc:
         raise ScenarioError(str(exc), "noise", "kind", where("noise", "kind")) from None
+    try:
+        noise = noise.with_seed(seed)
+    except ConfigError as exc:
+        raise ScenarioError(str(exc), "noise", "seed", where("noise", "seed")) from None
 
     # --- outputs ---
     out_dir = take("outputs", "directory", default="out")

@@ -147,7 +147,12 @@ def _same(a, b) -> bool:
 
 
 def run(scenario: Scenario) -> Trajectory:
-    """Simulate the closed loop; deterministic for a fixed noise seed."""
+    """Simulate the closed loop; deterministic for a fixed noise seed.  A
+    horizon shorter than one period is refused, since the run would take
+    no step (run_batch keeps such a one-sample run)."""
+    if scenario.steps < 1:
+        raise ConfigError(f"horizon {scenario.horizon} is shorter than one "
+                          f"period T = {scenario.T}: the run would take no step")
     return run_batch([scenario])[0]
 
 

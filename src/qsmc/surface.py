@@ -105,10 +105,6 @@ class SurfaceDesign:
         return self.base.annihilator
 
     @property
-    def from_s(self):
-        return self.base.from_s
-
-    @property
     def T(self):
         return self.disc.T
 

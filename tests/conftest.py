@@ -6,8 +6,9 @@ import pytest
 
 import qsmc.controllers
 import qsmc.simulate
-from qsmc import (ContinuousPlant, DisturbanceSignal, LawTaps, Segment,
-                  build_surface, discretize, law_taps, load_aircraft_scenario)
+from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
+                  DisturbanceSignal, LawTaps, Segment, build_aug, build_surface,
+                  discretize, law_taps, load_aircraft_scenario, run)
 from qsmc.controllers import DEADBEAT, WARMUP, _eq_terms
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
@@ -114,6 +115,79 @@ def law_form(form):
     with mock.patch.object(qsmc.simulate, "law_taps", taps), \
             mock.patch.object(qsmc.controllers, "law_taps", taps):
         yield
+
+
+# --- the paper's augmented recursion: the oracle of controllers.Loop ---------
+#
+# analysis.build_aug assembles A_aug in normal coordinates (xi, s, memory).
+# With the disturbance vector below, the augmented recursion reproduces a
+# direct simulation; the Loop the simulator runs has the same
+# characteristic polynomial up to a power of lambda.
+
+def variant_for_kind(kind):
+    """The augmented variant of a law: aug1 for the first-order estimators
+    (and eq), aug2 for the second-order ones."""
+    return "aug1" if kind in ("m1", "mm1", "eq") else "aug2"
+
+
+def disturbance_vector(design, alpha, variant, d_xi, d_s):
+    """The augmented disturbance from the projections of d[k]:
+    d_xi = M d[k], d_s = H C d[k]."""
+    T = design.T
+    m = d_s.shape[0]
+    I = np.eye(m)
+    cpl = design.drift_from_s
+    if variant == "aug1":
+        tail = -(((2.0 - alpha) * I + T * cpl) @ d_s)
+        return np.concatenate([d_xi, d_s, tail])
+    tail = -(((3.0 - alpha) * I + T * cpl) @ d_s)
+    z = np.zeros(m)
+    return np.concatenate([d_xi, d_s, z, tail, z])
+
+
+def augmented_vs_direct(design, alpha, variant, scenario):
+    """Run the closed loop both as the simulator does and as the augmented
+    recursion driven by ground-truth disturbance projections; return the
+    max state deviation.  The two are algebraically identical, so this
+    validates the block assembly."""
+    kind = scenario.kind
+    want = variant_for_kind(kind)
+    if want != variant:
+        raise ConfigError(f"kind {kind!r} pairs with {want}, not {variant}")
+    if scenario.noise.kind != "none" and scenario.noise.halfwidth != 0.0:
+        raise ConfigError("equivalence check requires a noise-free scenario")
+    # deadbeat baselines run the recursions at alpha = 0; the augmented
+    # matrix must be assembled with the same effective alpha
+    if kind in DEADBEAT:
+        alpha = 0.0
+    traj = run(scenario)
+    M, H, C = design.annihilator, design.H, design.plant.C
+    hc = H @ C
+    T = design.T
+    steps = traj.x.shape[0] - 1
+    dk = DisturbanceSampler(design.plant, T, scenario.disturbance).table(0, steps)
+    xi = traj.x @ M.T
+    s = traj.s_true
+    w = traj.u @ (T * design.s_gain).T
+    A_aug = build_aug(design, alpha, variant)
+    if variant == "aug1":
+        psi = np.concatenate([xi[0], s[0], w[0]])
+        k0 = 0
+    else:
+        # seeded one sample in: by then the delayed history slots hold real
+        # values and the recursion is exact
+        psi = np.concatenate([xi[1], s[1], s[0], w[1], w[0]])
+        k0 = 1
+    dev = 0.0
+    for k in range(k0, steps):
+        d = dk[k]
+        psi = A_aug @ psi + disturbance_vector(design, alpha, variant, M @ d, hc @ d)
+        if variant == "aug1":
+            ref = np.concatenate([xi[k + 1], s[k + 1], w[k + 1]])
+        else:
+            ref = np.concatenate([xi[k + 1], s[k + 1], s[k], w[k + 1], w[k]])
+        dev = max(dev, float(np.max(np.abs(psi - ref))))
+    return dev
 
 
 def segment_value(sig, idx, t):

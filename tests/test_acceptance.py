@@ -12,12 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from qsmc import (aircraft_benchmark, augmented_vs_direct, build_surface,
-                  check_memory_spectrum, difference_diagnostics, discretize,
-                  invariant_zeros, load_aircraft_scenario,
-                  measure_quasi_sliding, run, stability_over_T, zero_signal)
+from qsmc import (aircraft_benchmark, build_surface, check_memory_spectrum,
+                  difference_diagnostics, discretize, invariant_zeros,
+                  load_aircraft_scenario, measure_quasi_sliding, run,
+                  stability_over_T, zero_signal)
 
-from conftest import ALPHA_BENCH, BETA_BENCH, H_BENCH, law_form
+from conftest import (ALPHA_BENCH, BETA_BENCH, H_BENCH, augmented_vs_direct,
+                      law_form)
 
 CRITERIA = 8
 _LINES = {}
@@ -99,8 +100,9 @@ def test_criterion_3_memory_spectrum_100_draws():
 
 
 def test_criterion_4_stability_and_decay(bench_file):
-    """Both augmented spectral radii below one at the nominal design point,
-    and the unforced closed loop settles below 1e-6."""
+    """Both contraction laws' spectral radii (rho_aug1/rho_aug2, the mm1
+    and mm2 Loops) below one at the nominal design point, and the unforced
+    closed loop settles below 1e-6."""
     sc = bench_file.scenario
     rep = stability_over_T(sc.plant, sc.H, [sc.T], beta=BETA_BENCH)
     row = rep.rows[0]

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmc import (ConfigError, augmented_vs_direct, build_aug, charpoly,
-                  check_memory_spectrum, contraction_alpha, memory_block,
-                  stability_over_T, variant_for_kind)
+from qsmc import (ConfigError, build_aug, build_surface, charpoly,
+                  check_memory_spectrum, closed_loop, contraction_alpha,
+                  discretize, law_taps, memory_block, stability_over_T)
 
-from conftest import (ALPHA_BENCH, BETA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH)
+from conftest import (ALPHA_BENCH, BETA_BENCH, H_BENCH, H_UNSTABLE, T_BENCH,
+                      augmented_vs_direct, disturbance_vector, variant_for_kind)
 
 
 # --- characteristic polynomial ----------------------------------------------
@@ -105,27 +106,25 @@ def test_variant_for_kind():
 def test_build_aug_dimensions(bench_design):
     a1 = build_aug(bench_design, ALPHA_BENCH, "aug1")
     a2 = build_aug(bench_design, ALPHA_BENCH, "aug2")
-    assert a1.A_aug.shape == (6, 6)
-    assert a2.A_aug.shape == (10, 10)
+    assert a1.shape == (6, 6)
+    assert a2.shape == (10, 10)
     # top-left block is the reduced-motion step in both variants
-    assert np.array_equal(a1.A_aug[:2, :2], bench_design.xi_step)
-    assert np.array_equal(a2.A_aug[:2, :2], bench_design.xi_step)
+    assert np.array_equal(a1[:2, :2], bench_design.xi_step)
+    assert np.array_equal(a2[:2, :2], bench_design.xi_step)
     with pytest.raises(ConfigError):
         build_aug(bench_design, ALPHA_BENCH, "aug9")
 
 
 def test_disturbance_vector_assembly(bench_design):
-    a1 = build_aug(bench_design, ALPHA_BENCH, "aug1")
-    a2 = build_aug(bench_design, ALPHA_BENCH, "aug2")
     d_xi = np.array([1.0, -2.0])
     d_s = np.array([0.5, 0.25])
     T, a = bench_design.T, ALPHA_BENCH
     cpl = bench_design.drift_from_s
-    v1 = a1.disturbance_vector(d_xi, d_s)
+    v1 = disturbance_vector(bench_design, a, "aug1", d_xi, d_s)
     assert v1.shape == (6,)
     tail = -(((2 - a) * np.eye(2) + T * cpl) @ d_s)
     assert np.allclose(v1, np.concatenate([d_xi, d_s, tail]), atol=0)
-    v2 = a2.disturbance_vector(d_xi, d_s)
+    v2 = disturbance_vector(bench_design, a, "aug2", d_xi, d_s)
     assert v2.shape == (10,)
     assert np.allclose(v2[4:6], 0.0, atol=0) and np.allclose(v2[8:], 0.0, atol=0)
     tail2 = -(((3 - a) * np.eye(2) + T * cpl) @ d_s)
@@ -226,13 +225,12 @@ def test_closed_loop_charpoly_matches_augmented(bench_plant, T, kind):
     # assembled from the taps in plant coordinates, and the hand-assembled
     # A_aug in normal coordinates.  Coefficients, not eigenvalues: the zero
     # roots are defective.
-    from qsmc import build_surface, closed_loop, discretize, law_taps
     design = build_surface(bench_plant, discretize(bench_plant, T), H_BENCH)
     alpha = contraction_alpha(T, beta=BETA_BENCH)
     A_cl = closed_loop(design, law_taps(design, alpha, kind)).A
     # the deadbeat baselines run at alpha = 0
     aug_alpha = 0.0 if kind in ("m1", "m2") else alpha
-    A_aug = build_aug(design, aug_alpha, variant_for_kind(kind)).A_aug
+    A_aug = build_aug(design, aug_alpha, variant_for_kind(kind))
     extra = A_cl.shape[0] - A_aug.shape[0]
     assert extra == EXTRA_ZEROS[kind]
     got = charpoly(A_cl)
@@ -243,13 +241,29 @@ def test_closed_loop_charpoly_matches_augmented(bench_plant, T, kind):
     assert abs(rho_cl - rho_aug) <= 1e-13
 
 
+def _conditioned_dist(A, design, alpha):
+    """Largest distance from an eigenvalue of A to its nearest analytic
+    reference, eig(xi_step), alpha or 0, over the eigenvalues nearest a
+    nonzero one."""
+    ref = np.concatenate([np.linalg.eigvals(design.xi_step), [alpha, 0.0]])
+    gaps = np.abs(np.linalg.eigvals(A)[:, None] - ref[None, :])
+    kept = np.argmin(gaps, axis=1) < len(ref) - 1
+    return float(np.max(np.min(gaps, axis=1)[kept], initial=0.0))
+
+
 def test_stability_reports_closed_loop_radius(bench_plant):
-    rep = stability_over_T(bench_plant, H_BENCH, [0.02, 0.01], beta=BETA_BENCH)
+    # the cluster distances read from the mm1/mm2 Loops match those of the
+    # augmented recursion; the radii are the charpoly test's
+    rep = stability_over_T(bench_plant, H_BENCH, [0.02, 0.01, 0.005, 0.0025],
+                           beta=BETA_BENCH)
     for row in rep.rows:
         assert set(row.rho_cl) == {"m1", "m2", "mm1", "mm2"}
-        # mm1/mm2 run at the row's alpha, which is what rho_aug1/2 cover
-        assert row.rho_cl["mm1"] == pytest.approx(row.rho_aug1, abs=1e-13)
-        assert row.rho_cl["mm2"] == pytest.approx(row.rho_aug2, abs=1e-13)
+        design = build_surface(bench_plant, discretize(bench_plant, row.T), H_BENCH)
+        for variant, got in (("aug1", row.conditioned_dist_aug1),
+                             ("aug2", row.conditioned_dist_aug2)):
+            want = _conditioned_dist(build_aug(design, row.alpha, variant),
+                                     design, row.alpha)
+            assert abs(got - want) <= 1e-13, (row.T, variant)
         assert all(0.0 < rho < 1.0 for rho in row.rho_cl.values())
     unstable = stability_over_T(bench_plant, H_UNSTABLE, [0.01], beta=BETA_BENCH)
     assert all(rho > 1.0 for rho in unstable.rows[0].rho_cl.values())

@@ -22,12 +22,11 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
                   DisturbanceSignal, DivergenceError, NoiseSpec, Scenario,
                   Segment, Xoshiro256StarStar, build_aug, build_surface,
                   charpoly, closed_loop, constant_signal, contraction_alpha,
-                  discretize, law_taps, run, stability_over_T,
-                  variant_for_kind, zero_signal)
+                  discretize, law_taps, run, stability_over_T, zero_signal)
 from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
-from conftest import FORMS, H_UNSTABLE, law_form, rk4_states
+from conftest import FORMS, H_UNSTABLE, law_form, rk4_states, variant_for_kind
 
 KINDS = ("eq", "m1", "m2", "mm1", "mm2")
 SEEDS = (5, 20260815)
@@ -469,7 +468,7 @@ def test_closed_loop_charpoly_matches_augmented_on_random_plants(seed):
         loop = closed_loop(design, law_taps(design, sc.alpha, kind))
         aug_alpha = 0.0 if kind in ("m1", "m2") else sc.alpha
         variant = variant_for_kind(kind)
-        A_aug = build_aug(design, aug_alpha, variant).A_aug
+        A_aug = build_aug(design, aug_alpha, variant)
         N = len(loop.A)
         extra = N - len(A_aug)
         assert extra == (3 * m if variant == "aug1" else m)

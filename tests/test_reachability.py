@@ -47,9 +47,7 @@ ALLOWED = {
     "plant.ConstForm.deriv": DERIV,
     "plant.SinForm.deriv": DERIV,
     "plant.CosForm.deriv": DERIV,
-    "analysis.augmented_vs_direct": CLAIM,
-    "analysis.variant_for_kind": CLAIM,
-    "analysis.AugmentedSystem.disturbance_vector": CLAIM,
+    "analysis.build_aug": TRACER + "; the Loop's oracle in the charpoly tests",
     "plant.invariant_zeros": CLAIM,
     "plant.random_surface_map": CLAIM,
     "rng.Xoshiro256StarStar.symmetric_table": CLAIM + "; random_surface_map's draw",

@@ -513,8 +513,20 @@ def test_sweep_gate_is_verify_closed_loop_radius(capsys):
     ["run", "aircraft", "--noise", "inf"],
     ["run", "aircraft", "--noise", "nan"],
     ["run", "aircraft", "--noise", "-1"],
+    # equal ratios of 1 are not a geometric ladder
+    ["sweep", "aircraft", "--ladder", "0.01,0.01,0.01"],
+    # a seed outside [0, 2**64) would wrap to one inside
+    ["run", "aircraft", "--noise", "0.005", "--seed", "-1"],
+    ["run", "aircraft", "--seed", "18446744073709551616"],
+    ["benchmark", "--seed", "-5"],
+    # seed + 1 = 2**64: a noise-free benchmark runs only the first seed
+    ["benchmark", "--seed", "18446744073709551615", "--seeds", "2"],
+    # shorter than one period: no step to take
+    ["run", "aircraft", "--horizon", "0.001"],
 ], ids=["T-nan", "horizon-inf", "ladder-inf", "ladder-negative", "noise-inf",
-        "noise-nan", "noise-negative"])
+        "noise-nan", "noise-negative", "ladder-repeated", "seed-negative",
+        "seed-2**64", "benchmark-seed-negative", "benchmark-seeds-past-2**64",
+        "horizon-below-T"])
 def test_cli_non_finite_timing_exit_2(tmp_path, argv):
     code, _, err = cli(*argv, "--out", str(tmp_path / "o"))
     assert code == 2, err
@@ -623,8 +635,9 @@ def _shipped_copy(tmp_path, old, new):
     # kind = none: a halfwidth is checked whatever the kind
     ("halfwidth = 0.005", "halfwidth = nan", "noise", "halfwidth"),
     ("halfwidth = 0.005", "halfwidth = -0.5", "noise", "halfwidth"),
+    ("seed = 20260815", "seed = -1", "noise", "seed"),
 ], ids=["T-nan", "horizon-negative", "x0-short", "T-inf-alpha-beta",
-        "halfwidth-nan", "halfwidth-negative"])
+        "halfwidth-nan", "halfwidth-negative", "seed-negative"])
 def test_cli_scenario_value_errors_name_location(tmp_path, old, new, section, key):
     path, line = _shipped_copy(tmp_path, old, new)
     code, _, err = cli("run", str(path), "--out", str(tmp_path / "o"))

@@ -55,7 +55,7 @@ def test_reduced_range_lies_on_surface(bench_design):
     hc = bench_design.H @ bench_design.plant.C
     assert np.allclose(hc @ bench_design.base.from_xi, 0.0, atol=1e-12)
     # and the annihilator ignores from_s
-    assert np.allclose(bench_design.annihilator @ bench_design.from_s, 0.0,
+    assert np.allclose(bench_design.annihilator @ bench_design.base.from_s, 0.0,
                        atol=1e-12)
 
 
