@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from .errors import ConfigError, DisturbanceRangeError
 from .plant import ContinuousPlant, DisturbanceSignal
@@ -103,11 +103,7 @@ class DisturbanceSampler:
         self.T = T
         self.sig = sig
         self._starts = np.array([seg.t_start for seg in sig.segments])
-        self._exo = []
-        for seg in sig.segments:
-            S = block_diag(*(f.exo_S for f in seg.forms))
-            E = block_diag(*(np.reshape(f.exo_E, (1, -1)) for f in seg.forms))
-            self._exo.append((S, E) if S.size else None)
+        self._exo = [_exosystem(seg.forms) for seg in sig.segments]
         self._gain = [self._block(j, T) for j in range(len(self._exo))]
 
     def _block(self, j: int, h: float):
@@ -170,6 +166,24 @@ class DisturbanceSampler:
                 piece = expm(self.plant.A * (t1 - b)) @ piece
             total += piece
         return total
+
+
+def _exosystem(forms):
+    """(S, E) of one segment: the forms' exo_S blocks down the diagonal of S
+    and row c of E the exo_E of channel c in its own columns; None when no
+    form has a state."""
+    sizes = [f.exo_S.shape[0] for f in forms]
+    q = sum(sizes)
+    if not q:
+        return None
+    S = np.zeros((q, q))
+    E = np.zeros((len(forms), q))
+    at = 0
+    for c, (f, size) in enumerate(zip(forms, sizes)):
+        S[at:at + size, at:at + size] = f.exo_S
+        E[c, at:at + size] = f.exo_E
+        at += size
+    return S, E
 
 
 def _apply(gain: np.ndarray, Z: np.ndarray) -> np.ndarray:

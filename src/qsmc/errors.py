@@ -7,7 +7,13 @@ during simulation -> 4.
 
 
 class ConfigError(ValueError):
-    """Bad user input: file syntax, inconsistent parameters, bad ranges."""
+    """Bad user input: file syntax, inconsistent parameters, bad ranges.
+    field names the value that a value object refused (e.g. "x0"), so that
+    a parser can say where in its input that value was written."""
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class AssumptionViolation(RuntimeError):

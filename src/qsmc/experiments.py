@@ -87,7 +87,8 @@ def _sweep_point(scenario: Scenario, T: float, metric: str) -> SweepPoint:
     """One rung: one run of the scenario at period T, its rate held.  Its
     metric counts only if the loop that ran is stable (rho_cl < 1), read
     from the run's summary or, when the run diverged, from the
-    DivergenceError."""
+    DivergenceError, and only if it is positive, since the fit takes its
+    logarithm; a stable rung with a zero metric is certified and flagged."""
     rung = scenario.at_period(T)
     try:
         traj = run(rung)
@@ -104,7 +105,12 @@ def _sweep_point(scenario: Scenario, T: float, metric: str) -> SweepPoint:
     if metric not in traj.summary:
         raise ConfigError(f"no {metric} at T = {T}: the steady window "
                           f"{traj.summary['window']} is empty or outside the run")
-    return SweepPoint(T, float(traj.summary[metric]), True, rho_cl=rho)
+    value = float(traj.summary[metric])
+    if not value > 0:
+        # a stable rung, but log(value) has no place in the fit
+        return SweepPoint(T, value, True, f"{metric} is {value} at T = {T}: "
+                          "no logarithm", rho)
+    return SweepPoint(T, value, True, rho_cl=rho)
 
 
 def run_sweep(spec: SweepSpec) -> ScalingReport:
@@ -112,7 +118,8 @@ def run_sweep(spec: SweepSpec) -> ScalingReport:
     window = default_steady_window(base.disturbance, base.horizon)
     # T_values is sorted longest period first
     points = [_sweep_point(base, T, spec.metric) for T in spec.T_values]
-    good = [(p.T, p.value) for p in points if p.certified and p.value and p.value > 0]
+    # a rung is fitted when it is certified and not flagged
+    good = [(p.T, p.value) for p in points if p.certified and p.flagged is None]
     slope = half = None
     if len(good) >= 2:
         lt = np.log([g[0] for g in good])
@@ -213,7 +220,7 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
         if "s_bound" not in traj.summary:
             raise ConfigError(f"the steady window {window} is empty or "
                               "outside the benchmark run")
-        runs[kind] = BenchmarkRun(kind=kind, u_peak=traj.u_peak,
+        runs[kind] = BenchmarkRun(kind=kind, u_peak=traj.summary["u_peak"],
                                   s_bound=traj.summary["s_bound"],
                                   x_bound=traj.summary["x_bound"],
                                   runtime=runtime, trajectory=traj)
@@ -229,5 +236,5 @@ def _next_batch(gen, peaks: dict) -> tuple:
     trajs = next(gen)
     elapsed = time.perf_counter() - t0
     for kind, traj in zip(LAWS, trajs):
-        peaks[kind].append(traj.u_peak)
+        peaks[kind].append(traj.summary["u_peak"])
     return trajs, elapsed

@@ -9,12 +9,24 @@ form per channel so values, derivatives and derivative bounds are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DisturbanceRangeError
 from .rng import Xoshiro256StarStar, symmetric_tables
+
+
+def check_finite(name: str, value) -> None:
+    """Refuse a number, or a vector or matrix with an entry, that is nan or
+    infinite; the error names the first such entry, counted from 1."""
+    value = np.asarray(value, dtype=float)
+    if np.isfinite(value).all():
+        return
+    at = tuple(np.argwhere(~np.isfinite(value))[0].tolist())
+    where = {0: "", 1: " at entry {}", 2: " at row {}, column {}"}[len(at)]
+    raise ConfigError(f"{name} must be finite, got {value[at]}"
+                      + where.format(*(i + 1 for i in at)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +47,13 @@ class ContinuousPlant:
         object.__setattr__(self, "C", C)
         n = A.shape[0]
         if A.shape != (n, n):
-            raise ConfigError(f"A must be square, got {A.shape}")
+            raise ConfigError(f"A must be square, got {A.shape}", "A")
         if B.shape[0] != n:
-            raise ConfigError(f"B has {B.shape[0]} rows, expected {n}")
+            raise ConfigError(f"B has {B.shape[0]} rows, expected {n}", "B")
         if C.shape[1] != n:
-            raise ConfigError(f"C has {C.shape[1]} columns, expected {n}")
+            raise ConfigError(f"C has {C.shape[1]} columns, expected {n}", "C")
+        for name, M in (("A", A), ("B", B), ("C", C)):
+            check_finite(name, M)
 
     @property
     def n(self) -> int:
@@ -82,9 +96,19 @@ class ZeroForm:
         return np.zeros((len(t), 0))
 
 
+def _check_form(form) -> None:
+    """Every parameter of a form is finite; named as in a scenario file,
+    e.g. "const level"."""
+    name = type(form).__name__.removesuffix("Form").lower()
+    for f in fields(form):
+        check_finite(f"{name} {f.name}", getattr(form, f.name))
+
+
 @dataclass(frozen=True)
 class ConstForm:
     level: float
+
+    __post_init__ = _check_form
 
     def value(self, t: float) -> float:
         return self.level
@@ -107,6 +131,8 @@ class SinForm:
     amp: float
     omega: float
     phase: float = 0.0
+
+    __post_init__ = _check_form
 
     def value(self, t: float) -> float:
         return self.offset + self.amp * math.sin(self.omega * t + self.phase)
@@ -138,6 +164,8 @@ class CosForm:
     are bit-exact rather than phase-shifted."""
     amp: float
     omega: float
+
+    __post_init__ = _check_form
 
     def value(self, t: float) -> float:
         return self.amp * math.cos(self.omega * t)

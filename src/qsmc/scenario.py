@@ -36,6 +36,8 @@ from .simulate import Scenario
 _SECTIONS = ("plant", "surface", "controller", "timing", "disturbance",
              "noise", "outputs")
 OUTPUT_FORMATS = ("csv", "summary", "svg")
+# (section, key) in a scenario file of each Scenario field that it checks
+_SCENARIO_FIELDS = {"x0": ("plant", "x0"), "H": ("surface", "H")}
 
 
 class ScenarioError(ConfigError):
@@ -83,6 +85,9 @@ def _parse_form(token: str, section, line):
             return SinForm(*(float(a) for a in args))
         if name == "cos" and len(args) == 2:
             return CosForm(float(args[0]), float(args[1]))
+    except ConfigError as exc:
+        # the form refused a parameter (a non-finite one)
+        raise ScenarioError(str(exc), section, "segment", line) from None
     except ValueError:
         raise ScenarioError(f"bad numeric argument in form {token!r}",
                             section, "segment", line) from None
@@ -177,7 +182,10 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
     try:
         plant = ContinuousPlant(A, B, C)
     except ConfigError as exc:
-        raise ScenarioError(str(exc), "plant") from None
+        # a plant file is one key; inline, the refused matrix is its own key
+        key = "file" if ("plant", "file") in lines else exc.field
+        raise ScenarioError(str(exc), "plant", key,
+                            where("plant", key and key.lower())) from None
 
     x0 = None
     if "x0" in data["plant"]:
@@ -185,9 +193,6 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             x0 = parse_vector(take("plant", "x0"))
         except MatrixFormatError as exc:
             raise ScenarioError(str(exc), "plant", "x0", where("plant", "x0")) from None
-        if x0.shape != (plant.n,):
-            raise ScenarioError(f"x0 must have {plant.n} entries, got {x0.size}",
-                                "plant", "x0", where("plant", "x0"))
 
     # --- surface ---
     h_text = take("surface", "h", required=True)
@@ -280,10 +285,15 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             raise ScenarioError(f"unknown key {key!r}", section, key,
                                 where(section, key))
 
-    # every check Scenario makes has been made above, with its location
-    scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
-                        disturbance=disturbance, noise=noise, alpha=alpha,
-                        beta=beta, x0=x0)
+    # Scenario checks x0 and H; a value it refuses is located by its field
+    try:
+        scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
+                            disturbance=disturbance, noise=noise, alpha=alpha,
+                            beta=beta, x0=x0)
+    except ConfigError as exc:
+        section, key = _SCENARIO_FIELDS.get(exc.field, (None, None))
+        raise ScenarioError(str(exc), section, key,
+                            where(section, key and key.lower())) from None
     if disturbance is not None and disturbance.t_end < horizon:
         # the first sample whose hold interval leaves the segments
         t_end = disturbance.t_end

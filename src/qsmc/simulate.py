@@ -21,12 +21,19 @@ run_batches takes several batches of runs that share plant, period,
 surface, horizon and disturbance, builds what they share once
 (discretization, surface, each distinct law's alpha from
 controllers.contraction_alpha, its Loop and its blocked-scan carry, the d
-table, the f column and one lockstep draw of every distinct noise spec's
-table) and then yields each batch as one stacked recursion; run_batch is
-a run_batches of one batch and run a batch of one.  The drive of every
-sample is known before the loop, which steps the warm-up samples one at a
-time and the rest as a blocked scan that advances all blocks together;
-y, s_true and f are filled after it.
+table and its B_d d[k] rows, the f column, the steady window's rows and one
+lockstep draw of every distinct noise spec's table) and then yields each
+batch as one stacked recursion; run_batch is a run_batches of one batch
+and run a batch of one.
+
+Outside the recursion a batch is a fixed handful of passes over the whole
+stack, whatever its size: the drive is one stacked product B_v v[k] plus
+the shared B_d d[k] rows, with only the warm-up rows patched per run; the
+loop steps the warm-up samples one at a time and the rest as a blocked
+scan that advances all blocks together; the divergence guard is one test
+over every state, and only a tripped guard looks for the step and run;
+y and s_true are one product each, and u_peak, s_bound and x_bound one
+reduction each.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .controllers import (Loop, closed_loop, contraction_alpha, law_taps,
 from .discretization import _EDGE, DisturbanceSampler, discretize
 from .errors import ConfigError, DisturbanceRangeError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
-                    noise_tables, zero_signal)
+                    check_finite, noise_tables, zero_signal)
 from .surface import SurfaceDesign, build_surface
 
 _OVERFLOW = 1e12
@@ -71,6 +78,7 @@ class Scenario:
         if not (0 < self.T < math.inf and 0 < self.horizon < math.inf):
             raise ConfigError(f"T and horizon must be finite and positive, "
                               f"got T = {self.T}, horizon = {self.horizon}")
+        check_finite("H", self.H)
         if self.disturbance is None:
             object.__setattr__(self, "disturbance", zero_signal(self.plant.m))
         if self.x0 is None:
@@ -78,7 +86,9 @@ class Scenario:
         else:
             x0 = np.asarray(self.x0, dtype=float)
             if x0.shape != (self.plant.n,):
-                raise ConfigError(f"x0 must have {self.plant.n} entries")
+                raise ConfigError(f"x0 must have {self.plant.n} entries, "
+                                  f"got {x0.size}", "x0")
+            check_finite("x0", x0)
             object.__setattr__(self, "x0", x0)
 
     @property
@@ -139,6 +149,8 @@ _SHARED = ("plant", "T", "H", "horizon", "disturbance")
 
 
 def _same(a, b) -> bool:
+    if a is b:
+        return True
     if isinstance(a, ContinuousPlant):
         return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "ABC")
     if isinstance(a, np.ndarray):
@@ -172,11 +184,13 @@ class _Shared:
     loops: dict          # (kind, alpha, beta) -> controllers.Loop
     carry: dict          # same key -> A^BLOCK, formed in long double
     warm: Loop           # the loop with the law rows zeroed
-    dk: np.ndarray       # d[0..steps], or d[0..steps) when no run is eq
+    dd: dict             # law key (None: warm) -> B_d d[k] for k in 0..steps,
+                         # or 0..steps - 1 when no run is eq
     noise: dict          # noise spec -> (steps + 1, p) table
     t: np.ndarray
     F: np.ndarray
     window: tuple
+    rows: slice | None   # the window's samples; None when it gives no bound
 
 
 def _law_key(sc: Scenario) -> tuple:
@@ -191,13 +205,14 @@ def run_batches(batches):
     disturbance; that is checked before anything runs.  What the batches
     share is then built once: the discretization and surface, each
     distinct law's Loop (taps, matrices and spectral radius) and its
-    blocked-scan carry, the d[k] table, the noise table of every distinct
-    noise spec (one lockstep lane draw, rng.symmetric_tables), the f column
-    and the steady window.  Each batch is psi[k+1] = A_cl psi[k] + drive[k] on the
-    lifted state of controllers.closed_loop, with drive[k] = B_d d[k] +
-    B_v v[k] known for every sample before the loop; the warm-up samples
-    are stepped one at a time and the rest is a blocked scan.  Only one
-    batch's working arrays are alive at a time."""
+    blocked-scan carry, the d[k] table and its B_d d[k] rows for each
+    distinct B_d, the noise table of every distinct noise spec (one
+    lockstep lane draw, rng.symmetric_tables), the f column and the steady
+    window with its rows.  Each batch is psi[k+1] = A_cl psi[k] + drive[k]
+    on the lifted state of controllers.closed_loop, with drive[k] =
+    B_v v[k] + B_d d[k] known for every sample before the loop; the warm-up
+    samples are stepped one at a time and the rest is a blocked scan.  Only
+    one batch's working arrays are alive at a time."""
     batches = [list(batch) for batch in batches]
     if not batches or not all(batches):
         raise ConfigError("run_batch needs at least one scenario")
@@ -228,16 +243,32 @@ def run_batches(batches):
                                          BLOCK).astype(float)
              for key, loop in loops.items()}
     dk = DisturbanceSampler(plant, T, sig).table(0, steps + 1 if eq else steps)
+    # B_d d[k] does not depend on the batch; only the eq law changes B_d, so
+    # the other laws and the warm-up loop share one product
+    warm = closed_loop(design)
+    products, dd = {}, {}
+    for key, loop in ((None, warm), *loops.items()):
+        same = loop.B_d.tobytes()
+        if same not in products:
+            products[same] = dk @ loop.B_d.T
+        dd[key] = products[same]
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
                                          steps + 1, plant.p)))
     t = np.arange(steps + 1) * T
     # past its end the disturbance holds its last defined value
     F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
-    shared = _Shared(base, design, loops, carry, closed_loop(design), dk, noise,
-                     t, F, default_steady_window(sig, base.horizon))
+    window = default_steady_window(sig, base.horizon)
+    # the window's samples, found once for every run; a window outside the
+    # run gives no s_bound or x_bound
+    rows = None
+    if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
+        rows = _window_rows(t, window)
+    shared = _Shared(base, design, loops, carry, warm, dd, noise, t, F, window,
+                     rows)
     for batch in batches:
-        # the batch's working arrays are locals of _run_one and die with it
+        # the batch's working arrays die with _run_one, except psi, which
+        # lives as long as the batch's trajectories
         yield _run_one(shared, batch)
 
 
@@ -247,9 +278,8 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     plant, T, steps = base.plant, base.T, base.steps
     keys = [_law_key(sc) for sc in scenarios]
     loops = [shared.loops[key] for key in keys]
-    dk = shared.dk
-    if all(loop.taps.K_g is None for loop in loops):
-        dk = dk[:steps]
+    # d[steps] is read only by the eq law
+    rows_d = steps if all(loop.taps.K_g is None for loop in loops) else steps + 1
     R, n, m = len(scenarios), plant.n, plant.m
     A = np.stack([loop.A for loop in loops])
     warm = shared.warm
@@ -260,19 +290,25 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     # psi[k] is row k; drive[k] is written into row k + 1 and the
     # recursion adds A_cl psi[k] onto it
     psi = np.zeros((R, stepped + blocks * BLOCK + 1, A.shape[1]))
-    for r, (sc, loop) in enumerate(zip(scenarios, loops)):
-        v = shared.noise[sc.noise]
-        drive = psi[r, 1:steps + 2]
+    drive = psi[:, 1:steps + 2]
+    # the drive of every run: one stacked product B_v v[k], then the shared
+    # B_d d[k] added on; runs that share a noise table or a B_d share rows
+    tables = [shared.noise[sc.noise] for sc in scenarios]
+    v = _shared_or_stacked(tables)
+    np.matmul(v, np.stack([loop.B_v.T for loop in loops]), out=drive)
+    dd = _shared_or_stacked([shared.dd[key] for key in keys])
+    drive[:, :rows_d] += dd[..., :rows_d, :]
+    # the warm-up rows of a run are driven by the loop with its law zeroed
+    for r in np.flatnonzero(warmup):
         wu = min(warmup[r], steps + 1)
-        for rows, each in ((slice(0, wu), warm), (slice(wu, None), loop)):
-            np.matmul(v[rows], each.B_v.T, out=drive[rows])
-            d = dk[rows]
-            drive[rows][:len(d)] += d @ each.B_d.T
-        psi[r, 0, :n] = sc.x0
+        np.matmul(tables[r][:wu], warm.B_v.T, out=drive[r, :wu])
+        drive[r, :min(wu, rows_d)] += shared.dd[None][:min(wu, rows_d)]
+    psi[:, 0, :n] = np.array([sc.x0 for sc in scenarios])
     # psi[k] holds x[k]; psi[k + 1] holds s[k] and u[k]
     xs, ss, _, us, _ = lifted_slices(n, m)
 
-    # a diverging run overflows harmlessly; it is reported after the loop
+    # a diverging run overflows harmlessly; the guard is one test over the
+    # whole stack, and only a tripped guard looks for the step and run
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(stepped):
             Ak = np.where((warmup > k)[:, None, None], warm.A, A)
@@ -280,40 +316,48 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
         if blocks:
             _blocked_scan(A, psi[:, stepped:], blocks,
                           np.stack([shared.carry[key] for key in keys]))
-        X = psi[:, :steps + 1, xs].copy()
-        norms = np.max(np.abs(X), axis=2)
-        bad = ~(norms <= _OVERFLOW)
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        r = int(np.argmax(bad[:, k]))
-        raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None,
-                              rho_cl=loops[r].rho)
+        X = psi[:, :steps + 1, xs]
+        if not np.all(np.abs(X) <= _OVERFLOW):
+            norms = np.max(np.abs(X), axis=2)
+            bad = ~(norms <= _OVERFLOW)
+            k = int(np.argmax(bad.any(axis=0)))
+            r = int(np.argmax(bad[:, k]))
+            raise DivergenceError(k, float(norms[r, k]), run=r if R > 1 else None,
+                                  rho_cl=loops[r].rho)
 
-    S = psi[:, 1:steps + 2, ss].copy()
-    U = psi[:, 1:steps + 2, us].copy()
-    del psi, drive   # drive is a view of psi; free it before the read-out
+    # x, s and u are views of psi, not copies: a kept trajectory holds its
+    # batch's psi alive, which costs less than three strided copies per batch
+    S = psi[:, 1:steps + 2, ss]
+    U = psi[:, 1:steps + 2, us]
     hc = design.H @ plant.C
     Y = X @ plant.C.T
-    for r, sc in enumerate(scenarios):
-        Y[r] += shared.noise[sc.noise]
+    Y += v
     St = X @ hc.T
-    window = shared.window
+    # the read-out: one reduction over the stack per figure
+    u_peak = np.max(np.abs(U), axis=(1, 2)).tolist()
+    rows = shared.rows
+    if rows is not None:
+        s_bound = np.max(np.abs(St[:, rows]), axis=(1, 2)).tolist()
+        x_bound = np.max(np.abs(X[:, rows]), axis=(1, 2)).tolist()
     trajs = []
     for r, (sc, loop) in enumerate(zip(scenarios, loops)):
         traj = Trajectory(T=T, k=np.arange(steps + 1), t=shared.t.copy(), x=X[r],
                           y=Y[r], s=S[r], s_true=St[r], u=U[r], f=shared.F.copy())
-        traj.summary = {"u_peak": traj.u_peak, "steps": steps, "T": T,
-                        "kind": sc.kind, "window": window, "rho_cl": loop.rho,
+        traj.summary = {"u_peak": u_peak[r], "steps": steps, "T": T,
+                        "kind": sc.kind, "window": shared.window, "rho_cl": loop.rho,
                         "warmup": int(warmup[r])}
-        if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
-            try:
-                sb, xb = measure_quasi_sliding(traj, window)
-                traj.summary["s_bound"] = sb
-                traj.summary["x_bound"] = xb
-            except ConfigError:
-                pass
+        if rows is not None:
+            traj.summary["s_bound"] = s_bound[r]
+            traj.summary["x_bound"] = x_bound[r]
         trajs.append(traj)
     return trajs
+
+
+def _shared_or_stacked(arrays):
+    """The one array when every entry is the same object, else the stack."""
+    if all(a is arrays[0] for a in arrays):
+        return arrays[0]
+    return np.stack(arrays)
 
 
 def _blocked_scan(A, psi, blocks, carry):
@@ -361,6 +405,17 @@ def measure_quasi_sliding(traj: Trajectory, window) -> tuple:
     s_bound = float(np.max(np.abs(traj.s_true[mask])))
     x_bound = float(np.max(np.abs(traj.x[mask])))
     return s_bound, x_bound
+
+
+def _window_rows(t: np.ndarray, window) -> slice | None:
+    """The rows of the sample times t (ascending) inside the window, the
+    rows measure_quasi_sliding reads; None when the window is empty or
+    reaches outside t."""
+    t0, t1 = window
+    if t0 < t[0] - 1e-12 or t1 > t[-1] + 1e-12 or t1 <= t0:
+        return None
+    inside = np.flatnonzero((t >= t0 - 1e-12) & (t <= t1 + 1e-12))
+    return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,21 @@ def test_boundary_straddling_interval(bench_plant, bench_signal):
     assert np.linalg.norm(ours - rk) <= 1e-7
 
 
+def test_exosystem_blocks_match_block_diag():
+    # the slicing build of a segment's (S, E) against scipy's block_diag
+    from scipy.linalg import block_diag
+    from qsmc.discretization import _exosystem
+    cases = [(SinForm(1.0, 1.0, 0.5, 0.0), CosForm(0.5, 1.0)),
+             (ZeroForm(), ConstForm(-0.5)),
+             (CosForm(2.0, 3.0), ZeroForm(), SinForm(0.1, 0.2, 0.3, 0.4))]
+    for forms in cases:
+        S, E = _exosystem(forms)
+        assert np.array_equal(S, block_diag(*(f.exo_S for f in forms)))
+        assert np.array_equal(E, block_diag(*(np.reshape(f.exo_E, (1, -1))
+                                              for f in forms)))
+    assert _exosystem((ZeroForm(), ZeroForm())) is None
+
+
 def test_sampler_determinism(bench_plant, bench_signal):
     a = DisturbanceSampler(bench_plant, T_BENCH, bench_signal)
     b = DisturbanceSampler(bench_plant, T_BENCH, bench_signal)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from qsmc import (ConfigError, SweepSpec, aircraft_benchmark,
-                  builtin_scenario_path, load_aircraft_scenario, run_sweep,
+                  builtin_scenario_path, load_aircraft_scenario,
+                  measure_quasi_sliding, run, run_batch, run_sweep,
                   stability_over_T, zero_signal)
+from qsmc.controllers import LAWS
 from qsmc.experiments import shared_sampler
 
 # frozen from the first validated runs of the shipped benchmark; regression
@@ -147,6 +149,33 @@ def test_benchmark_noise_seeds_differ():
     # medians over three seeds still near the noise-free peaks
     for kind, expect in PEAKS_NOISE_FREE.items():
         assert rep.peak_median[kind] == pytest.approx(expect, rel=0.35), kind
+
+
+def test_noisy_benchmark_readout_matches_per_run_route():
+    # the stacked read-out of a multi-seed benchmark against the per-run
+    # route on the same trajectories, bit for bit: each kind's median peak
+    # is the median over the seeds' batches of Trajectory.u_peak, and the
+    # first seed's bounds are measure_quasi_sliding on its trajectory
+    seeds = (7, 8, 9)
+    rep = aircraft_benchmark(noise=True, seeds=seeds)
+    base = load_aircraft_scenario().scenario
+    assert base.noise.halfwidth == 0.005   # the benchmark keeps the file's
+    specs = [replace(base.noise, kind="uniform", seed=seed) for seed in seeds]
+    batches = [run_batch([base.with_(kind=kind, noise=spec) for kind in LAWS])
+               for spec in specs]
+    for i, kind in enumerate(LAWS):
+        peaks = [trajs[i].u_peak for trajs in batches]
+        assert rep.peak_median[kind] == float(np.median(peaks)), kind
+        first = rep.runs[kind]
+        assert first.u_peak == peaks[0]
+        assert (first.s_bound, first.x_bound) == measure_quasi_sliding(
+            batches[0][i], rep.window), kind
+        # a lone run steps only its own warm-up one sample at a time, so
+        # m1 and mm1 (warm-up 1, the batch steps 2) differ in the last bits
+        lone = run(base.with_(kind=kind, noise=specs[0]))
+        assert lone.u_peak == pytest.approx(first.u_peak, rel=1e-13, abs=0)
+        assert measure_quasi_sliding(lone, rep.window) == pytest.approx(
+            (first.s_bound, first.x_bound), rel=1e-12, abs=0)
 
 
 def test_benchmark_runtime_budget():

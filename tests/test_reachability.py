@@ -18,6 +18,7 @@ RNG_ORACLE = "scalar xoshiro256** route, the oracle the published test vectors p
 ERROR = "error constructor"
 DERIV = "form derivative, used by acceptance criterion 7"
 CLAIM = "paper-claim check awaiting a verify key (ROADMAP item 3)"
+READOUT = "one trajectory's read-out: public API, and the oracle of run_batches' stacked read-out"
 
 ALLOWED = {
     "controllers.ControllerState.__post_init__": TRACER,
@@ -37,7 +38,10 @@ ALLOWED = {
     "rng.Xoshiro256StarStar.next_u64": RNG_ORACLE,
     "rng.Xoshiro256StarStar.uniform": RNG_ORACLE,
     "rng.Xoshiro256StarStar.symmetric": RNG_ORACLE,
+    "errors.ConfigError.__init__": ERROR,
     "errors.DivergenceError.__init__": ERROR,
+    "simulate.Trajectory.u_peak": READOUT,
+    "simulate.measure_quasi_sliding": READOUT,
     "scenario.ScenarioError.__init__": ERROR,
     "report.parse_kv": "parse_kv: reads back the key = value reports the commands write",
     "plant.zero_signal": "zero_signal: the default disturbance of a Scenario without one",

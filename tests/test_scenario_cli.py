@@ -398,6 +398,26 @@ def test_cli_sweep_short_ladder(tmp_path):
     assert "in_band = true" in res.stdout
 
 
+def test_cli_sweep_flags_zero_metric_rung():
+    # m2 emits no input during its 2-sample warm-up, so a 0.5 s run at
+    # T = 0.4 reads u_peak = 0: the rung is stable and certified, but
+    # log(0) has no place in the fit, so it is flagged and left out
+    from qsmc.report import parse_kv
+    res = cli("sweep", "aircraft", "--controller", "m2", "--metric", "u_peak",
+              "--ladder", "0.4,0.2,0.1", "--horizon", "0.5", "--beta", "1")
+    assert res.returncode == 0, res.stderr
+    kv = parse_kv(res.stdout)
+    assert kv["points.0.value"] == "0.0"
+    assert kv["points.0.certified"] == "true"
+    assert kv["points.0.flagged"] == "u_peak is 0.0 at T = 0.4: no logarithm"
+    assert kv["points.1.flagged"] == kv["points.2.flagged"] == "none"
+    # the slope of the two fitted rungs, with no spread from two points
+    v1, v2 = float(kv["points.1.value"]), float(kv["points.2.value"])
+    slope = (np.log(v2) - np.log(v1)) / (np.log(0.1) - np.log(0.2))
+    assert float(kv["slope"]) == pytest.approx(slope, rel=1e-12)
+    assert kv["half_width"] == "none"
+
+
 def test_cli_sweep_bad_ladder_exit_2():
     res = cli("sweep", "aircraft", "--ladder", "0.02,fast")
     assert res.returncode == 2
@@ -636,14 +656,35 @@ def _shipped_copy(tmp_path, old, new):
     ("halfwidth = 0.005", "halfwidth = nan", "noise", "halfwidth"),
     ("halfwidth = 0.005", "halfwidth = -0.5", "noise", "halfwidth"),
     ("seed = 20260815", "seed = -1", "noise", "seed"),
+    # non-finite numbers are refused by the value objects, located by the parser
+    ("x0 = -1.0 1.0 1.0 -2.0", "x0 = nan 1.0 1.0 -2.0", "plant", "x0"),
+    ("H = 0.035306 0.082634 0.076550 ; 0.011937 -0.210157 0.008324",
+     "H = nan 0.082634 0.076550 ; 0.011937 -0.210157 0.008324", "surface", "H"),
+    ("segment = 10 15.707963267948966 : const 2.0 ; const -0.5",
+     "segment = 10 15.707963267948966 : const nan ; const -0.5",
+     "disturbance", "segment"),
 ], ids=["T-nan", "horizon-negative", "x0-short", "T-inf-alpha-beta",
-        "halfwidth-nan", "halfwidth-negative", "seed-negative"])
+        "halfwidth-nan", "halfwidth-negative", "seed-negative", "x0-nan",
+        "H-nan", "const-nan"])
 def test_cli_scenario_value_errors_name_location(tmp_path, old, new, section, key):
     path, line = _shipped_copy(tmp_path, old, new)
     code, _, err = cli("run", str(path), "--out", str(tmp_path / "o"))
     assert code == 2, err
     assert f"(section [{section}], key '{key}', line {line})" in err
     assert "disagree" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_plant_file_non_finite_names_location(tmp_path):
+    # a plant file is one key: a non-finite entry in it is located there
+    path, line = _shipped_copy(tmp_path, "file = aircraft.plant", "file = bad.plant")
+    plant = (tmp_path / "aircraft.plant").read_text(encoding="utf-8")
+    (tmp_path / "bad.plant").write_text(plant.replace("-3.79 0.04", "inf 0.04"),
+                                        encoding="utf-8")
+    code, _, err = cli("run", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2, err
+    assert "A must be finite, got inf at row 1, column 1" in err
+    assert f"(section [plant], key 'file', line {line})" in err
     assert not (tmp_path / "o").exists()
 
 
