@@ -20,8 +20,8 @@ lifted state, held as one controllers.Loop value (closed_loop).
 run_batches takes several batches of runs that share plant, period,
 surface, horizon and disturbance, builds what they share once
 (discretization, surface, each distinct law's alpha from
-controllers.contraction_alpha, its Loop and its blocked-scan carry, the d
-table and its B_d d[k] rows, the f column, the steady window's rows and one
+controllers.contraction_alpha, its Loop and its scan parts, the d table
+and its B_d d[k] rows, the f column, the steady window's rows and one
 lockstep draw of every distinct noise spec's table) and then yields each
 batch as one stacked recursion; run_batch is a run_batches of one batch
 and run a batch of one.
@@ -29,11 +29,20 @@ and run a batch of one.
 Outside the recursion a batch is a fixed handful of passes over the whole
 stack, whatever its size: the drive is one stacked product B_v v[k] plus
 the shared B_d d[k] rows, with only the warm-up rows patched per run; the
-loop steps the warm-up samples one at a time and the rest as a blocked
-scan that advances all blocks together; the divergence guard is one test
-over every state, and only a tripped guard looks for the step and run;
-y and s_true are one product each, and u_peak, s_bound and x_bound one
-reduction each.
+loop steps the longest warm-up of any law one sample at a time, whatever
+laws share the batch, so every run's samples fall on the same blocks
+alone or in a batch, and the rest is a blocked scan that advances all
+blocks together; the divergence guard is one test over every state, and
+only a tripped guard looks for the step and run; y and s_true are one
+product each, and u_peak, s_bound and x_bound one reduction each.
+
+The scan (_blocked_scan) has two levels.  A block's response from a zero
+start is a fixed linear map of its inputs, so each law's block ends are
+one product of its v and d rows with gains formed once per law; the d
+part is shared by every batch.  The block-start states then follow a
+recursion of the same form with A_cl^L in place of A_cl, which a long
+batch advances as a blocked scan of its own.  Every power of A_cl is
+formed in long double and rounded once.
 """
 
 from __future__ import annotations
@@ -43,8 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import (Loop, closed_loop, contraction_alpha, law_taps,
-                          lifted_slices)
+from .controllers import (WARMUP, Loop, closed_loop, contraction_alpha,
+                          law_taps, lifted_slices)
 from .discretization import _EDGE, DisturbanceSampler, discretize
 from .errors import ConfigError, DisturbanceRangeError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
@@ -53,9 +62,15 @@ from .surface import SurfaceDesign, build_surface
 
 _OVERFLOW = 1e12
 
-# samples per block of the blocked scan: a batch takes 2 BLOCK + steps/BLOCK
-# Python iterations and pads its last block with up to BLOCK - 1 samples
+# samples per block of the blocked scan; the last block is padded with up
+# to BLOCK - 1 samples.  A batch takes BLOCK + steps/BLOCK Python
+# iterations, or 3 BLOCK + steps/BLOCK^2 once the carry runs over more
+# than 2 BLOCK blocks and takes a second level
 BLOCK = 16
+
+# samples every batch steps one at a time before the scan: the longest
+# warm-up of any law
+_STEPPED = max(WARMUP.values())
 
 # default steady-state measurement window: the last fifth of a segment
 _WINDOW_FRACTION = 0.2
@@ -177,16 +192,27 @@ def run_batch(scenarios) -> list:
 
 
 @dataclass(frozen=True)
+class _Scan:
+    """What the blocked scan of one law reads (_scan_parts)."""
+    carry: tuple         # A^L, and A^(L L) when the carry takes two levels
+    gain_v: np.ndarray   # (L p, N): a block's v rows, flattened, times
+                         # gain_v are the v part of its end from zero
+    end_d: np.ndarray    # (blocks - 1, N): the d part of every block end
+
+
+@dataclass(frozen=True)
 class _Shared:
     """What every batch of one run_batches call shares."""
     base: Scenario
     design: SurfaceDesign
     loops: dict          # (kind, alpha, beta) -> controllers.Loop
-    carry: dict          # same key -> A^BLOCK, formed in long double
+    scans: dict          # same key -> _Scan
     warm: Loop           # the loop with the law rows zeroed
     dd: dict             # law key (None: warm) -> B_d d[k] for k in 0..steps,
                          # or 0..steps - 1 when no run is eq
     noise: dict          # noise spec -> (steps + 1, p) table
+    stepped: int         # samples stepped one at a time
+    blocks: int          # blocks of the scan after them
     t: np.ndarray
     F: np.ndarray
     window: tuple
@@ -204,15 +230,15 @@ def run_batches(batches):
     Every run of every batch must share plant, T, H, horizon and
     disturbance; that is checked before anything runs.  What the batches
     share is then built once: the discretization and surface, each
-    distinct law's Loop (taps, matrices and spectral radius) and its
-    blocked-scan carry, the d[k] table and its B_d d[k] rows for each
+    distinct law's Loop (taps, matrices and spectral radius) and its scan
+    parts (_scan_parts), the d[k] table and its B_d d[k] rows for each
     distinct B_d, the noise table of every distinct noise spec (one
     lockstep lane draw, rng.symmetric_tables), the f column and the steady
     window with its rows.  Each batch is psi[k+1] = A_cl psi[k] + drive[k]
     on the lifted state of controllers.closed_loop, with drive[k] =
-    B_v v[k] + B_d d[k] known for every sample before the loop; the warm-up
-    samples are stepped one at a time and the rest is a blocked scan.  Only
-    one batch's working arrays are alive at a time."""
+    B_v v[k] + B_d d[k] known for every sample before the loop; the first
+    _STEPPED samples are stepped one at a time and the rest is a blocked
+    scan.  Only one batch's working arrays are alive at a time."""
     batches = [list(batch) for batch in batches]
     if not batches or not all(batches):
         raise ConfigError("run_batch needs at least one scenario")
@@ -239,10 +265,14 @@ def run_batches(batches):
         if key not in loops:
             alpha = contraction_alpha(T, sc.alpha, sc.beta)
             loops[key] = closed_loop(design, law_taps(design, alpha, sc.kind))
-    carry = {key: np.linalg.matrix_power(loop.A.astype(np.longdouble),
-                                         BLOCK).astype(float)
-             for key, loop in loops.items()}
     dk = DisturbanceSampler(plant, T, sig).table(0, steps + 1 if eq else steps)
+    stepped = min(_STEPPED, steps + 1)
+    blocks = -(-(steps + 1 - stepped) // BLOCK)
+    # block b of the scan starts after sample stepped + b BLOCK - 1; the
+    # last block's end is never read, so only full blocks of d are taken
+    d_rows = dk[stepped:stepped + max(blocks - 1, 0) * BLOCK]
+    scans = {key: _scan_parts(loop, d_rows, blocks > 2 * BLOCK)
+             for key, loop in loops.items()}
     # B_d d[k] does not depend on the batch; only the eq law changes B_d, so
     # the other laws and the warm-up loop share one product
     warm = closed_loop(design)
@@ -264,8 +294,8 @@ def run_batches(batches):
     rows = None
     if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
         rows = _window_rows(t, window)
-    shared = _Shared(base, design, loops, carry, warm, dd, noise, t, F, window,
-                     rows)
+    shared = _Shared(base, design, loops, scans, warm, dd, noise, stepped,
+                     blocks, t, F, window, rows)
     for batch in batches:
         # the batch's working arrays die with _run_one, except psi, which
         # lives as long as the batch's trajectories
@@ -285,8 +315,7 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     warm = shared.warm
     warmup = np.array([loop.taps.warmup for loop in loops])
     # samples stepped one at a time; the scan takes the rest in blocks
-    stepped = min(int(warmup.max()), steps + 1)
-    blocks = -(-(steps + 1 - stepped) // BLOCK)
+    stepped, blocks = shared.stepped, shared.blocks
     # psi[k] is row k; drive[k] is written into row k + 1 and the
     # recursion adds A_cl psi[k] onto it
     psi = np.zeros((R, stepped + blocks * BLOCK + 1, A.shape[1]))
@@ -314,8 +343,15 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
             Ak = np.where((warmup > k)[:, None, None], warm.A, A)
             psi[:, k + 1] += (Ak @ psi[:, k, :, None])[:, :, 0]
         if blocks:
-            _blocked_scan(A, psi[:, stepped:], blocks,
-                          np.stack([shared.carry[key] for key in keys]))
+            scans = [shared.scans[key] for key in keys]
+            # every block end but the last from the inputs: the shared d
+            # part plus one product of the v rows, flattened per block
+            inputs = v[..., stepped:stepped + (blocks - 1) * BLOCK, :]
+            end = inputs.reshape(inputs.shape[:-2] + (blocks - 1, BLOCK * plant.p))
+            end = end @ np.stack([scan.gain_v for scan in scans])
+            end += _shared_or_stacked([scan.end_d for scan in scans])
+            carry = [np.stack(powers) for powers in zip(*(scan.carry for scan in scans))]
+            _blocked_scan(A, psi[:, stepped:], blocks, carry, end)
         X = psi[:, :steps + 1, xs]
         if not np.all(np.abs(X) <= _OVERFLOW):
             norms = np.max(np.abs(X), axis=2)
@@ -360,33 +396,66 @@ def _shared_or_stacked(arrays):
     return np.stack(arrays)
 
 
-def _blocked_scan(A, psi, blocks, carry):
+def _scan_parts(loop: Loop, d_rows: np.ndarray, second: bool) -> _Scan:
+    """One law's _Scan, with A^(L L) if second; d_rows are the d rows of
+    the scan's blocks but the last.
+
+    A high-gain law makes A strongly non-normal, and a power formed by
+    double products carries errors of eps |A| |A^(j-1)|, far above
+    eps |A^j|; the powers and gains are therefore formed in numpy's long
+    double (80-bit extended on x86-64) and rounded once."""
+    L, N = BLOCK, len(loop.A)
+    A = loop.A.astype(np.longdouble)
+    p = loop.B_v.shape[1]
+    gains = [np.hstack([loop.B_v, loop.B_d]).astype(np.longdouble)]
+    for _ in range(L - 1):
+        gains.append(A @ gains[-1])
+    # entry j is (A^(L-1-j) [B_v B_d]).T, rounded once
+    stacked = np.stack(gains[::-1]).transpose(0, 2, 1).astype(float)
+    gain_v, gain_d = (stacked[:, cols].reshape(-1, N)
+                      for cols in (slice(None, p), slice(p, None)))
+    end_d = d_rows.reshape(-1, len(gain_d)) @ gain_d
+    power = np.linalg.matrix_power(A, L)
+    carry = (power,) + ((np.linalg.matrix_power(power, L),) if second else ())
+    return _Scan(tuple(c.astype(float) for c in carry), gain_v, end_d)
+
+
+def _blocked_scan(A, psi, blocks, carry, end=None):
     """Advance psi[j+1] = A psi[j] + (row j+1 as given) over `blocks`
     blocks of BLOCK samples, in place; psi is (R, blocks BLOCK + 1, N) with
-    row 0 the start state and carry is A^BLOCK.
+    row 0 the start state, carry holds A^BLOCK (then A^(BLOCK BLOCK)) and
+    end, when given, the responses of the first blocks - 1 blocks at their
+    last sample from a zero start.
 
-    A chunked linear scan in three passes, each vectorized over all blocks:
-    step every block from zero through its drives to get its response at
-    its last sample; carry the block-start states c_b with A^L, one product
-    per block; then step every block from c_b through its drives again,
-    writing each sample over its drive.  Only the carry uses a power of A.
-    A high-gain law makes A strongly non-normal, and a power formed by
-    double products carries errors of eps |A| |A^(L-1)|, far above
-    eps |A^L|; the caller therefore forms A^L in numpy's long double
-    (80-bit extended on x86-64) and rounds it once."""
+    A chunked linear scan, each pass vectorized over all blocks: without
+    end, step every block from zero through its drives to get its end;
+    carry the block-start states c_b, c_(b+1) = A^L c_b + end_b; then step
+    every block from c_b through its drives again, writing each sample
+    over its drive.  The carry is itself such a recursion, with A^L for A:
+    given a second power, it is scanned the same way, blocks of L blocks,
+    and otherwise looped one product per block.  Within a block the
+    recursion is stepped as written; only the given ends and the carry use
+    powers of A (see _scan_parts for how they are formed)."""
     R, _, N = A.shape
     L = BLOCK
     drives = psi[:, 1:].reshape(R, blocks, L, N, copy=False)
     A_t = A.transpose(0, 2, 1)
-    end = drives[:, :, 0].copy()
-    for j in range(1, L):
-        end = end @ A_t
-        end += drives[:, :, j]
-    start = np.empty((R, blocks, N))
+    if end is None:
+        end = drives[:, :-1, 0].copy()
+        for j in range(1, L):
+            end = end @ A_t
+            end += drives[:, :-1, j]
+    # row b of start is c_b, first written as end_(b-1)
+    outer = -(-(blocks - 1) // L)
+    start = np.zeros((R, outer * L + 1, N))
     start[:, 0] = psi[:, 0]
-    for b in range(blocks - 1):
-        start[:, b + 1] = (carry @ start[:, b, :, None])[:, :, 0] + end[:, b]
-    prev = start
+    start[:, 1:blocks] = end
+    if len(carry) > 1:
+        _blocked_scan(carry[0], start, outer, carry[1:])
+    else:
+        for b in range(1, blocks):
+            start[:, b] += (carry[0] @ start[:, b - 1, :, None])[:, :, 0]
+    prev = start[:, :blocks]
     for j in range(L):
         drives[:, :, j] += prev @ A_t
         prev = drives[:, :, j]

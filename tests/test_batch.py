@@ -213,14 +213,17 @@ def _assert_matches_oracle(sc, traj, tol=1e-12):
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3, BLOCK + 1, BLOCK + 2, BLOCK + 3,
-                                     5 * BLOCK + 7])
+                                     5 * BLOCK + 7, 2 * BLOCK * BLOCK + 5])
 def test_batch_block_edges(bench_scenario, samples):
+    # 2 BLOCK^2 + 5 samples leave 33 blocks after the stepped ones, so the
+    # carry takes its second level
     base = bench_scenario.with_(horizon=(samples - 0.5) * bench_scenario.T,
                                 disturbance=_MOVING)
     assert base.steps + 1 == samples
     mixed = [base.with_(kind=kind, noise=_noise(seed))
              for kind in KINDS for seed in SEEDS]
-    # a batch whose warm-up is one sample long shifts every block by one
+    # laws whose warm-up is one sample long: the batch still steps the
+    # longest warm-up of any law, so its blocks sit where the mixed batch's do
     short = [base.with_(kind=kind, noise=_noise(7)) for kind in ("eq", "mm1")]
     for batch in (mixed, short):
         for sc, traj in zip(batch, run_batch(batch)):
@@ -245,18 +248,23 @@ def _first_bad(x):
     return int(np.argmax(~(norms <= _OVERFLOW)))
 
 
-@pytest.mark.parametrize("offset", [1, BLOCK, BLOCK // 2],
-                         ids=["first", "last", "inside"])
-def test_batch_divergence_on_block_edges(bench_scenario, offset):
-    # an mm1 batch steps its one warm-up sample alone, so the scan's blocks
-    # hold x[k] for k = 1 + b BLOCK + (1..BLOCK); scale x0 so the first
-    # state past the guard is a block's first, last or a middle sample
+@pytest.mark.parametrize("period, offset", [(BLOCK, 1), (BLOCK, BLOCK),
+                                            (BLOCK, BLOCK // 2),
+                                            (BLOCK * BLOCK, BLOCK)],
+                         ids=["first", "last", "inside", "second_level"])
+def test_batch_divergence_on_block_edges(bench_scenario, period, offset):
+    # every batch steps the longest warm-up W alone, so the scan's blocks
+    # hold x[k] for k = W + b BLOCK + (1..BLOCK); the carry's own blocks
+    # of BLOCK block-start states x[W + b BLOCK] open at b = c BLOCK + 1.
+    # Scale x0 so the first state past the guard is a block's first, last
+    # or a middle sample, or the state that opens a second-level block
+    stepped = max(WARMUP.values())
     unstable = bench_scenario.with_(kind="mm1", H=H_UNSTABLE,
                                     disturbance=zero_signal(2))
     norms = np.max(np.abs(loop_oracle(unstable)["x"]), axis=1)
     record = np.maximum.accumulate(norms)
     k = next(k for k in range(1100, unstable.steps)
-             if (k - 1 - WARMUP["mm1"]) % BLOCK == offset - 1
+             if (k - stepped - offset) % period == 0
              and norms[k] > 1.01 * record[k - 1])
     # the loop is linear and unforced: norms scale with x0
     scale = _OVERFLOW / math.sqrt(norms[k] * record[k - 1])
@@ -270,11 +278,12 @@ def test_batch_divergence_on_block_edges(bench_scenario, offset):
 
 # --- random admissible plants ------------------------------------------------
 
-def _random_loop(seed):
+def _random_loop(seed, samples=(1, 8 * BLOCK)):
     """(scenario, form, A_cl): a stable closed loop of a random plant with
     m <= p < n and a surface drawn as invariant_zeros draws it, its law's
-    taps drawn from FORMS; draws with cond(H C B) > 1e8, a singular sampled
-    coupling or rho(A_cl) >= 1 are redrawn."""
+    taps drawn from FORMS, over a horizon of samples[0] to samples[1] - 1
+    samples; draws with cond(H C B) > 1e8, a singular sampled coupling or
+    rho(A_cl) >= 1 are redrawn."""
     rng = np.random.default_rng(seed)
     gen = Xoshiro256StarStar(seed)
     while True:
@@ -298,7 +307,7 @@ def _random_loop(seed):
         A_cl = closed_loop(design, FORMS[form](design, alpha, kind)).A
         if np.max(np.abs(np.linalg.eigvals(A_cl))) >= 1.0:
             continue
-        samples = int(rng.integers(1, 8 * BLOCK))
+        samples = int(rng.integers(*samples))
         forms = tuple(SinForm(*rng.uniform([-1.0, 0.0, 0.1, 0.0], [1.0, 2.0, 5.0, 6.0]))
                       for _ in range(m))
         sc = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=(samples - 0.5) * T,
@@ -351,7 +360,20 @@ _ORACLE_UNITS = 100.0
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @example(seed=1333)  # high-gain, non-normal: a double-formed A^L loses 2 digits
 def test_batch_matches_oracle_on_random_plants(seed):
-    sc, form, A_cl = _random_loop(seed)
+    _assert_matches_oracles(*_random_loop(seed))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=1333)
+def test_two_level_scan_matches_oracles_on_random_plants(seed):
+    # 2 BLOCK^2 to 6 BLOCK^2 samples: from 2 BLOCK^2 + 3 on, the scan has
+    # more than 2 BLOCK blocks and its carry takes the second level
+    _assert_matches_oracles(*_random_loop(
+        seed, samples=(2 * BLOCK * BLOCK, 6 * BLOCK * BLOCK + 1)))
+
+
+def _assert_matches_oracles(sc, form, A_cl):
     with law_form(form):
         traj = run_batch([sc])[0]
         ref = loop_oracle(sc)

@@ -170,12 +170,27 @@ def test_noisy_benchmark_readout_matches_per_run_route():
         assert first.u_peak == peaks[0]
         assert (first.s_bound, first.x_bound) == measure_quasi_sliding(
             batches[0][i], rep.window), kind
-        # a lone run steps only its own warm-up one sample at a time, so
-        # m1 and mm1 (warm-up 1, the batch steps 2) differ in the last bits
+        # every batch steps the same samples one at a time, so a lone run
+        # is its batch's row bit for bit
         lone = run(base.with_(kind=kind, noise=specs[0]))
-        assert lone.u_peak == pytest.approx(first.u_peak, rel=1e-13, abs=0)
-        assert measure_quasi_sliding(lone, rep.window) == pytest.approx(
-            (first.s_bound, first.x_bound), rel=1e-12, abs=0)
+        assert lone.u_peak == first.u_peak, kind
+        assert measure_quasi_sliding(lone, rep.window) == (
+            first.s_bound, first.x_bound), kind
+
+
+def test_lone_run_equals_benchmark_trajectory():
+    # whatever laws share a batch, a run's trajectory is the same bits:
+    # m1 and mm1 (warm-up 1) alone and in the four-kind batch (warm-up 2)
+    seeds = (7, 8, 9)
+    rep = aircraft_benchmark(noise=True, seeds=seeds)
+    base = load_aircraft_scenario().scenario
+    spec = replace(base.noise, kind="uniform", seed=seeds[0])
+    for kind in LAWS:
+        lone = run(base.with_(kind=kind, noise=spec))
+        kept = rep.runs[kind].trajectory
+        for name in ("k", "t", "x", "y", "s", "s_true", "u", "f"):
+            assert getattr(lone, name).tobytes() == getattr(kept, name).tobytes(), (
+                kind, name)
 
 
 def test_benchmark_runtime_budget():
