@@ -19,6 +19,7 @@ from .discretization import difference_diagnostics
 from .errors import AssumptionViolation, ConfigError, DivergenceError
 from .experiments import (DEFAULT_LADDER, METRICS, SweepSpec,
                           aircraft_benchmark, builtin_scenario_path, run_sweep)
+from .plant import NoiseSpec
 from .report import render_kv
 from .scenario import ScenarioFile, parse_scenario_file
 from .simulate import export_csv, run
@@ -181,14 +182,15 @@ def cmd_verify(args) -> int:
     report["certified"] = ok
     text = render_kv(report)
     sys.stdout.write(text)
+    if not ok:
+        # like every exit of 2-4, a failed verify writes no --out directory
+        raise AssumptionViolation("verification failed; see report above")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{_stem(sf)}_verify.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {path}")
-    if not ok:
-        raise AssumptionViolation("verification failed; see report above")
     return 0
 
 
@@ -201,11 +203,12 @@ def cmd_sweep(args) -> int:
     sf = _apply_overrides(_resolve_scenario(args.scenario), args)
     sc = sf.scenario
     ladder = DEFAULT_LADDER
-    if args.ladder:
+    if args.ladder is not None:
         try:
             ladder = tuple(float(v) for v in args.ladder.split(","))
         except ValueError:
-            raise ConfigError(f"bad ladder {args.ladder!r}") from None
+            raise ConfigError("--ladder wants comma-separated periods, got "
+                              f"{args.ladder!r}") from None
     spec = SweepSpec(base=sc, T_values=ladder, metric=args.metric)
     rep = run_sweep(spec)
     if band is None:
@@ -234,8 +237,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    seeds = tuple(range(args.seed, args.seed + args.seeds))
-    rep = aircraft_benchmark(noise=args.noise, seeds=seeds)
+    seeds = range(args.seed, args.seed + args.seeds)
+    # the range's ends pass NoiseSpec's seed rule before the range is built
+    for seed in (*seeds[:1], *seeds[-1:]):
+        NoiseSpec(seed=seed)
+    rep = aircraft_benchmark(noise=args.noise, seeds=tuple(seeds))
     report = {
         "noise": rep.noise,
         "seeds": list(rep.seeds),

@@ -49,25 +49,29 @@ DEADBEAT = ("m1", "m2")
 WARMUP = {"eq": 1, "m1": 1, "mm1": 1, "m2": 2, "mm2": 2}
 
 
+def check_alpha_beta(T: float, alpha: float | None = None,
+                     beta: float | None = None) -> None:
+    """The rule on a scenario's (alpha, beta) at period T: at least one is
+    given, and if both are, 1 - alpha = beta T (to 1e-12; a nan never
+    agrees).  Scenario and contraction_alpha both call it."""
+    if alpha is None and beta is None:
+        raise ConfigError("need alpha or beta", "alpha")
+    if alpha is not None and beta is not None and \
+            not abs((1 - alpha) - beta * T) <= 1e-12:
+        raise ConfigError(f"alpha and beta disagree: 1 - alpha = {1 - alpha}, "
+                          f"beta T = {beta * T}", "alpha")
+
+
 def contraction_alpha(T: float, alpha: float | None = None,
                       beta: float | None = None) -> float:
     """The contraction target alpha of s[k+1] = alpha s[k] at period T:
-    alpha itself, or 1 - beta T from the rate in time beta.  If both are
-    given they must already satisfy 1 - alpha = beta T; alpha must lie in
-    [0, 1)."""
-    if alpha is None and beta is None:
-        raise ConfigError("need alpha or beta")
-    if alpha is None:
-        alpha = 1.0 - beta * T
-    elif beta is None:
-        beta = (1.0 - alpha) / T
-    alpha, beta = float(alpha), float(beta)
+    alpha itself, or 1 - beta T from the rate in time beta.  (alpha, beta)
+    must pass check_alpha_beta, and alpha must lie in [0, 1), a range that
+    depends on T when only beta is given."""
+    check_alpha_beta(T, alpha, beta)
+    alpha = float(1.0 - beta * T if alpha is None else alpha)
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"alpha must lie in [0, 1), got {alpha}")
-    if abs((1.0 - alpha) - beta * T) > 1e-12:
-        raise ConfigError(
-            f"alpha/beta inconsistent: 1 - alpha = {1 - alpha}, "
-            f"beta T = {beta * T}")
     return alpha
 
 

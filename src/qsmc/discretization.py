@@ -23,6 +23,7 @@ are independent routes kept in the tests as oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,17 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     held-input integral in the top-right, both to machine precision; no
     quadrature is involved for the linear part.
     """
-    if not T > 0:
-        raise ConfigError(f"sampling period must be positive, got {T}")
+    # the curvatures divide by T ** 2, which raises OverflowError past 1.3e154
+    if not (T > 0 and T * T < math.inf):
+        raise ConfigError(f"sampling period must be positive with a finite "
+                          f"square, got {T}")
     n, m = plant.n, plant.m
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = plant.A
     blk[:n, n:] = plant.B
     e = expm(blk * T)
+    if not np.isfinite(e).all():
+        raise ConfigError(f"exp(A T) overflows at T = {T}")
     state_map = e[:n, :n]
     input_map = e[:n, n:]
     # subtract I first, then T A: limits cancellation for small T

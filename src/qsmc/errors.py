@@ -8,8 +8,10 @@ during simulation -> 4.
 
 class ConfigError(ValueError):
     """Bad user input: file syntax, inconsistent parameters, bad ranges.
-    field names the value that a value object refused (e.g. "x0"), so that
-    a parser can say where in its input that value was written."""
+    field names the value that a value object refused, so that a parser can
+    say where in its input that value was written: Scenario sets T, horizon,
+    H, x0, disturbance or alpha; NoiseSpec kind, halfwidth or seed;
+    DisturbanceSignal disturbance; ContinuousPlant A, B or C."""
 
     def __init__(self, message: str = "", field: str | None = None):
         super().__init__(message)

@@ -88,10 +88,10 @@ def _sweep_point(scenario: Scenario, T: float, metric: str) -> SweepPoint:
     metric counts only if the loop that ran is stable (rho_cl < 1), read
     from the run's summary or, when the run diverged, from the
     DivergenceError, and only if it is positive, since the fit takes its
-    logarithm; a stable rung with a zero metric is certified and flagged."""
-    rung = scenario.at_period(T)
+    logarithm; a stable rung with a zero metric is certified and flagged,
+    and so is a period that the Scenario or the run refuses."""
     try:
-        traj = run(rung)
+        traj = run(scenario.at_period(T))
     except DivergenceError as exc:
         traj, rho, flag = None, exc.rho_cl, f"diverged: {exc}"
     except ConfigError as exc:

@@ -214,16 +214,16 @@ class DisturbanceSignal:
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
-            raise ConfigError("disturbance needs at least one segment")
+            raise ConfigError("disturbance needs at least one segment", "disturbance")
         m = len(segs[0].forms)
         if any(len(s.forms) != m for s in segs):
-            raise ConfigError("segments disagree on channel count")
+            raise ConfigError("segments disagree on channel count", "disturbance")
         if segs[0].t_start != 0.0:
-            raise ConfigError("first segment must start at t = 0")
+            raise ConfigError("first segment must start at t = 0", "disturbance")
         for a, b in zip(segs[:-1], segs[1:]):
             if b.t_start != a.t_end:
-                raise ConfigError(
-                    f"gap or overlap at t = {a.t_end} (next starts {b.t_start})")
+                raise ConfigError(f"gap or overlap at t = {a.t_end} (next starts "
+                                  f"{b.t_start})", "disturbance")
 
     @property
     def m(self) -> int:
@@ -300,15 +300,16 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "uniform"):
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
+            raise ConfigError(f"unknown noise kind {self.kind!r}", "kind")
         # whatever the kind: benchmark --noise switches a kind-none spec on
         # at its halfwidth
         if not 0 <= self.halfwidth < math.inf:
             raise ConfigError(f"noise halfwidth must be finite and >= 0, "
-                              f"got {self.halfwidth}")
+                              f"got {self.halfwidth}", "halfwidth")
         # xoshiro256** takes a 64-bit seed; a wider one would wrap silently
         if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"noise seed must lie in [0, 2**64), got {self.seed}")
+            raise ConfigError(f"noise seed must lie in [0, 2**64), got {self.seed}",
+                              "seed")
 
     def stream(self):
         return NoiseStream(self)

@@ -36,8 +36,14 @@ from .simulate import Scenario
 _SECTIONS = ("plant", "surface", "controller", "timing", "disturbance",
              "noise", "outputs")
 OUTPUT_FORMATS = ("csv", "summary", "svg")
-# (section, key) in a scenario file of each Scenario field that it checks
-_SCENARIO_FIELDS = {"x0": ("plant", "x0"), "H": ("surface", "H")}
+# (section, key) in a scenario file of each field that Scenario, NoiseSpec
+# or DisturbanceSignal refuses (ConfigError.field)
+_SCENARIO_FIELDS = {"x0": ("plant", "x0"), "H": ("surface", "H"),
+                    "alpha": ("controller", "alpha"), "T": ("timing", "T"),
+                    "horizon": ("timing", "horizon"),
+                    "disturbance": ("disturbance", "segment"),
+                    "kind": ("noise", "kind"), "halfwidth": ("noise", "halfwidth"),
+                    "seed": ("noise", "seed")}
 
 
 class ScenarioError(ConfigError):
@@ -64,7 +70,7 @@ class ScenarioFile:
     path: str | None = None
 
 
-def _parse_float(value, section, key, line):
+def _parse_float(value, section=None, key=None, line=None):
     try:
         return float(value)
     except ValueError:
@@ -72,45 +78,33 @@ def _parse_float(value, section, key, line):
                             section, key, line) from None
 
 
-def _parse_form(token: str, section, line):
-    parts = token.split()
-    name = parts[0] if parts else ""
-    args = parts[1:]
-    try:
-        if name == "zero" and not args:
-            return ZeroForm()
-        if name == "const" and len(args) == 1:
-            return ConstForm(float(args[0]))
-        if name == "sin" and len(args) == 4:
-            return SinForm(*(float(a) for a in args))
-        if name == "cos" and len(args) == 2:
-            return CosForm(float(args[0]), float(args[1]))
-    except ConfigError as exc:
-        # the form refused a parameter (a non-finite one)
-        raise ScenarioError(str(exc), section, "segment", line) from None
-    except ValueError:
-        raise ScenarioError(f"bad numeric argument in form {token!r}",
-                            section, "segment", line) from None
-    raise ScenarioError(
-        f"unknown disturbance form {token!r} (want: zero | const c | "
-        f"sin offset amp omega phase | cos amp omega)", section, "segment", line)
+# each disturbance form and its number of parameters
+_FORMS = {"zero": (ZeroForm, 0), "const": (ConstForm, 1), "sin": (SinForm, 4),
+          "cos": (CosForm, 2)}
 
 
-def _parse_segment(value: str, line: int) -> Segment:
+def _parse_segment(value: str) -> Segment:
+    """The Segment of a segment line; its caller locates a refusal."""
     if ":" not in value:
-        raise ScenarioError("segment needs 't0 t1 : forms'",
-                            "disturbance", "segment", line)
+        raise ConfigError("segment needs 't0 t1 : forms'")
     times, forms_text = value.split(":", 1)
     parts = times.split()
     if len(parts) != 2:
-        raise ScenarioError("segment needs exactly two times before ':'",
-                            "disturbance", "segment", line)
-    t0 = _parse_float(parts[0], "disturbance", "segment", line)
-    t1 = math.inf if parts[1].lower() in ("inf", "+inf") else \
-        _parse_float(parts[1], "disturbance", "segment", line)
-    forms = tuple(_parse_form(tok.strip(), "disturbance", line)
-                  for tok in forms_text.split(";"))
-    return Segment(t0, t1, forms)
+        raise ConfigError("segment needs exactly two times before ':'")
+    forms = []
+    for token in (tok.strip() for tok in forms_text.split(";")):
+        name, *args = token.split() or [""]
+        form, arity = _FORMS.get(name, (None, None))
+        if len(args) != arity:
+            raise ConfigError(
+                f"unknown disturbance form {token!r} (want: zero | const c | "
+                f"sin offset amp omega phase | cos amp omega)")
+        try:
+            params = [float(a) for a in args]
+        except ValueError:
+            raise ConfigError(f"bad numeric argument in form {token!r}") from None
+        forms.append(form(*params))   # a form refuses a non-finite parameter
+    return Segment(*(_parse_float(t) for t in parts), tuple(forms))
 
 
 def _tokenize(text: str):
@@ -143,7 +137,10 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         if key is None:
             continue
         if section == "disturbance" and key == "segment":
-            segments.append((i, _parse_segment(value, i)))
+            try:
+                segments.append((i, _parse_segment(value)))
+            except ConfigError as exc:
+                raise ScenarioError(str(exc), section, key, i) from None
             continue
         if key in data[section]:
             raise ScenarioError(f"duplicate key {key!r}", section, key, i)
@@ -159,6 +156,11 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         if required:
             raise ScenarioError(f"missing required key {key!r}", section, key)
         return default
+
+    def number(section, key, default=None, required=False):
+        value = take(section, key.lower(), default, required)
+        return None if value is None else \
+            _parse_float(value, section, key, where(section, key.lower()))
 
     # --- plant ---
     if "file" in data["plant"]:
@@ -200,75 +202,27 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         H = parse_matrix(h_text)
     except MatrixFormatError as exc:
         raise ScenarioError(str(exc), "surface", "H", where("surface", "h")) from None
-    if H.shape != (plant.m, plant.p):
-        raise ScenarioError(
-            f"H must be {plant.m}x{plant.p} for this plant, got "
-            f"{H.shape[0]}x{H.shape[1]}", "surface", "H", where("surface", "h"))
 
     # --- controller ---
     kind = take("controller", "kind", required=True).lower()
     if kind not in KINDS:
         raise ScenarioError(f"unknown controller kind {kind!r}",
                             "controller", "kind", where("controller", "kind"))
-    alpha = take("controller", "alpha")
-    beta = take("controller", "beta")
-    if alpha is None and beta is None:
-        raise ScenarioError("need alpha or beta", "controller", "alpha")
-    alpha = None if alpha is None else _parse_float(alpha, "controller", "alpha",
-                                                    where("controller", "alpha"))
-    beta = None if beta is None else _parse_float(beta, "controller", "beta",
-                                                  where("controller", "beta"))
+    alpha, beta = number("controller", "alpha"), number("controller", "beta")
 
     # --- timing ---
-    T = _parse_float(take("timing", "t", required=True), "timing", "T",
-                     where("timing", "t"))
-    horizon = _parse_float(take("timing", "horizon", required=True),
-                           "timing", "horizon", where("timing", "horizon"))
-    # before anything divides or multiplies by T
-    for key, value in (("T", T), ("horizon", horizon)):
-        if not 0 < value < math.inf:
-            raise ScenarioError(f"{key} must be finite and positive, got {value}",
-                                "timing", key, where("timing", key.lower()))
-
-    if alpha is not None and beta is not None and abs((1 - alpha) - beta * T) > 1e-12:
-        raise ScenarioError(
-            f"alpha and beta disagree: 1 - alpha = {1 - alpha}, beta T = {beta * T}",
-            "controller", "alpha", where("controller", "alpha"))
-
-    # --- disturbance ---
-    disturbance = None
-    if segments:
-        segments.sort(key=lambda ls: ls[1].t_start)
-        seg_sorted = tuple(seg for _, seg in segments)
-        if any(len(s.forms) != plant.m for s in seg_sorted):
-            raise ScenarioError(
-                f"each segment needs {plant.m} channel forms", "disturbance", "segment")
-        try:
-            disturbance = DisturbanceSignal(seg_sorted)
-        except ConfigError as exc:
-            raise ScenarioError(str(exc), "disturbance", "segment") from None
+    T = number("timing", "T", required=True)
+    horizon = number("timing", "horizon", required=True)
 
     # --- noise ---
     noise_kind = take("noise", "kind", default="none").lower()
-    halfwidth = _parse_float(take("noise", "halfwidth", default="0"),
-                             "noise", "halfwidth", where("noise", "halfwidth"))
-    if not 0 <= halfwidth < math.inf:
-        raise ScenarioError(f"halfwidth must be finite and >= 0, got {halfwidth}",
-                            "noise", "halfwidth", where("noise", "halfwidth"))
+    halfwidth = number("noise", "halfwidth", default="0")
     seed_text = take("noise", "seed", default="0")
     try:
         seed = int(seed_text)
     except ValueError:
         raise ScenarioError(f"expected integer seed, got {seed_text!r}",
                             "noise", "seed", where("noise", "seed")) from None
-    try:
-        noise = NoiseSpec(kind=noise_kind, halfwidth=halfwidth)
-    except ConfigError as exc:
-        raise ScenarioError(str(exc), "noise", "kind", where("noise", "kind")) from None
-    try:
-        noise = noise.with_seed(seed)
-    except ConfigError as exc:
-        raise ScenarioError(str(exc), "noise", "seed", where("noise", "seed")) from None
 
     # --- outputs ---
     out_dir = take("outputs", "directory", default="out")
@@ -285,11 +239,16 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             raise ScenarioError(f"unknown key {key!r}", section, key,
                                 where(section, key))
 
-    # Scenario checks x0 and H; a value it refuses is located by its field
+    # the value objects hold the rules; a value they refuse is located by
+    # its field
+    segments.sort(key=lambda ls: ls[1].t_start)
     try:
+        disturbance = DisturbanceSignal(tuple(seg for _, seg in segments)) \
+            if segments else None
         scenario = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=horizon,
-                            disturbance=disturbance, noise=noise, alpha=alpha,
-                            beta=beta, x0=x0)
+                            disturbance=disturbance,
+                            noise=NoiseSpec(noise_kind, halfwidth, seed),
+                            alpha=alpha, beta=beta, x0=x0)
     except ConfigError as exc:
         section, key = _SCENARIO_FIELDS.get(exc.field, (None, None))
         raise ScenarioError(str(exc), section, key,

@@ -52,8 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import (WARMUP, Loop, closed_loop, contraction_alpha,
-                          law_taps, lifted_slices)
+from .controllers import (WARMUP, Loop, check_alpha_beta, closed_loop,
+                          contraction_alpha, law_taps, lifted_slices)
 from .discretization import _EDGE, DisturbanceSampler, discretize
 from .errors import ConfigError, DisturbanceRangeError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
@@ -61,6 +61,9 @@ from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
 from .surface import SurfaceDesign, build_surface
 
 _OVERFLOW = 1e12
+
+# the most samples a Scenario may ask of a run (see Scenario)
+MAX_STEPS = 10 ** 6
 
 # samples per block of the blocked scan; the last block is padded with up
 # to BLOCK - 1 samples.  A batch takes BLOCK + steps/BLOCK Python
@@ -78,6 +81,15 @@ _WINDOW_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class Scenario:
+    """One closed-loop run's inputs and the only home of the rules on its
+    own fields; a refusal is a ConfigError whose field names the value.  T
+    and horizon are finite and positive.  horizon / T is at most MAX_STEPS
+    samples: a run holds all of them in memory at once, at its peak about
+    360 bytes a sample on the 4-state aircraft plant, so a longer run is
+    refused before numpy is asked for more than about 0.4 GB.  H is m x p
+    and finite, the disturbance has m channels, x0 has n finite entries and
+    (alpha, beta) pass controllers.check_alpha_beta (field alpha).  alpha's
+    range depends on the period; contraction_alpha checks it for a run."""
     plant: ContinuousPlant
     H: np.ndarray
     kind: str
@@ -90,30 +102,37 @@ class Scenario:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (0 < self.T < math.inf and 0 < self.horizon < math.inf):
-            raise ConfigError(f"T and horizon must be finite and positive, "
-                              f"got T = {self.T}, horizon = {self.horizon}")
+        for name, value in (("T", self.T), ("horizon", self.horizon)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}",
+                                  name)
+        if not self.horizon / self.T <= MAX_STEPS:
+            raise ConfigError(f"horizon {self.horizon} holds {self.horizon / self.T:.3g} "
+                              f"samples of T = {self.T}, more than the {MAX_STEPS} "
+                              "a run may hold", "horizon")
+        m, n, p = self.plant.m, self.plant.n, self.plant.p
+        if np.shape(self.H) != (m, p):
+            raise ConfigError(f"H must be {m}x{p} for this plant, got "
+                              f"{'x'.join(map(str, np.shape(self.H)))}", "H")
         check_finite("H", self.H)
         if self.disturbance is None:
-            object.__setattr__(self, "disturbance", zero_signal(self.plant.m))
+            object.__setattr__(self, "disturbance", zero_signal(m))
+        elif self.disturbance.m != m:
+            raise ConfigError(f"each segment needs {m} channel forms", "disturbance")
         if self.x0 is None:
-            object.__setattr__(self, "x0", np.zeros(self.plant.n))
+            object.__setattr__(self, "x0", np.zeros(n))
         else:
             x0 = np.asarray(self.x0, dtype=float)
-            if x0.shape != (self.plant.n,):
-                raise ConfigError(f"x0 must have {self.plant.n} entries, "
-                                  f"got {x0.size}", "x0")
+            if x0.shape != (n,):
+                raise ConfigError(f"x0 must have {n} entries, got {x0.size}", "x0")
             check_finite("x0", x0)
             object.__setattr__(self, "x0", x0)
+        check_alpha_beta(self.T, self.alpha, self.beta)
 
     @property
     def rate(self) -> float:
         """The contraction rate in time: beta if given, else (1 - alpha) / T."""
-        if self.beta is not None:
-            return self.beta
-        if self.alpha is None:
-            raise ConfigError("need alpha or beta")
-        return (1.0 - self.alpha) / self.T
+        return self.beta if self.beta is not None else (1.0 - self.alpha) / self.T
 
     def at_period(self, T: float) -> "Scenario":
         """The same scenario at period T with its contraction rate held fixed

@@ -168,7 +168,9 @@ def test_batch_divergence_carries_diverging_runs_radius(bench_scenario):
     ("disturbance", zero_signal(2)),
 ])
 def test_batch_rejects_unshared_fields(bench_scenario, field, value):
-    other = bench_scenario.with_(**{field: value})
+    # alpha cleared: at T = 0.02 the file's alpha 0.97 and beta 3 disagree,
+    # which Scenario refuses before any batch is formed
+    other = bench_scenario.with_(alpha=None, **{field: value})
     with pytest.raises(ConfigError, match=field):
         run_batch([bench_scenario, other])
 
@@ -537,7 +539,8 @@ def test_run_batches_equal_lone_batches(bench_scenario):
     ("disturbance", zero_signal(2)),
 ])
 def test_run_batches_check_every_batch_first(bench_scenario, field, value):
-    other = bench_scenario.with_(**{field: value})
+    # alpha cleared, as in test_batch_rejects_unshared_fields
+    other = bench_scenario.with_(alpha=None, **{field: value})
     gen = run_batches([[bench_scenario], [bench_scenario, bench_scenario],
                        [bench_scenario, other]])
     with pytest.raises(ConfigError, match=field):

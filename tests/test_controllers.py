@@ -37,7 +37,7 @@ def test_contraction_alpha_derives_alpha():
 def test_contraction_alpha_consistency_check():
     # both given and consistent: fine
     contraction_alpha(T_BENCH, alpha=0.97, beta=3.0)
-    with pytest.raises(ConfigError, match="inconsistent"):
+    with pytest.raises(ConfigError, match="alpha and beta disagree"):
         contraction_alpha(T_BENCH, alpha=0.97, beta=4.0)
     with pytest.raises(ConfigError):
         contraction_alpha(T_BENCH)

@@ -160,6 +160,25 @@ def test_noise_with_seed():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(kind="pink"), "kind"), (dict(halfwidth=-1.0), "halfwidth"),
+    (dict(halfwidth=float("nan")), "halfwidth"), (dict(seed=2 ** 64), "seed"),
+], ids=["kind", "halfwidth-negative", "halfwidth-nan", "seed"])
+def test_noise_spec_refuses_with_field(kw, field):
+    with pytest.raises(ConfigError) as err:
+        NoiseSpec(**kw)
+    assert err.value.field == field
+
+
+def test_disturbance_refuses_with_field():
+    zero = (ZeroForm(),)
+    for segments in ((), (Segment(0.0, 1.0, zero), Segment(2.0, 3.0, zero)),
+                     (Segment(0.0, 1.0, zero), Segment(1.0, 2.0, zero * 2))):
+        with pytest.raises(ConfigError) as err:
+            DisturbanceSignal(segments)
+        assert err.value.field == "disturbance"
+
+
 # --- invariant zeros -------------------------------------------------------
 
 def test_invariant_zeros_decoupled_diagonal():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,35 @@ def test_scenario_rejects_bad_config(bench_plant):
 def test_scenario_rejects_non_finite_timing(bench_plant, T, horizon):
     with pytest.raises(ConfigError, match="finite and positive"):
         Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=T, horizon=horizon)
+
+
+@pytest.mark.parametrize("kw, field, fragment", [
+    (dict(H=np.ones((1, 3))), "H", "H must be 2x3 for this plant, got 1x3"),
+    (dict(disturbance=constant_signal([1.0])), "disturbance",
+     "each segment needs 2 channel forms"),
+    (dict(alpha=None), "alpha", "need alpha or beta"),
+    (dict(beta=4.0), "alpha", "alpha and beta disagree"),
+    (dict(beta=np.nan), "alpha", "alpha and beta disagree"),
+    (dict(T=-0.0), "T", "T must be finite and positive, got -0.0"),
+    (dict(horizon=np.nan), "horizon", "horizon must be finite and positive"),
+    # more samples than a run may hold, as a count or as no count at all
+    (dict(T=1e-6, horizon=1.5), "horizon", "1.5e+06 samples"),
+    (dict(T=5e-324), "horizon", "holds inf samples"),
+], ids=["H-shape", "channels", "alpha-beta-missing", "alpha-beta-disagree",
+        "beta-nan", "T", "horizon", "samples", "samples-inf"])
+def test_scenario_refuses_with_field(bench_plant, kw, field, fragment):
+    # each rule is Scenario's own, with no parser in front of it
+    base = dict(plant=bench_plant, H=H_BENCH, kind="mm1", T=0.01, horizon=1.0,
+                alpha=0.97)
+    with pytest.raises(ConfigError, match=re.escape(fragment)) as err:
+        Scenario(**{**base, **kw})
+    assert err.value.field == field
+
+
+def test_scenario_keeps_a_long_run_inside_the_bound(bench_plant):
+    sc = Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=1e-3, horizon=999.0,
+                  beta=3.0)
+    assert sc.steps == 999000
 
 
 # --- record layout -----------------------------------------------------------
