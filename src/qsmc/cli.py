@@ -38,6 +38,10 @@ SLOPE_BANDS = {
 }
 _XBOUND_BAND = (0.7, 1.3)
 
+# the most seeds a benchmark may run: with --noise all their noise tables,
+# about 48 kB a seed on the shipped scenario, are drawn at once
+MAX_SEEDS = 10 ** 4
+
 
 def _resolve_scenario(path: str) -> ScenarioFile:
     if os.path.exists(path):
@@ -52,19 +56,16 @@ def _resolve_scenario(path: str) -> ScenarioFile:
 
 def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
     sc = sf.scenario
-    if getattr(args, "T", None) is not None:
-        # the rate in time stays fixed unless alpha or beta is overridden too
-        sc = sc.at_period(args.T)
     kw = {}
+    if getattr(args, "T", None) is not None:
+        # the rate in time stays fixed unless alpha or beta is overridden
+        # too; all overrides go into one replace, with no Scenario between
+        kw.update(T=args.T, alpha=None, beta=sc.rate)
     if getattr(args, "controller", None):
         kw["kind"] = args.controller
-    if getattr(args, "alpha", None) is not None:
-        kw["alpha"] = args.alpha
-        kw["beta"] = None
-    if getattr(args, "beta", None) is not None:
-        kw["beta"] = args.beta
-        if getattr(args, "alpha", None) is None:
-            kw["alpha"] = None
+    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
+    if alpha is not None or beta is not None:
+        kw.update(alpha=alpha, beta=beta)
     if getattr(args, "horizon", None) is not None:
         kw["horizon"] = args.horizon
     if getattr(args, "seed", None) is not None:
@@ -237,6 +238,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.seeds > MAX_SEEDS:
+        raise ConfigError(f"--seeds {args.seeds} is more than the {MAX_SEEDS} "
+                          "seeds a benchmark may run")
     seeds = range(args.seed, args.seed + args.seeds)
     # the range's ends pass NoiseSpec's seed rule before the range is built
     for seed in (*seeds[:1], *seeds[-1:]):

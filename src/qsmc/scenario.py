@@ -254,12 +254,13 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         raise ScenarioError(str(exc), section, key,
                             where(section, key and key.lower())) from None
     if disturbance is not None and disturbance.t_end < horizon:
-        # the first sample whose hold interval leaves the segments
-        t_end = disturbance.t_end
-        k = int(math.floor(t_end / T + 1e-9))
+        # the first sample whose hold interval leaves the segments; a
+        # denormal T overflows the quotient, and then none is named
+        t_end, q = disturbance.t_end, disturbance.t_end / T + 1e-9
+        gap = (f": sample {(k := math.floor(q))} covers [{k * T}, {(k + 1) * T}) "
+               "with no disturbance" if q < math.inf else "")
         raise ScenarioError(
-            f"segments end at t = {t_end}, before the horizon {horizon}: "
-            f"sample {k} covers [{k * T}, {(k + 1) * T}) with no disturbance",
+            f"segments end at t = {t_end}, before the horizon {horizon}{gap}",
             "disturbance", "segment", segments[-1][0])
     return ScenarioFile(scenario=scenario, out_dir=out_dir, formats=formats)
 

@@ -62,7 +62,7 @@ from .surface import SurfaceDesign, build_surface
 
 _OVERFLOW = 1e12
 
-# the most samples a Scenario may ask of a run (see Scenario)
+# the most samples a run may hold (see Scenario.steps)
 MAX_STEPS = 10 ** 6
 
 # samples per block of the blocked scan; the last block is padded with up
@@ -82,14 +82,10 @@ _WINDOW_FRACTION = 0.2
 @dataclass(frozen=True)
 class Scenario:
     """One closed-loop run's inputs and the only home of the rules on its
-    own fields; a refusal is a ConfigError whose field names the value.  T
-    and horizon are finite and positive.  horizon / T is at most MAX_STEPS
-    samples: a run holds all of them in memory at once, at its peak about
-    360 bytes a sample on the 4-state aircraft plant, so a longer run is
-    refused before numpy is asked for more than about 0.4 GB.  H is m x p
-    and finite, the disturbance has m channels, x0 has n finite entries and
-    (alpha, beta) pass controllers.check_alpha_beta (field alpha).  alpha's
-    range depends on the period; contraction_alpha checks it for a run."""
+    fields, each refusal a ConfigError naming its field: T and horizon
+    finite and positive, H m x p and finite, m disturbance channels, n
+    finite x0 entries, (alpha, beta) passing controllers.check_alpha_beta
+    (field alpha).  contraction_alpha checks alpha's range, steps the count."""
     plant: ContinuousPlant
     H: np.ndarray
     kind: str
@@ -106,10 +102,6 @@ class Scenario:
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}",
                                   name)
-        if not self.horizon / self.T <= MAX_STEPS:
-            raise ConfigError(f"horizon {self.horizon} holds {self.horizon / self.T:.3g} "
-                              f"samples of T = {self.T}, more than the {MAX_STEPS} "
-                              "a run may hold", "horizon")
         m, n, p = self.plant.m, self.plant.n, self.plant.p
         if np.shape(self.H) != (m, p):
             raise ConfigError(f"H must be {m}x{p} for this plant, got "
@@ -142,7 +134,14 @@ class Scenario:
 
     @property
     def steps(self) -> int:
-        return int(math.floor(self.horizon / self.T + 1e-9))
+        """The samples a run takes, refused past MAX_STEPS (field horizon): a
+        run holds them all at once, at its peak about 360 bytes a sample on
+        the aircraft plant, so the bound keeps it under about 0.4 GB."""
+        n = self.horizon / self.T
+        if not n <= MAX_STEPS:
+            raise ConfigError(f"horizon {self.horizon} holds {n:.3g} samples of T = "
+                              f"{self.T}, past the {MAX_STEPS} a run may hold", "horizon")
+        return int(math.floor(n + 1e-9))
 
     def with_(self, **kw) -> "Scenario":
         return replace(self, **kw)

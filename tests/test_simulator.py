@@ -59,11 +59,8 @@ def test_scenario_rejects_non_finite_timing(bench_plant, T, horizon):
     (dict(beta=np.nan), "alpha", "alpha and beta disagree"),
     (dict(T=-0.0), "T", "T must be finite and positive, got -0.0"),
     (dict(horizon=np.nan), "horizon", "horizon must be finite and positive"),
-    # more samples than a run may hold, as a count or as no count at all
-    (dict(T=1e-6, horizon=1.5), "horizon", "1.5e+06 samples"),
-    (dict(T=5e-324), "horizon", "holds inf samples"),
 ], ids=["H-shape", "channels", "alpha-beta-missing", "alpha-beta-disagree",
-        "beta-nan", "T", "horizon", "samples", "samples-inf"])
+        "beta-nan", "T", "horizon"])
 def test_scenario_refuses_with_field(bench_plant, kw, field, fragment):
     # each rule is Scenario's own, with no parser in front of it
     base = dict(plant=bench_plant, H=H_BENCH, kind="mm1", T=0.01, horizon=1.0,
@@ -77,6 +74,19 @@ def test_scenario_keeps_a_long_run_inside_the_bound(bench_plant):
     sc = Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=1e-3, horizon=999.0,
                   beta=3.0)
     assert sc.steps == 999000
+
+
+@pytest.mark.parametrize("T, fragment", [(1e-6, "1.5e+06 samples"),
+                                         (5e-324, "holds inf samples")],
+                         ids=["samples", "samples-inf"])
+def test_scenario_steps_refuses_past_the_bound(bench_plant, T, fragment):
+    # more samples than a run may hold, as a count or as no count at all: the
+    # Scenario is built, and only a run's read of its sample count is refused
+    sc = Scenario(plant=bench_plant, H=H_BENCH, kind="mm1", T=T, horizon=1.5,
+                  beta=3.0)
+    with pytest.raises(ConfigError, match=re.escape(fragment)) as err:
+        sc.steps
+    assert err.value.field == "horizon"
 
 
 # --- record layout -----------------------------------------------------------
