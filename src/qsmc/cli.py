@@ -278,30 +278,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="sampled-data sliding mode control laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario file path or builtin name")
-        p.add_argument("--controller", choices=KINDS)
-        p.add_argument("--T", type=float, help="sampling period override")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--noise", type=float,
-                       help="uniform noise half-width (0 disables)")
-        p.add_argument("--out", help="output directory")
+    # the options run, verify and sweep share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("scenario", help="scenario file path or builtin name")
+    common.add_argument("--controller", choices=KINDS)
+    common.add_argument("--T", type=float, help="sampling period override")
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--beta", type=float)
+    common.add_argument("--horizon", type=float)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--noise", type=float,
+                        help="uniform noise half-width (0 disables)")
+    common.add_argument("--out", help="output directory")
 
-    p_run = sub.add_parser("run", help="simulate one scenario")
-    common(p_run)
+    p_run = sub.add_parser("run", parents=[common], help="simulate one scenario")
     p_run.add_argument("--plot", action="store_true", help="emit SVG plots")
     p_run.set_defaults(func=cmd_run)
 
-    p_ver = sub.add_parser("verify", help="certify assumptions, spectra, stability")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", parents=[common],
+                           help="certify assumptions, spectra, stability")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_sw = sub.add_parser("sweep", help="order-of-accuracy ladder sweep")
-    common(p_sw)
+    p_sw = sub.add_parser("sweep", parents=[common], help="order-of-accuracy ladder sweep")
     p_sw.add_argument("--ladder", help="comma-separated period ladder")
     p_sw.add_argument("--metric", choices=METRICS, default="s_bound")
     p_sw.add_argument("--band", type=lambda s: tuple(float(v) for v in s.split(",")),

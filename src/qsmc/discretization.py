@@ -56,9 +56,13 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     held-input integral in the top-right, both to machine precision; no
     quadrature is involved for the linear part.
     """
-    # the curvatures divide by T ** 2, which raises OverflowError past 1.3e154
+    # the curvatures divide by T ** 2, which raises OverflowError past
+    # 1.3e154 and is 0 below 1.5e-162
     if not (T > 0 and T * T < math.inf):
         raise ConfigError(f"sampling period must be positive with a finite "
+                          f"square, got {T}")
+    if T * T == 0:
+        raise ConfigError(f"sampling period must be positive with a nonzero "
                           f"square, got {T}")
     n, m = plant.n, plant.m
     blk = np.zeros((n + m, n + m))

@@ -21,10 +21,10 @@ run_batches takes several batches of runs that share plant, period,
 surface, horizon and disturbance, builds what they share once
 (discretization, surface, each distinct law's alpha from
 controllers.contraction_alpha, its Loop and its scan parts, the d table
-and its B_d d[k] rows, the f column, the steady window's rows and one
-lockstep draw of every distinct noise spec's table) and then yields each
-batch as one stacked recursion; run_batch is a run_batches of one batch
-and run a batch of one.
+and its B_d d[k] rows, the steady window's rows and one lockstep draw of
+every distinct noise spec's table), stacks the parts of each distinct
+tuple of laws once, and then yields each batch as one stacked recursion;
+run_batch is a run_batches of one batch and run a batch of one.
 
 Outside the recursion a batch is a fixed handful of passes over the whole
 stack, whatever its size: the drive is one stacked product B_v v[k] plus
@@ -33,8 +33,10 @@ loop steps the longest warm-up of any law one sample at a time, whatever
 laws share the batch, so every run's samples fall on the same blocks
 alone or in a batch, and the rest is a blocked scan that advances all
 blocks together; the divergence guard is one test over every state, and
-only a tripped guard looks for the step and run; y and s_true are one
-product each, and u_peak, s_bound and x_bound one reduction each.
+only a tripped guard looks for the step and run; u_peak, s_bound and
+x_bound are one reduction each, the bounds over the window's rows only.
+A trajectory forms y, s_true and the disturbance column f only when they
+are read (Trajectory).
 
 The scan (_blocked_scan) has two levels.  A block's response from a zero
 start is a fixed linear map of its inputs, so each law's block ends are
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -149,20 +152,66 @@ class Scenario:
 
 @dataclass
 class Trajectory:
+    """One run's samples.  x, s and u are views of the batch's lifted
+    states, and k and t are shared, read-only, by every run of one
+    run_batches call.  y, s_true and f are formed on first read and kept:
+    y = x C^T + v from the run's noise rows, s_true = x (H C)^T, and f is
+    the call's one disturbance column, shared read-only."""
     T: float
     k: np.ndarray
     t: np.ndarray
     x: np.ndarray        # true state, (steps+1) x n
-    y: np.ndarray        # measured output (noise included)
     s: np.ndarray        # H y, what the controller saw
-    s_true: np.ndarray   # H C x
     u: np.ndarray
-    f: np.ndarray        # disturbance at sample instants
+    _noise: np.ndarray = field(repr=False)       # the v rows y carries
+    _columns: _Columns = field(repr=False)
     summary: dict = field(default_factory=dict)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Measured output, noise included."""
+        y = self.x @ self._columns.C.T
+        y += self._noise
+        return y
+
+    @cached_property
+    def s_true(self) -> np.ndarray:
+        """H C x, the noiseless switching vector."""
+        return self.x @ self._columns.hc.T
+
+    @property
+    def f(self) -> np.ndarray:
+        """The disturbance at the sample instants."""
+        return self._columns.f
 
     @property
     def u_peak(self) -> float:
         return float(np.max(np.abs(self.u)))
+
+
+class _Columns:
+    """What the trajectories of one run_batches call read in common: the
+    read-only k and t, the maps C and H C that y and s_true are formed
+    with, and the disturbance column f, formed on its first read."""
+
+    def __init__(self, plant: ContinuousPlant, H: np.ndarray,
+                 sig: DisturbanceSignal, steps: int, T: float):
+        self.C = plant.C
+        self.hc = H @ plant.C
+        self.k = _read_only(np.arange(steps + 1))
+        self.t = _read_only(np.arange(steps + 1) * T)
+        self._sig = sig
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        # past its end the disturbance holds its last defined value
+        sig = self._sig
+        return _read_only(sig.values(np.minimum(self.t, np.nextafter(sig.t_end, 0))))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def default_steady_window(sig: DisturbanceSignal, horizon: float):
@@ -231,10 +280,25 @@ class _Shared:
     noise: dict          # noise spec -> (steps + 1, p) table
     stepped: int         # samples stepped one at a time
     blocks: int          # blocks of the scan after them
-    t: np.ndarray
-    F: np.ndarray
+    columns: _Columns
     window: tuple
     rows: slice | None   # the window's samples; None when it gives no bound
+    stacks: dict = field(default_factory=dict)   # law keys -> _Stack
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """What a batch reads of its laws, stacked over its runs; built once per
+    distinct tuple of law keys (_stack)."""
+    loops: list
+    A: np.ndarray        # (R, N, N)
+    B_vT: np.ndarray     # (R, p, N)
+    warmup: np.ndarray   # (R,) warm-up samples of each run
+    dd: np.ndarray       # the B_d d[k] rows, shared or stacked
+    rows_d: int          # d rows the batch reads: steps + 1 with an eq run
+    gain_v: np.ndarray   # (R, L p, N)
+    end_d: np.ndarray    # (blocks - 1, N), or stacked
+    carry: list          # each carry power, stacked
 
 
 def _law_key(sc: Scenario) -> tuple:
@@ -251,12 +315,14 @@ def run_batches(batches):
     distinct law's Loop (taps, matrices and spectral radius) and its scan
     parts (_scan_parts), the d[k] table and its B_d d[k] rows for each
     distinct B_d, the noise table of every distinct noise spec (one
-    lockstep lane draw, rng.symmetric_tables), the f column and the steady
-    window with its rows.  Each batch is psi[k+1] = A_cl psi[k] + drive[k]
-    on the lifted state of controllers.closed_loop, with drive[k] =
-    B_v v[k] + B_d d[k] known for every sample before the loop; the first
-    _STEPPED samples are stepped one at a time and the rest is a blocked
-    scan.  Only one batch's working arrays are alive at a time."""
+    lockstep lane draw, rng.symmetric_tables), the sample times and the
+    steady window with its rows; each distinct tuple of laws stacks its
+    parts on its first batch (_stack).  Each batch is
+    psi[k+1] = A_cl psi[k] + drive[k] on the lifted state of
+    controllers.closed_loop, with drive[k] = B_v v[k] + B_d d[k] known for
+    every sample before the loop; the first _STEPPED samples are stepped
+    one at a time and the rest is a blocked scan.  Only one batch's working
+    arrays are alive at a time."""
     batches = [list(batch) for batch in batches]
     if not batches or not all(batches):
         raise ConfigError("run_batch needs at least one scenario")
@@ -303,35 +369,50 @@ def run_batches(batches):
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
                                          steps + 1, plant.p)))
-    t = np.arange(steps + 1) * T
-    # past its end the disturbance holds its last defined value
-    F = sig.values(np.minimum(t, np.nextafter(sig.t_end, 0)))
+    columns = _Columns(plant, design.H, sig, steps, T)
     window = default_steady_window(sig, base.horizon)
     # the window's samples, found once for every run; a window outside the
     # run gives no s_bound or x_bound
     rows = None
     if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
-        rows = _window_rows(t, window)
+        rows = _window_rows(columns.t, window)
     shared = _Shared(base, design, loops, scans, warm, dd, noise, stepped,
-                     blocks, t, F, window, rows)
+                     blocks, columns, window, rows)
     for batch in batches:
         # the batch's working arrays die with _run_one, except psi, which
         # lives as long as the batch's trajectories
         yield _run_one(shared, batch)
 
 
-def _run_one(shared: _Shared, scenarios: list) -> list:
-    """One batch of run_batches on the parts every batch shares."""
-    base, design = shared.base, shared.design
-    plant, T, steps = base.plant, base.T, base.steps
-    keys = [_law_key(sc) for sc in scenarios]
+def _stack(shared: _Shared, keys: tuple) -> _Stack:
+    """The _Stack of a batch whose runs have these law keys, in order."""
     loops = [shared.loops[key] for key in keys]
+    scans = [shared.scans[key] for key in keys]
+    steps = shared.base.steps
     # d[steps] is read only by the eq law
     rows_d = steps if all(loop.taps.K_g is None for loop in loops) else steps + 1
+    return _Stack(
+        loops=loops, A=np.stack([loop.A for loop in loops]),
+        B_vT=np.stack([loop.B_v.T for loop in loops]),
+        warmup=np.array([loop.taps.warmup for loop in loops]),
+        dd=_shared_or_stacked([shared.dd[key] for key in keys]), rows_d=rows_d,
+        gain_v=np.stack([scan.gain_v for scan in scans]),
+        end_d=_shared_or_stacked([scan.end_d for scan in scans]),
+        carry=[np.stack(powers) for powers in zip(*(scan.carry for scan in scans))])
+
+
+def _run_one(shared: _Shared, scenarios: list) -> list:
+    """One batch of run_batches on the parts every batch shares and the
+    stacks of its laws, built on the first batch with these laws."""
+    keys = tuple(_law_key(sc) for sc in scenarios)
+    if keys not in shared.stacks:
+        shared.stacks[keys] = _stack(shared, keys)
+    stack = shared.stacks[keys]
+    base, columns = shared.base, shared.columns
+    plant, T, steps = base.plant, base.T, base.steps
     R, n, m = len(scenarios), plant.n, plant.m
-    A = np.stack([loop.A for loop in loops])
+    loops, A, warmup, rows_d = stack.loops, stack.A, stack.warmup, stack.rows_d
     warm = shared.warm
-    warmup = np.array([loop.taps.warmup for loop in loops])
     # samples stepped one at a time; the scan takes the rest in blocks
     stepped, blocks = shared.stepped, shared.blocks
     # psi[k] is row k; drive[k] is written into row k + 1 and the
@@ -342,9 +423,8 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     # B_d d[k] added on; runs that share a noise table or a B_d share rows
     tables = [shared.noise[sc.noise] for sc in scenarios]
     v = _shared_or_stacked(tables)
-    np.matmul(v, np.stack([loop.B_v.T for loop in loops]), out=drive)
-    dd = _shared_or_stacked([shared.dd[key] for key in keys])
-    drive[:, :rows_d] += dd[..., :rows_d, :]
+    np.matmul(v, stack.B_vT, out=drive)
+    drive[:, :rows_d] += stack.dd[..., :rows_d, :]
     # the warm-up rows of a run are driven by the loop with its law zeroed
     for r in np.flatnonzero(warmup):
         wu = min(warmup[r], steps + 1)
@@ -361,15 +441,13 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
             Ak = np.where((warmup > k)[:, None, None], warm.A, A)
             psi[:, k + 1] += (Ak @ psi[:, k, :, None])[:, :, 0]
         if blocks:
-            scans = [shared.scans[key] for key in keys]
             # every block end but the last from the inputs: the shared d
             # part plus one product of the v rows, flattened per block
             inputs = v[..., stepped:stepped + (blocks - 1) * BLOCK, :]
             end = inputs.reshape(inputs.shape[:-2] + (blocks - 1, BLOCK * plant.p))
-            end = end @ np.stack([scan.gain_v for scan in scans])
-            end += _shared_or_stacked([scan.end_d for scan in scans])
-            carry = [np.stack(powers) for powers in zip(*(scan.carry for scan in scans))]
-            _blocked_scan(A, psi[:, stepped:], blocks, carry, end)
+            end = end @ stack.gain_v
+            end += stack.end_d
+            _blocked_scan(A, psi[:, stepped:], blocks, stack.carry, end)
         X = psi[:, :steps + 1, xs]
         if not np.all(np.abs(X) <= _OVERFLOW):
             norms = np.max(np.abs(X), axis=2)
@@ -383,20 +461,18 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     # batch's psi alive, which costs less than three strided copies per batch
     S = psi[:, 1:steps + 2, ss]
     U = psi[:, 1:steps + 2, us]
-    hc = design.H @ plant.C
-    Y = X @ plant.C.T
-    Y += v
-    St = X @ hc.T
-    # the read-out: one reduction over the stack per figure
+    # the read-out: one reduction over the stack per figure, the bounds over
+    # the window's rows only
     u_peak = np.max(np.abs(U), axis=(1, 2)).tolist()
     rows = shared.rows
     if rows is not None:
-        s_bound = np.max(np.abs(St[:, rows]), axis=(1, 2)).tolist()
-        x_bound = np.max(np.abs(X[:, rows]), axis=(1, 2)).tolist()
+        X_w = X[:, rows]
+        s_bound = np.max(np.abs(X_w @ columns.hc.T), axis=(1, 2)).tolist()
+        x_bound = np.max(np.abs(X_w), axis=(1, 2)).tolist()
     trajs = []
     for r, (sc, loop) in enumerate(zip(scenarios, loops)):
-        traj = Trajectory(T=T, k=np.arange(steps + 1), t=shared.t.copy(), x=X[r],
-                          y=Y[r], s=S[r], s_true=St[r], u=U[r], f=shared.F.copy())
+        traj = Trajectory(T=T, k=columns.k, t=columns.t, x=X[r], s=S[r], u=U[r],
+                          _noise=tables[r], _columns=columns)
         traj.summary = {"u_peak": u_peak[r], "steps": steps, "T": T,
                         "kind": sc.kind, "window": shared.window, "rho_cl": loop.rho,
                         "warmup": int(warmup[r])}

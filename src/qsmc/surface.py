@@ -52,6 +52,7 @@ class NormalForm:
     from_xi: np.ndarray       # first n-m columns of to_normal^-1
     from_s: np.ndarray        # last m columns
     zero_dynamics: np.ndarray  # M A from_xi
+    hc_scale: float           # |H| |C|, the product of their 2-norms
 
 
 def build_surface_raw(plant: ContinuousPlant, H, annihilator=None) -> NormalForm:
@@ -60,14 +61,16 @@ def build_surface_raw(plant: ContinuousPlant, H, annihilator=None) -> NormalForm
     if H.shape != (m, p):
         raise ConfigError(f"H must be {m}x{p}, got {H.shape[0]}x{H.shape[1]}")
     hcb = H @ plant.C @ plant.B
-    scale = np.linalg.norm(H, 2) * np.linalg.norm(plant.C, 2) * np.linalg.norm(plant.B, 2)
-    if _smallest_sv(hcb) <= 1e-12 * max(scale, 1e-300) or np.linalg.cond(hcb) > _COND_LIMIT:
+    hc_scale = _singular(H)[0] * _singular(plant.C)[0]
+    scale = hc_scale * _singular(plant.B)[0]
+    _, smallest, cond = _singular(hcb)
+    if smallest <= 1e-12 * max(scale, 1e-300) or cond > _COND_LIMIT:
         raise AssumptionViolation(
             "H C B is singular: the surface design requires an invertible "
             "output-to-input coupling")
     M = input_annihilator(plant.B) if annihilator is None else np.asarray(annihilator, float)
     to_normal = np.vstack([M, H @ plant.C])
-    if np.linalg.cond(to_normal) > _COND_LIMIT:
+    if _singular(to_normal)[2] > _COND_LIMIT:
         raise AssumptionViolation(
             "normal-form transformation [M; H C] is singular; H does not "
             "complete the annihilator to a basis")
@@ -75,11 +78,19 @@ def build_surface_raw(plant: ContinuousPlant, H, annihilator=None) -> NormalForm
     from_xi, from_s = inv[:, :n - m], inv[:, n - m:]
     return NormalForm(H=H, annihilator=M, to_normal=to_normal,
                       from_xi=from_xi, from_s=from_s,
-                      zero_dynamics=M @ plant.A @ from_xi)
+                      zero_dynamics=M @ plant.A @ from_xi, hc_scale=hc_scale)
 
 
-def _smallest_sv(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+def _singular(mat: np.ndarray) -> tuple:
+    """(2-norm, smallest singular value, condition number) of a matrix from
+    one SVD, equal to np.linalg.norm(mat, 2) and np.linalg.cond(mat): a
+    0/0 condition number is inf unless mat holds a nan."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[0] / sv[-1]
+    if np.isnan(cond) and not np.isnan(mat).any():
+        cond = np.inf
+    return float(sv[0]), float(sv[-1]), float(cond)
 
 
 @dataclass(frozen=True)
@@ -119,11 +130,10 @@ def build_surface(plant: ContinuousPlant, disc: DiscretePlant, H,
     base = build_surface_raw(plant, H, annihilator=annihilator)
     hc = base.H @ plant.C
     s_gain = hc @ disc.input_rate
-    scale = (np.linalg.norm(base.H, 2) * np.linalg.norm(plant.C, 2)
-             * np.linalg.norm(disc.input_rate, 2))
-    cond = float(np.linalg.cond(s_gain))
+    scale = base.hc_scale * _singular(disc.input_rate)[0]
+    _, smallest, cond = _singular(s_gain)
     # name the test that fired: a 1x1 coupling has cond 1 however small it is
-    relative = _smallest_sv(s_gain) / max(scale, 1e-300)
+    relative = smallest / max(scale, 1e-300)
     if relative <= 1e-12:
         raise AssumptionViolation(
             f"sampled surface-to-input coupling is singular at T = {disc.T} "

@@ -214,6 +214,32 @@ def _assert_matches_oracle(sc, traj, tol=1e-12):
     assert not np.any(traj.u[:WARMUP[sc.kind]]), tag
 
 
+def test_formed_columns_equal_their_definitions(bench_scenario):
+    # y, s_true and f are formed on first read from the run's x view, its
+    # noise rows, C, H C and the call's one disturbance column
+    base = bench_scenario.with_(horizon=(5 * BLOCK + 7.5) * bench_scenario.T,
+                                disturbance=_MOVING)
+    batch = [base.with_(kind=kind, noise=_noise(seed))
+             for kind, seed in zip(KINDS, (1, 2, 3, 4, 5))]
+    trajs = run_batch(batch)
+    C, steps = base.plant.C, base.steps
+    hc = base.H @ C
+    t = np.arange(steps + 1) * base.T
+    f = _MOVING.values(np.minimum(t, np.nextafter(_MOVING.t_end, 0)))
+    for sc, traj in zip(batch, trajs):
+        v = sc.noise.stream().table(steps + 1, base.plant.p)
+        for name, want in (("y", traj.x @ C.T + v), ("s_true", traj.x @ hc.T), ("f", f)):
+            got = getattr(traj, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                (sc.kind, name)
+            assert getattr(traj, name) is got, (sc.kind, name)
+        assert traj.t.tobytes() == t.tobytes()
+    # one f, k and t per call, shared read-only
+    for name in ("f", "k", "t"):
+        assert all(getattr(traj, name) is getattr(trajs[0], name) for traj in trajs)
+        assert not getattr(trajs[0], name).flags.writeable
+
+
 @pytest.mark.parametrize("samples", [1, 2, 3, BLOCK + 1, BLOCK + 2, BLOCK + 3,
                                      5 * BLOCK + 7, 2 * BLOCK * BLOCK + 5])
 def test_batch_block_edges(bench_scenario, samples):

@@ -10,6 +10,7 @@ from qsmc import (ConfigError, SweepSpec, aircraft_benchmark,
                   stability_over_T, zero_signal)
 from qsmc.controllers import LAWS
 from qsmc.experiments import shared_sampler
+from qsmc.plant import DisturbanceSignal
 
 # frozen from the first validated runs of the shipped benchmark; regression
 # anchors, not external truth
@@ -244,3 +245,24 @@ def test_scenario_loader_round_trip():
     sf = load_aircraft_scenario()
     assert sf.scenario.kind == "mm1"
     assert sf.out_dir == "out"
+
+
+def test_unread_disturbance_column_is_never_formed(monkeypatch):
+    # no sweep rung and no discarded benchmark seed reads f, so none forms it
+    calls = []
+    values = DisturbanceSignal.values
+
+    def counted(self, t):
+        calls.append(len(t))
+        return values(self, t)
+
+    monkeypatch.setattr(DisturbanceSignal, "values", counted)
+    sf = load_aircraft_scenario()
+    run_sweep(SweepSpec(base=sf.scenario, T_values=(0.02, 0.01, 0.005)))
+    assert calls == []
+    rep = aircraft_benchmark(noise=True, seeds=(1, 2, 3), scenario_file=sf)
+    assert calls == []
+    # the kept seed's four runs read one column, formed on the first read
+    columns = [brun.trajectory.f for brun in rep.runs.values()]
+    assert calls == [sf.scenario.steps + 1]
+    assert all(f is columns[0] for f in columns)

@@ -513,6 +513,10 @@ OPTION_ROWS = [
     *((f"escaped/{command}-T-1e200", f"{command} aircraft --T 1e200 --horizon 1e200",
        "sampling period must be positive with a finite square, got 1e+200")
       for command in ("run", "verify")),
+    # verify allocates nothing per sample, so only discretize sees the
+    # denormal period, whose square underflows to 0
+    ("escaped/verify-T-5e-324", "verify aircraft --T 5e-324 --beta 1e308",
+     "sampling period must be positive with a nonzero square, got 5e-324"),
     ("escaped/T-1e100", "run aircraft --T 1e100 --horizon 1e100",
      "exp(A T) overflows at T = 1e+100"),
     *((f"escaped/benchmark-seeds-2**{e}", f"benchmark --seed 0 --seeds {2 ** e}",
@@ -832,6 +836,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 @example(["benchmark", f"--seeds={2 ** 70}"])
 @example(["benchmark", "--seed=0", f"--seeds={2 ** 63}"])
 @example(["run", "aircraft", f"--horizon={2 ** 70}"])
+@example(["verify", "aircraft", "--T", "5e-324", "--beta", "1e308"])
 def test_every_bad_option_ends_in_a_named_exit(argv):
     _named_exit(argv)
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from qsmc import (AssumptionViolation, ConfigError, ContinuousPlant,
                   build_surface, discretize, input_annihilator)
 from qsmc.surface import build_surface_raw
+
+from qsmc.plant import random_surface_map
+from qsmc.rng import Xoshiro256StarStar
 
 from conftest import H_BENCH, T_BENCH
 
@@ -174,3 +179,71 @@ def test_certify_rotation_plant_mixed():
         design = build_surface(plant, discretize(plant, T), H)
         assert np.isfinite(design.s_gain_cond)
         assert np.allclose(design.s_gain_inv @ design.s_gain, np.eye(1), atol=1e-12)
+
+
+def _former_checks(plant, H, T):
+    """build_surface's outcome as its checks read with np.linalg.norm(., 2),
+    np.linalg.cond and a separate smallest singular value: the message of
+    its refusal, or s_gain's condition number."""
+    norm = lambda mat: np.linalg.norm(mat, 2)
+    smallest = lambda mat: float(np.linalg.svd(mat, compute_uv=False)[-1])
+    hcb = H @ plant.C @ plant.B
+    scale = norm(H) * norm(plant.C) * norm(plant.B)
+    if smallest(hcb) <= 1e-12 * max(scale, 1e-300) or np.linalg.cond(hcb) > 1e12:
+        return ("H C B is singular: the surface design requires an invertible "
+                "output-to-input coupling")
+    to_normal = np.vstack([input_annihilator(plant.B), H @ plant.C])
+    if np.linalg.cond(to_normal) > 1e12:
+        return ("normal-form transformation [M; H C] is singular; H does not "
+                "complete the annihilator to a basis")
+    disc = discretize(plant, T)
+    s_gain = H @ plant.C @ disc.input_rate
+    scale = norm(H) * norm(plant.C) * norm(disc.input_rate)
+    cond = float(np.linalg.cond(s_gain))
+    relative = smallest(s_gain) / max(scale, 1e-300)
+    if relative <= 1e-12:
+        return (f"sampled surface-to-input coupling is singular at T = {T} "
+                f"(smallest singular value {relative:.3e} of |H| |C| |input_rate|)")
+    if cond > 1e12:
+        return f"sampled surface-to-input coupling is singular at T = {T} (cond = {cond:.3e})"
+    return cond
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       defect=st.sampled_from((None, "repeated-row", "near-repeated-row", "zero-H",
+                               "tiny-B", "huge-H", "half-turn")))
+def test_surface_figures_from_one_svd_match_norm_and_cond(seed, defect):
+    # a random plant and surface as the random-plant batch tests draw them,
+    # some made singular or nearly so: each figure comes from one SVD per
+    # matrix, and the outcome must be the one norm and cond give.  A huge H
+    # leaves H C B's relative test alone but makes [M; H C] ill-conditioned;
+    # over half a turn of a rotation the held input comes out at right
+    # angles to B, so H C = B^T leaves H C B invertible and the sampled
+    # coupling singular
+    rng = np.random.default_rng(seed)
+    T = float(rng.uniform(0.005, 0.1))
+    n = 2 if defect == "half-turn" else int(rng.integers(2, 6))
+    m = int(rng.integers(1, n))
+    p = n if defect == "half-turn" else int(rng.integers(m, n))
+    A = rng.standard_normal((n, n))
+    if defect == "half-turn":
+        A = np.pi / T * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    B = rng.standard_normal((n, m)) * (1e-150 if defect == "tiny-B" else 1.0)
+    plant = ContinuousPlant(A, B, rng.standard_normal((p, n)))
+    H = random_surface_map(Xoshiro256StarStar(seed), m, p)
+    if defect == "half-turn":
+        H = B.T @ np.linalg.inv(plant.C)
+    elif defect == "zero-H":
+        H[:] = 0.0
+    elif defect == "huge-H":
+        H *= 1e13
+    elif defect in ("repeated-row", "near-repeated-row") and m > 1:
+        H[-1] = H[0] * (1 + (1e-14 if defect == "near-repeated-row" else 0.0))
+    want = _former_checks(plant, H, T)
+    try:
+        design = build_surface(plant, discretize(plant, T), H)
+    except AssumptionViolation as exc:
+        assert str(exc) == want
+    else:
+        assert design.s_gain_cond == want == np.linalg.cond(design.s_gain)
