@@ -193,7 +193,7 @@ class StabilityReport:
 
 
 def _cluster_distances(loop: Loop, design: SurfaceDesign, alpha: float):
-    """Hausdorff-style distance from eig(loop.A) to the analytic reference
+    """Hausdorff-style distance from loop.eigvals to the analytic reference
     eig(xi_step) union {alpha x m} union {0 x rest}.  Second value restricts
     to eigenvalues matched to nonzero references: the zero group is
     defective, so its perturbation order is structurally lower."""
@@ -202,7 +202,7 @@ def _cluster_distances(loop: Loop, design: SurfaceDesign, alpha: float):
     ref = np.concatenate([xi, np.full(m, alpha + 0j),
                           np.zeros(len(loop.A) - len(xi) - m, dtype=complex)])
     d_all = d_cond = 0.0
-    for lam in np.linalg.eigvals(loop.A):
+    for lam in loop.eigvals:
         j = int(np.argmin(np.abs(lam - ref)))
         d = float(abs(lam - ref[j]))
         d_all = max(d_all, d)

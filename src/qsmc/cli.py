@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,39 +58,38 @@ def _resolve_scenario(path: str) -> ScenarioFile:
 def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
     sc = sf.scenario
     kw = {}
-    if getattr(args, "T", None) is not None:
+    if args.T is not None:
         # the rate in time stays fixed unless alpha or beta is overridden
         # too; all overrides go into one replace, with no Scenario between
         kw.update(T=args.T, alpha=None, beta=sc.rate)
-    if getattr(args, "controller", None):
+    if args.controller:
         kw["kind"] = args.controller
-    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
-    if alpha is not None or beta is not None:
-        kw.update(alpha=alpha, beta=beta)
-    if getattr(args, "horizon", None) is not None:
+    if args.alpha is not None or args.beta is not None:
+        kw.update(alpha=args.alpha, beta=args.beta)
+    if args.horizon is not None:
         kw["horizon"] = args.horizon
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         kw["noise"] = sc.noise.with_seed(args.seed)
-    if getattr(args, "noise", None) is not None:
-        base = kw.get("noise", sc.noise)
-        from dataclasses import replace
-        kw["noise"] = replace(base, kind="uniform" if args.noise > 0 else "none",
-                              halfwidth=args.noise)
+    if args.noise is not None:
+        kw["noise"] = replace(kw.get("noise", sc.noise), halfwidth=args.noise,
+                              kind="uniform" if args.noise > 0 else "none")
     sf.scenario = sc.with_(**kw)
-    if getattr(args, "out", None):
+    if args.out:
         sf.out_dir = args.out
     return sf
 
 
-def _outdir(sf: ScenarioFile) -> str:
-    os.makedirs(sf.out_dir, exist_ok=True)
-    return sf.out_dir
-
-
 def _stem(sf: ScenarioFile) -> str:
-    if sf.path:
-        return os.path.splitext(os.path.basename(sf.path))[0]
-    return "scenario"
+    return os.path.splitext(os.path.basename(sf.path))[0]
+
+
+def _write_report(out_dir: str, name: str, text: str) -> None:
+    """Write one report into the --out directory and say where."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 def _emit_plots(traj, out_dir: str, stem: str) -> list:
@@ -107,7 +107,8 @@ def _emit_plots(traj, out_dir: str, stem: str) -> list:
 def cmd_run(args) -> int:
     sf = _apply_overrides(_resolve_scenario(args.scenario), args)
     traj = run(sf.scenario)
-    out = _outdir(sf)
+    out = sf.out_dir
+    os.makedirs(out, exist_ok=True)
     stem = f"{_stem(sf)}_{sf.scenario.kind}"
     written = []
     if "csv" in sf.formats:
@@ -187,11 +188,7 @@ def cmd_verify(args) -> int:
         # like every exit of 2-4, a failed verify writes no --out directory
         raise AssumptionViolation("verification failed; see report above")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{_stem(sf)}_verify.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
+        _write_report(args.out, f"{_stem(sf)}_verify.txt", text)
     return 0
 
 
@@ -227,11 +224,7 @@ def cmd_sweep(args) -> int:
     text = render_kv(report)
     sys.stdout.write(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{_stem(sf)}_sweep_{rep.metric}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
+        _write_report(args.out, f"{_stem(sf)}_sweep_{rep.metric}.txt", text)
     if band is not None and not in_band:
         return 1
     return 0

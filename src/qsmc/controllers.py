@@ -124,10 +124,6 @@ def law_taps(design: SurfaceDesign, alpha: float, kind: str) -> LawTaps:
     return LawTaps(K, C, WARMUP[kind])
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
 def lifted_slices(n: int, m: int) -> tuple:
     """Where x, s[k-1], s[k-2], u[k-1] and u[k-2] sit in the lifted state."""
     return (slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m),
@@ -151,9 +147,14 @@ class Loop:
     B_v: np.ndarray
 
     @cached_property
+    def eigvals(self) -> np.ndarray:
+        """Eigenvalues of A, computed on first read."""
+        return np.linalg.eigvals(self.A)
+
+    @cached_property
     def rho(self) -> float:
-        """Spectral radius of A, computed on first read."""
-        return spectral_radius(self.A)
+        """Spectral radius of A."""
+        return float(np.max(np.abs(self.eigvals)))
 
 
 def closed_loop(design: SurfaceDesign, taps: LawTaps | None = None) -> Loop:

@@ -192,7 +192,6 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
         raise ConfigError("benchmark needs at least one seed")
     sf = scenario_file or load_aircraft_scenario()
     base = sf.scenario
-    window = default_steady_window(base.disturbance, base.horizon)
     runs = {}
     peaks: dict = {k: [] for k in LAWS}
     batches = []
@@ -216,6 +215,8 @@ def aircraft_benchmark(noise: bool = False, seeds=(20260815,),
         batch_s += _next_batch(gen, peaks)[1]
     # the first batch runs cold; averaging over every batch steadies the figure
     runtime = batch_s / (len(drawn) * len(LAWS))
+    # the steady window run_batches found for every run of the call
+    window = firsts[0].summary["window"]
     for kind, traj in zip(LAWS, firsts):
         if "s_bound" not in traj.summary:
             raise ConfigError(f"the steady window {window} is empty or "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DisturbanceRangeError
+from .errors import AssumptionViolation, ConfigError, DisturbanceRangeError
 from .rng import Xoshiro256StarStar, symmetric_tables
 
 
@@ -376,7 +376,8 @@ def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815
         H = random_surface_map(gen, m, p)
         try:
             design = build_surface_raw(plant, H)
-        except Exception:
+        except (AssumptionViolation, ConfigError, np.linalg.LinAlgError):
+            # what a random H can cause; any other error propagates
             continue
         if np.linalg.cond(H @ plant.C @ plant.B) > 1e8:
             continue

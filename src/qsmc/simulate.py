@@ -19,10 +19,10 @@ closed loop is one linear recursion psi[k+1] = A_cl psi[k] + drive[k] on a
 lifted state, held as one controllers.Loop value (closed_loop).
 run_batches takes several batches of runs that share plant, period,
 surface, horizon and disturbance, builds what they share once
-(discretization, surface, each distinct law's alpha from
-controllers.contraction_alpha, its Loop and its scan parts, the d table
-and its B_d d[k] rows, the steady window's rows and one lockstep draw of
-every distinct noise spec's table), stacks the parts of each distinct
+(discretization, surface, the d table, the steady window's rows, one
+lockstep draw of every distinct noise spec's table, and one record per
+distinct law, _Law: its Loop, with alpha from controllers.contraction_alpha,
+its B_d d[k] rows and its scan parts), stacks the records of each distinct
 tuple of laws once, and then yields each batch as one stacked recursion;
 run_batch is a run_batches of one batch and run a batch of one.
 
@@ -61,7 +61,7 @@ from .discretization import _EDGE, DisturbanceSampler, discretize
 from .errors import ConfigError, DisturbanceRangeError, DivergenceError
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
                     check_finite, noise_tables, zero_signal)
-from .surface import SurfaceDesign, build_surface
+from .surface import build_surface
 
 _OVERFLOW = 1e12
 
@@ -259,8 +259,11 @@ def run_batch(scenarios) -> list:
 
 
 @dataclass(frozen=True)
-class _Scan:
-    """What the blocked scan of one law reads (_scan_parts)."""
+class _Law:
+    """What every batch of one run_batches call reads of one distinct law
+    (_law): its Loop, its B_d d[k] rows and the parts of its blocked scan."""
+    loop: Loop
+    dd: np.ndarray       # B_d d[k]: the warm-up loop's own rows unless eq
     carry: tuple         # A^L, and A^(L L) when the carry takes two levels
     gain_v: np.ndarray   # (L p, N): a block's v rows, flattened, times
                          # gain_v are the v part of its end from zero
@@ -271,12 +274,10 @@ class _Scan:
 class _Shared:
     """What every batch of one run_batches call shares."""
     base: Scenario
-    design: SurfaceDesign
-    loops: dict          # (kind, alpha, beta) -> controllers.Loop
-    scans: dict          # same key -> _Scan
+    laws: dict           # (kind, alpha, beta) -> _Law
     warm: Loop           # the loop with the law rows zeroed
-    dd: dict             # law key (None: warm) -> B_d d[k] for k in 0..steps,
-                         # or 0..steps - 1 when no run is eq
+    warm_dd: np.ndarray  # its B_d d[k] for k in 0..steps, or 0..steps - 1
+                         # when no run is eq
     noise: dict          # noise spec -> (steps + 1, p) table
     stepped: int         # samples stepped one at a time
     blocks: int          # blocks of the scan after them
@@ -295,7 +296,6 @@ class _Stack:
     B_vT: np.ndarray     # (R, p, N)
     warmup: np.ndarray   # (R,) warm-up samples of each run
     dd: np.ndarray       # the B_d d[k] rows, shared or stacked
-    rows_d: int          # d rows the batch reads: steps + 1 with an eq run
     gain_v: np.ndarray   # (R, L p, N)
     end_d: np.ndarray    # (blocks - 1, N), or stacked
     carry: list          # each carry power, stacked
@@ -311,13 +311,13 @@ def run_batches(batches):
 
     Every run of every batch must share plant, T, H, horizon and
     disturbance; that is checked before anything runs.  What the batches
-    share is then built once: the discretization and surface, each
-    distinct law's Loop (taps, matrices and spectral radius) and its scan
-    parts (_scan_parts), the d[k] table and its B_d d[k] rows for each
-    distinct B_d, the noise table of every distinct noise spec (one
-    lockstep lane draw, rng.symmetric_tables), the sample times and the
-    steady window with its rows; each distinct tuple of laws stacks its
-    parts on its first batch (_stack).  Each batch is
+    share is then built once: the discretization and surface, the d[k]
+    table, one _Law per distinct law (its Loop, its B_d d[k] rows, which
+    every law but eq shares with the warm-up loop, and its scan parts),
+    the noise table of every distinct noise spec (one lockstep lane draw,
+    rng.symmetric_tables), the sample times and the steady window with its
+    rows; each distinct tuple of laws stacks its records on its first
+    batch (_stack).  Each batch is
     psi[k+1] = A_cl psi[k] + drive[k] on the lifted state of
     controllers.closed_loop, with drive[k] = B_v v[k] + B_d d[k] known for
     every sample before the loop; the first _STEPPED samples are stepped
@@ -355,17 +355,10 @@ def run_batches(batches):
     # block b of the scan starts after sample stepped + b BLOCK - 1; the
     # last block's end is never read, so only full blocks of d are taken
     d_rows = dk[stepped:stepped + max(blocks - 1, 0) * BLOCK]
-    scans = {key: _scan_parts(loop, d_rows, blocks > 2 * BLOCK)
-             for key, loop in loops.items()}
-    # B_d d[k] does not depend on the batch; only the eq law changes B_d, so
-    # the other laws and the warm-up loop share one product
     warm = closed_loop(design)
-    products, dd = {}, {}
-    for key, loop in ((None, warm), *loops.items()):
-        same = loop.B_d.tobytes()
-        if same not in products:
-            products[same] = dk @ loop.B_d.T
-        dd[key] = products[same]
+    warm_dd = dk @ warm.B_d.T
+    laws = {key: _law(loop, dk, warm_dd, d_rows, blocks > 2 * BLOCK)
+            for key, loop in loops.items()}
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
                                          steps + 1, plant.p)))
@@ -373,11 +366,9 @@ def run_batches(batches):
     window = default_steady_window(sig, base.horizon)
     # the window's samples, found once for every run; a window outside the
     # run gives no s_bound or x_bound
-    rows = None
-    if window[1] <= base.horizon + 1e-12 and window[0] >= 0:
-        rows = _window_rows(columns.t, window)
-    shared = _Shared(base, design, loops, scans, warm, dd, noise, stepped,
-                     blocks, columns, window, rows)
+    rows = _window_rows(columns.t, window)
+    shared = _Shared(base, laws, warm, warm_dd, noise, stepped, blocks,
+                     columns, window, rows)
     for batch in batches:
         # the batch's working arrays die with _run_one, except psi, which
         # lives as long as the batch's trajectories
@@ -386,19 +377,16 @@ def run_batches(batches):
 
 def _stack(shared: _Shared, keys: tuple) -> _Stack:
     """The _Stack of a batch whose runs have these law keys, in order."""
-    loops = [shared.loops[key] for key in keys]
-    scans = [shared.scans[key] for key in keys]
-    steps = shared.base.steps
-    # d[steps] is read only by the eq law
-    rows_d = steps if all(loop.taps.K_g is None for loop in loops) else steps + 1
+    laws = [shared.laws[key] for key in keys]
+    loops = [law.loop for law in laws]
     return _Stack(
         loops=loops, A=np.stack([loop.A for loop in loops]),
         B_vT=np.stack([loop.B_v.T for loop in loops]),
         warmup=np.array([loop.taps.warmup for loop in loops]),
-        dd=_shared_or_stacked([shared.dd[key] for key in keys]), rows_d=rows_d,
-        gain_v=np.stack([scan.gain_v for scan in scans]),
-        end_d=_shared_or_stacked([scan.end_d for scan in scans]),
-        carry=[np.stack(powers) for powers in zip(*(scan.carry for scan in scans))])
+        dd=_shared_or_stacked([law.dd for law in laws]),
+        gain_v=np.stack([law.gain_v for law in laws]),
+        end_d=_shared_or_stacked([law.end_d for law in laws]),
+        carry=[np.stack(powers) for powers in zip(*(law.carry for law in laws))])
 
 
 def _run_one(shared: _Shared, scenarios: list) -> list:
@@ -411,8 +399,8 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     base, columns = shared.base, shared.columns
     plant, T, steps = base.plant, base.T, base.steps
     R, n, m = len(scenarios), plant.n, plant.m
-    loops, A, warmup, rows_d = stack.loops, stack.A, stack.warmup, stack.rows_d
-    warm = shared.warm
+    loops, A, warmup = stack.loops, stack.A, stack.warmup
+    warm, warm_dd = shared.warm, shared.warm_dd
     # samples stepped one at a time; the scan takes the rest in blocks
     stepped, blocks = shared.stepped, shared.blocks
     # psi[k] is row k; drive[k] is written into row k + 1 and the
@@ -424,12 +412,12 @@ def _run_one(shared: _Shared, scenarios: list) -> list:
     tables = [shared.noise[sc.noise] for sc in scenarios]
     v = _shared_or_stacked(tables)
     np.matmul(v, stack.B_vT, out=drive)
-    drive[:, :rows_d] += stack.dd[..., :rows_d, :]
+    drive[:, :len(warm_dd)] += stack.dd
     # the warm-up rows of a run are driven by the loop with its law zeroed
     for r in np.flatnonzero(warmup):
         wu = min(warmup[r], steps + 1)
         np.matmul(tables[r][:wu], warm.B_v.T, out=drive[r, :wu])
-        drive[r, :min(wu, rows_d)] += shared.dd[None][:min(wu, rows_d)]
+        drive[r, :min(wu, len(warm_dd))] += warm_dd[:wu]
     psi[:, 0, :n] = np.array([sc.x0 for sc in scenarios])
     # psi[k] holds x[k]; psi[k + 1] holds s[k] and u[k]
     xs, ss, _, us, _ = lifted_slices(n, m)
@@ -490,9 +478,11 @@ def _shared_or_stacked(arrays):
     return np.stack(arrays)
 
 
-def _scan_parts(loop: Loop, d_rows: np.ndarray, second: bool) -> _Scan:
-    """One law's _Scan, with A^(L L) if second; d_rows are the d rows of
-    the scan's blocks but the last.
+def _law(loop: Loop, dk: np.ndarray, warm_dd: np.ndarray, d_rows: np.ndarray,
+         second: bool) -> _Law:
+    """One law's _Law, with A^(L L) if second: dk is the d table, warm_dd
+    its rows through the warm-up loop, which every law but eq shares, and
+    d_rows the d rows of the scan's blocks but the last.
 
     A high-gain law makes A strongly non-normal, and a power formed by
     double products carries errors of eps |A| |A^(j-1)|, far above
@@ -511,7 +501,9 @@ def _scan_parts(loop: Loop, d_rows: np.ndarray, second: bool) -> _Scan:
     end_d = d_rows.reshape(-1, len(gain_d)) @ gain_d
     power = np.linalg.matrix_power(A, L)
     carry = (power,) + ((np.linalg.matrix_power(power, L),) if second else ())
-    return _Scan(tuple(c.astype(float) for c in carry), gain_v, end_d)
+    # only the eq law's g[k] term changes B_d
+    dd = warm_dd if loop.taps.K_g is None else dk @ loop.B_d.T
+    return _Law(loop, dd, tuple(c.astype(float) for c in carry), gain_v, end_d)
 
 
 def _blocked_scan(A, psi, blocks, carry, end=None):
@@ -529,7 +521,7 @@ def _blocked_scan(A, psi, blocks, carry, end=None):
     given a second power, it is scanned the same way, blocks of L blocks,
     and otherwise looped one product per block.  Within a block the
     recursion is stepped as written; only the given ends and the carry use
-    powers of A (see _scan_parts for how they are formed)."""
+    powers of A (see _law for how they are formed)."""
     R, _, N = A.shape
     L = BLOCK
     drives = psi[:, 1:].reshape(R, blocks, L, N, copy=False)

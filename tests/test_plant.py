@@ -202,3 +202,16 @@ def test_invariant_zeros_benchmark():
     zeros = invariant_zeros(plant)
     assert len(zeros) == 1
     assert zeros[0] == pytest.approx(-0.17955502166299872, abs=1e-8)
+
+
+def test_invariant_zeros_propagates_foreign_errors(monkeypatch):
+    # a random H may fail the surface's assumptions and is redrawn; any
+    # other error is a fault and must not turn into "not enough surfaces"
+    import qsmc.surface
+
+    def broken(plant, H):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(qsmc.surface, "build_surface_raw", broken)
+    with pytest.raises(RuntimeError, match="injected"):
+        invariant_zeros(ContinuousPlant(A_BENCH, B_BENCH, C_BENCH))

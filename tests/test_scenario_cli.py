@@ -19,7 +19,7 @@ from qsmc import (ContinuousPlant, Scenario, ScenarioError, builtin_scenario_pat
 from qsmc.cli import main
 from qsmc.scenario import parse_scenario_file
 
-from conftest import X0_BENCH
+from conftest import H_UNSTABLE, X0_BENCH
 
 MINIMAL = """
 [plant]
@@ -687,6 +687,21 @@ def _refused(tmp_path, *ids):
 @pytest.mark.parametrize("ident", ROWS)
 def test_refused_input(tmp_path, ident):
     _refused(tmp_path, ident)
+
+
+def test_divergence_exit_4_in_process(tmp_path):
+    # the shipped scenario on an unstable surface and without a disturbance
+    # diverges; cli.main names it on one stderr line and writes no out
+    # directory
+    H = "H = " + " ; ".join(" ".join(map(str, row)) for row in H_UNSTABLE)
+    dropped = [(ln, "") for ln in SHIPPED.splitlines()
+               if ln == "[disturbance]" or ln.startswith("segment = ")]
+    res, _ = _cli_on(tmp_path, ["run", FILE], [(H_SHIPPED, H), *dropped])
+    assert res.returncode == 4 and res.stdout == "", res
+    line, = res.stderr.splitlines()
+    assert line.startswith("divergence: state norm ")
+    assert line.endswith(" exceeded guard at step 1246"), line
+    assert_named_exit(res, tmp_path / "o")
 
 
 def _again(*prefixes, each=False):
