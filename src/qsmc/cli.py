@@ -39,8 +39,8 @@ SLOPE_BANDS = {
 }
 _XBOUND_BAND = (0.7, 1.3)
 
-# the most seeds a benchmark may run: with --noise all their noise tables,
-# about 48 kB a seed on the shipped scenario, are drawn at once
+# the most seeds a benchmark may run: with --noise all their noise tables
+# are drawn at once, 48 kB a seed kept and about 119 kB a seed at the peak
 MAX_SEEDS = 10 ** 4
 
 
@@ -69,7 +69,7 @@ def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
     if args.horizon is not None:
         kw["horizon"] = args.horizon
     if args.seed is not None:
-        kw["noise"] = sc.noise.with_seed(args.seed)
+        kw["noise"] = replace(sc.noise, seed=args.seed)
     if args.noise is not None:
         kw["noise"] = replace(kw.get("noise", sc.noise), halfwidth=args.noise,
                               kind="uniform" if args.noise > 0 else "none")

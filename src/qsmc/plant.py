@@ -71,21 +71,19 @@ class ContinuousPlant:
 # ---------------------------------------------------------------------------
 # disturbance forms
 #
-# Each form knows its value, derivative and the sup-norm of its first
-# derivative; the sup is global (amplitude-based), hence valid on any
-# sub-interval.  Each is also the output of a linear exosystem
+# Each form is the output of a linear exosystem
 #
-#     z' = exo_S z,   f = exo_E . z,
+#     z' = exo_S z,   f = exo_E . z,   f' = exo_E exo_S . z,
 #
 # and exo_z(t) gives its state at an array of times as a (len(t), q) array;
-# the sampled disturbance d[k] is computed exactly from these.
+# the sampled disturbance d[k] and the derivative f' are computed exactly
+# from these.  Its closed-form value is the oracle the exosystem is tested
+# against, and sup_d1, the sup-norm of f', is global (amplitude-based),
+# hence valid on any sub-interval.
 
 @dataclass(frozen=True)
 class ZeroForm:
     def value(self, t: float) -> float:
-        return 0.0
-
-    def deriv(self, t: float) -> float:
         return 0.0
 
     sup_d1 = 0.0
@@ -113,9 +111,6 @@ class ConstForm:
     def value(self, t: float) -> float:
         return self.level
 
-    def deriv(self, t: float) -> float:
-        return 0.0
-
     sup_d1 = 0.0
     exo_S = np.zeros((1, 1))
     exo_E = np.ones(1)
@@ -136,9 +131,6 @@ class SinForm:
 
     def value(self, t: float) -> float:
         return self.offset + self.amp * math.sin(self.omega * t + self.phase)
-
-    def deriv(self, t: float) -> float:
-        return self.amp * self.omega * math.cos(self.omega * t + self.phase)
 
     @property
     def sup_d1(self) -> float:
@@ -169,9 +161,6 @@ class CosForm:
 
     def value(self, t: float) -> float:
         return self.amp * math.cos(self.omega * t)
-
-    def deriv(self, t: float) -> float:
-        return -self.amp * self.omega * math.sin(self.omega * t)
 
     @property
     def sup_d1(self) -> float:
@@ -264,8 +253,10 @@ class DisturbanceSignal:
         return out
 
     def derivative(self, t: float) -> np.ndarray:
+        """f'(t) of every channel, exo_E exo_S z(t) of its form's exosystem."""
         seg = self.segments[self.segment_index(t)]
-        return np.array([f.deriv(t) for f in seg.forms])
+        return np.array([(f.exo_z(np.array([t])) @ (f.exo_E @ f.exo_S))[0]
+                         for f in seg.forms])
 
     def deriv_bound(self, idx: int) -> float:
         """sup of the euclidean norm of f' on segment idx (closed form)."""
@@ -314,9 +305,6 @@ class NoiseSpec:
     def stream(self):
         return NoiseStream(self)
 
-    def with_seed(self, seed: int) -> "NoiseSpec":
-        return NoiseSpec(self.kind, self.halfwidth, seed)
-
 
 class NoiseStream:
     """Per-run noise source; draws p values per sample instant."""
@@ -353,7 +341,7 @@ def noise_tables(streams, rows: int, p: int) -> list:
 def random_surface_map(gen: Xoshiro256StarStar, m: int, p: int) -> np.ndarray:
     """An m x p surface map with entries uniform on [-1, 1), drawn row by
     row from gen."""
-    return gen.symmetric_table(m * p, 1.0).reshape(m, p)
+    return symmetric_tables([gen], m * p, [1.0])[0].reshape(m, p)
 
 
 def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815,

@@ -17,7 +17,6 @@ built once per process, applied to every start known so far, so G
 generators of `lanes` chunks take about log2(lanes) vectorized jumps.  All
 chunks of all generators then advance in lockstep on one (4, G lanes)
 uint64 array and are scrambled and converted as the scalar route does.
-`symmetric_table` is the draw of one generator.
 """
 
 from __future__ import annotations
@@ -189,9 +188,3 @@ class Xoshiro256StarStar:
     def symmetric(self, halfwidth: float) -> float:
         """Uniform draw in [-halfwidth, halfwidth]."""
         return (2.0 * self.uniform() - 1.0) * halfwidth
-
-    def symmetric_table(self, n: int, halfwidth: float) -> np.ndarray:
-        """The next n symmetric(halfwidth) draws as one float array, bit for
-        bit, leaving the stream where n symmetric calls would: the lane
-        draw of symmetric_tables for this generator alone."""
-        return symmetric_tables([self], n, [halfwidth])[0]

@@ -55,7 +55,7 @@ class NormalForm:
     hc_scale: float           # |H| |C|, the product of their 2-norms
 
 
-def build_surface_raw(plant: ContinuousPlant, H, annihilator=None) -> NormalForm:
+def build_surface_raw(plant: ContinuousPlant, H) -> NormalForm:
     H = np.atleast_2d(np.asarray(H, dtype=float))
     m, p, n = plant.m, plant.p, plant.n
     if H.shape != (m, p):
@@ -68,7 +68,7 @@ def build_surface_raw(plant: ContinuousPlant, H, annihilator=None) -> NormalForm
         raise AssumptionViolation(
             "H C B is singular: the surface design requires an invertible "
             "output-to-input coupling")
-    M = input_annihilator(plant.B) if annihilator is None else np.asarray(annihilator, float)
+    M = input_annihilator(plant.B)
     to_normal = np.vstack([M, H @ plant.C])
     if _singular(to_normal)[2] > _COND_LIMIT:
         raise AssumptionViolation(
@@ -120,14 +120,13 @@ class SurfaceDesign:
         return self.disc.T
 
 
-def build_surface(plant: ContinuousPlant, disc: DiscretePlant, H,
-                  annihilator=None) -> SurfaceDesign:
+def build_surface(plant: ContinuousPlant, disc: DiscretePlant, H) -> SurfaceDesign:
     """Assemble the full design for one sampling period.
 
     Raises AssumptionViolation if H C B or the sampled coupling H C
     input_rate is not invertible (condition number above 1e12, or smallest
     singular value at rounding level relative to the factors' scale)."""
-    base = build_surface_raw(plant, H, annihilator=annihilator)
+    base = build_surface_raw(plant, H)
     hc = base.H @ plant.C
     s_gain = hc @ disc.input_rate
     scale = base.hc_scale * _singular(disc.input_rate)[0]

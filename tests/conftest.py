@@ -10,7 +10,7 @@ from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
                   DisturbanceSignal, LawTaps, Segment, build_aug, build_surface,
                   discretize, law_taps, load_aircraft_scenario, run)
 from qsmc.controllers import DEADBEAT, WARMUP, _eq_terms
-from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
+from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm, random_surface_map
 
 # shipped benchmark plant: lateral aircraft dynamics, 4 states, 2 inputs,
 # 3 measured outputs
@@ -188,6 +188,19 @@ def augmented_vs_direct(design, alpha, variant, scenario):
             ref = np.concatenate([xi[k + 1], s[k + 1], s[k], w[k + 1], w[k]])
         dev = max(dev, float(np.max(np.abs(psi - ref))))
     return dev
+
+
+def random_plant(rng, gen):
+    """(plant, H): a plant with m <= p < n <= 5 and standard-normal A, B, C
+    from the numpy generator rng, and a surface map drawn from the
+    xoshiro256** generator gen as invariant_zeros draws it."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, n))
+    p = int(rng.integers(m, n))
+    plant = ContinuousPlant(rng.standard_normal((n, n)),
+                            rng.standard_normal((n, m)),
+                            rng.standard_normal((p, n)))
+    return plant, random_surface_map(gen, m, p)
 
 
 def segment_value(sig, idx, t):

@@ -17,16 +17,17 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsmc import (WARMUP, AssumptionViolation, ConfigError, ContinuousPlant,
-                  ControllerState, DisturbanceRangeError, DisturbanceSampler,
-                  DisturbanceSignal, DivergenceError, NoiseSpec, Scenario,
-                  Segment, Xoshiro256StarStar, build_aug, build_surface,
+from qsmc import (WARMUP, AssumptionViolation, ConfigError, ControllerState,
+                  DisturbanceRangeError, DisturbanceSampler, DisturbanceSignal,
+                  DivergenceError, NoiseSpec, Scenario, Segment,
+                  Xoshiro256StarStar, build_aug, build_surface,
                   charpoly, closed_loop, constant_signal, contraction_alpha,
                   discretize, law_taps, run, stability_over_T, zero_signal)
-from qsmc.plant import CosForm, NoiseStream, SinForm, random_surface_map
+from qsmc.plant import CosForm, NoiseStream, SinForm
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
-from conftest import FORMS, H_UNSTABLE, law_form, rk4_states, variant_for_kind
+from conftest import (FORMS, H_UNSTABLE, law_form, random_plant, rk4_states,
+                      variant_for_kind)
 
 KINDS = ("eq", "m1", "m2", "mm1", "mm2")
 SEEDS = (5, 20260815)
@@ -307,21 +308,14 @@ def test_batch_divergence_on_block_edges(bench_scenario, period, offset):
 # --- random admissible plants ------------------------------------------------
 
 def _random_loop(seed, samples=(1, 8 * BLOCK)):
-    """(scenario, form, A_cl): a stable closed loop of a random plant with
-    m <= p < n and a surface drawn as invariant_zeros draws it, its law's
-    taps drawn from FORMS, over a horizon of samples[0] to samples[1] - 1
-    samples; draws with cond(H C B) > 1e8, a singular sampled coupling or
-    rho(A_cl) >= 1 are redrawn."""
+    """(scenario, form, A_cl): a stable closed loop of a plant and surface
+    map from conftest.random_plant, its law's taps drawn from FORMS, over a
+    horizon of samples[0] to samples[1] - 1 samples; draws with cond(H C B)
+    > 1e8, a singular sampled coupling or rho(A_cl) >= 1 are redrawn."""
     rng = np.random.default_rng(seed)
     gen = Xoshiro256StarStar(seed)
     while True:
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, n))
-        p = int(rng.integers(m, n))
-        plant = ContinuousPlant(rng.standard_normal((n, n)),
-                                rng.standard_normal((n, m)),
-                                rng.standard_normal((p, n)))
-        H = random_surface_map(gen, m, p)
+        plant, H = random_plant(rng, gen)
         if np.linalg.cond(H @ plant.C @ plant.B) > 1e8:
             continue
         T = float(rng.uniform(0.005, 0.1))
@@ -337,11 +331,11 @@ def _random_loop(seed, samples=(1, 8 * BLOCK)):
             continue
         samples = int(rng.integers(*samples))
         forms = tuple(SinForm(*rng.uniform([-1.0, 0.0, 0.1, 0.0], [1.0, 2.0, 5.0, 6.0]))
-                      for _ in range(m))
+                      for _ in range(plant.m))
         sc = Scenario(plant=plant, H=H, kind=kind, T=T, horizon=(samples - 0.5) * T,
                       disturbance=DisturbanceSignal([Segment(0.0, math.inf, forms)]),
                       noise=NoiseSpec(kind="uniform", halfwidth=0.01, seed=seed),
-                      alpha=alpha, x0=rng.standard_normal(n))
+                      alpha=alpha, x0=rng.standard_normal(plant.n))
         return sc, form, A_cl
 
 

@@ -320,7 +320,6 @@ class _Ramp:
     exo_S = np.array([[0.0, 1.0], [0.0, 0.0]])
     exo_E = np.array([1.0, 0.0])
     def value(self, t): return t
-    def deriv(self, t): return 1.0
     def exo_z(self, t): return np.column_stack((t, np.ones_like(t)))
     def spec(self): return "ramp"
 

@@ -4,13 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsmc import (ConfigError, SweepSpec, aircraft_benchmark,
-                  builtin_scenario_path, load_aircraft_scenario,
+from qsmc import (AssumptionViolation, ConfigError, Scenario,
+                  Segment, SweepSpec, aircraft_benchmark, build_surface,
+                  builtin_scenario_path, discretize, load_aircraft_scenario,
                   measure_quasi_sliding, run, run_batch, run_sweep,
                   stability_over_T, zero_signal)
+from qsmc.cli import SLOPE_BANDS
 from qsmc.controllers import LAWS
-from qsmc.experiments import shared_sampler
-from qsmc.plant import DisturbanceSignal
+from qsmc.experiments import DEFAULT_LADDER, shared_sampler
+from qsmc.plant import ConstForm, DisturbanceSignal, ZeroForm
+from qsmc.rng import Xoshiro256StarStar
+
+from conftest import random_plant
 
 # frozen from the first validated runs of the shipped benchmark; regression
 # anchors, not external truth
@@ -67,6 +72,56 @@ def test_sweep_input_peak_bounded(bench_scenario):
     assert -0.3 <= rep.slope <= 0.3
     vals = [p.value for p in rep.points]
     assert max(vals) / min(vals) < 2.0
+
+
+def _headline_sweeps(seed):
+    """{kind: u_peak sweep over DEFAULT_LADDER} of a random plant, beta = 3,
+    a 3 s horizon and a standard-normal constant disturbance from t = 1 s.
+    Plant and H are conftest.random_plant's, as in test_batch; a draw is
+    redrawn unless cond(H C B) <= 1e4, every rung's surface is admissible
+    with a stable xi_step, |H C x0| >= |H C| |x0| / 2 (the O(1/T) peak
+    comes from s[0] != 0) and every rung of every law is certified and
+    unflagged."""
+    rng = np.random.default_rng(seed)
+    gen = Xoshiro256StarStar(seed)
+    while True:
+        plant, H = random_plant(rng, gen)
+        n, m = plant.n, plant.m
+        HC = H @ plant.C
+        if np.linalg.cond(HC @ plant.B) > 1e4:
+            continue
+        try:
+            steps = [build_surface(plant, discretize(plant, T), H).xi_step
+                     for T in DEFAULT_LADDER]
+        except AssumptionViolation:
+            continue
+        if any(np.max(np.abs(np.linalg.eigvals(S))) >= 1.0 for S in steps):
+            continue
+        x0 = rng.standard_normal(n)
+        if np.linalg.norm(HC @ x0) < 0.5 * np.linalg.norm(HC, 2) * np.linalg.norm(x0):
+            continue
+        step = tuple(ConstForm(float(v)) for v in rng.standard_normal(m))
+        sig = DisturbanceSignal([Segment(0.0, 1.0, (ZeroForm(),) * m),
+                                 Segment(1.0, np.inf, step)])
+        base = Scenario(plant=plant, H=H, kind="m1", T=DEFAULT_LADDER[0],
+                        horizon=3.0, disturbance=sig, beta=3.0, x0=x0)
+        sweeps = {kind: run_sweep(SweepSpec(base.with_(kind=kind), metric="u_peak"))
+                  for kind in LAWS}
+        if all(pt.certified and pt.flagged is None
+               for rep in sweeps.values() for pt in rep.points):
+            return sweeps
+
+
+def test_effort_order_on_random_plants():
+    # the paper's headline claim: the deadbeat laws' input peak grows like
+    # 1/T, the contraction laws' stays O(1), in the CLI's own u_peak bands
+    outside = []
+    for seed in range(25):
+        for kind, rep in _headline_sweeps(seed).items():
+            lo, hi = SLOPE_BANDS[(kind, "u_peak")]
+            if not lo <= rep.slope <= hi:
+                outside.append((seed, kind, rep.slope))
+    assert outside == []
 
 
 def test_sweep_flags_uncertified_points(bench_scenario):

@@ -47,14 +47,9 @@ ALLOWED = {
     "plant.zero_signal": "zero_signal: the default disturbance of a Scenario without one",
     "plant.constant_signal": "constant_signal: public constructor of a constant disturbance",
     "plant.DisturbanceSignal.derivative": DERIV,
-    "plant.ZeroForm.deriv": DERIV,
-    "plant.ConstForm.deriv": DERIV,
-    "plant.SinForm.deriv": DERIV,
-    "plant.CosForm.deriv": DERIV,
     "analysis.build_aug": TRACER + "; the Loop's oracle in the charpoly tests",
     "plant.invariant_zeros": CLAIM,
     "plant.random_surface_map": CLAIM,
-    "rng.Xoshiro256StarStar.symmetric_table": CLAIM + "; random_surface_map's draw",
 }
 
 

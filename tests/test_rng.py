@@ -1,7 +1,7 @@
 """Generator vectors are frozen from hand computation of the reference
 algorithms (64-bit splitmix seeding, xoshiro256** output scrambler).  The
 scalar route (next_u64/uniform/symmetric) is the oracle for the lane draw
-(symmetric_table, symmetric_tables) and its jump ladder."""
+(symmetric_tables) and its jump ladder."""
 
 import functools
 import hashlib
@@ -110,7 +110,7 @@ SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)
 @example(n=129, seed=2 ** 64 - 1, halfwidth=2.5)
 def test_lane_draw_matches_scalar_draws(n, seed, halfwidth):
     lanes, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-    table = lanes.symmetric_table(n, halfwidth)
+    table = symmetric_tables([lanes], n, [halfwidth])[0]
     ref = np.array([scalar.symmetric(halfwidth) for _ in range(n)])
     assert table.dtype == np.float64 and table.shape == (n,)
     assert table.tobytes() == ref.tobytes()
@@ -123,9 +123,10 @@ def test_lane_draw_matches_scalar_draws(n, seed, halfwidth):
 @given(first=st.integers(0, 300), second=st.integers(0, 300), seed=SEEDS)
 def test_successive_tables_equal_one_table(first, second, seed):
     split, whole = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-    parts = np.concatenate([split.symmetric_table(first, 0.005),
-                            split.symmetric_table(second, 0.005)])
-    assert parts.tobytes() == whole.symmetric_table(first + second, 0.005).tobytes()
+    parts = np.concatenate([symmetric_tables([split], first, [0.005])[0],
+                            symmetric_tables([split], second, [0.005])[0]])
+    assert parts.tobytes() == symmetric_tables([whole], first + second,
+                                               [0.005])[0].tobytes()
     assert split._s == whole._s
 
 
@@ -142,7 +143,7 @@ def test_lane_draw_raises_no_overflow_warning(n):
     gen = Xoshiro256StarStar(2 ** 64 - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gen.symmetric_table(n, 0.005)
+        symmetric_tables([gen], n, [0.005])
 
 
 # --- lockstep draw of several generators ----------------------------------------
@@ -180,9 +181,13 @@ def test_lockstep_draw_matches_scalar_streams(G, n):
 
 
 def test_single_table_is_the_one_generator_lockstep_draw():
+    # a generator's table and end state are the same drawn alone or among
+    # others
     a, b = Xoshiro256StarStar(11), Xoshiro256StarStar(11)
-    one = a.symmetric_table(777, 0.005)
-    assert one.tobytes() == symmetric_tables([b], 777, [0.005])[0].tobytes()
+    one = symmetric_tables([a], 777, [0.005])[0]
+    others = [Xoshiro256StarStar(5), b, Xoshiro256StarStar(2 ** 64 - 1)]
+    among = symmetric_tables(others, 777, [2.5, 0.005, 1.0])[1]
+    assert one.tobytes() == among.tobytes()
     assert a._s == b._s
 
 

@@ -398,9 +398,9 @@ def test_verify_builds_one_design_per_period(monkeypatch, capsys):
     from qsmc.surface import build_surface as real
     calls = []
 
-    def counted(plant, disc, H, annihilator=None):
+    def counted(plant, disc, H):
         calls.append(disc.T)
-        return real(plant, disc, H, annihilator=annihilator)
+        return real(plant, disc, H)
 
     # every module that binds the name calls through the counter
     for name, module in list(sys.modules.items()):
