@@ -40,7 +40,7 @@ SLOPE_BANDS = {
 _XBOUND_BAND = (0.7, 1.3)
 
 # the most seeds a benchmark may run: with --noise all their noise tables
-# are drawn at once, 48 kB a seed kept and about 119 kB a seed at the peak
+# are drawn at once, 48 kB a seed kept and about 57 kB a seed at the peak
 MAX_SEEDS = 10 ** 4
 
 

@@ -62,6 +62,10 @@ def _lane_step(s: np.ndarray) -> None:
 _BIT = np.arange(64, dtype=np.uint64)
 _NIBBLE = np.arange(0, 64, 4, dtype=np.uint64)   # shifts of a word's 16 nibbles
 _ROW = np.arange(0, 1024, 16)[:, None]   # row of nibble position q, value 0
+# rows per step of a jump (2 kB of gather each) and of the conversion of
+# drawn words (512 B each); a benchmark's 10 seeds jump at most 320 starts
+# at once
+_SLICE = 512
 
 
 def _nibble_table(columns: np.ndarray) -> np.ndarray:
@@ -79,12 +83,17 @@ def _nibble_table(columns: np.ndarray) -> np.ndarray:
 
 def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The matrix of a nibble table applied to each row of a (K, 4) uint64
-    array of states: the XOR of the 64 entries their nibbles select."""
-    nibbles = ((states[:, :, None] >> _NIBBLE) & np.uint64(15)).reshape(-1, 64)
-    # (64, K, 4), so that the XOR runs over the leading axis
-    picked = np.take(table.reshape(1024, 4), nibbles.T.astype(np.intp) + _ROW,
-                     axis=0)
-    return np.bitwise_xor.reduce(picked, axis=0)
+    array of states: the XOR of the 64 entries their nibbles select.  The
+    rows go `_SLICE` at a time, which bounds the (64, K, 4) gather."""
+    out = np.empty_like(states)
+    for lo in range(0, len(states), _SLICE):
+        part = states[lo:lo + _SLICE]
+        nibbles = ((part[:, :, None] >> _NIBBLE) & np.uint64(15)).reshape(-1, 64)
+        # (64, K, 4), so that the XOR runs over the leading axis
+        picked = np.take(table.reshape(1024, 4), nibbles.T.astype(np.intp) + _ROW,
+                         axis=0)
+        np.bitwise_xor.reduce(picked, axis=0, out=out[lo:lo + _SLICE])
+    return out
 
 
 @functools.cache
@@ -145,10 +154,12 @@ def symmetric_tables(gens, n: int, halfwidths) -> np.ndarray:
             for gen, state in zip(gens, s[:, lanes - 1::lanes].T.tolist()):
                 gen._s = state
     # top 53 bits to [0, 1), then to [-h, h], in place and in the scalar
-    # route's operation order
+    # route's operation order; the conversion goes a slice of rows at a
+    # time, as copying onto itself makes a temporary of the copy's size
     out >>= np.uint64(11)
     draws = out.view(np.float64)
-    np.copyto(draws, out, casting="unsafe")
+    for lo in range(0, len(out), _SLICE):
+        np.copyto(draws[lo:lo + _SLICE], out[lo:lo + _SLICE], casting="unsafe")
     draws *= 2.0 ** -53
     draws *= 2.0
     draws -= 1.0

@@ -4,7 +4,8 @@ Hand-emitted paths, no plotting dependency; diagnostic quality only.  One
 polyline per series, simple linear axes with a handful of ticks.
 
 Each series' points come from the ticks' `sx`/`sy` pixel transform, applied
-to whole arrays, and one bulk `%.2f` format of the interleaved coordinates.
+to whole arrays, and `numtext.fixed2_cells`, which writes every coordinate
+as `'%.2f' %` would.
 A point with a NaN or infinite coordinate is left out of its polyline and
 of the axis ranges, so the rest of the plot still draws.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .numtext import fixed2_cells, join_cells
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 880, 340
@@ -27,9 +30,13 @@ def _ticks(lo: float, hi: float, count: int = 5):
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
+    if first + step == first:
+        return [lo]    # the step is below half an ulp of the ticks
     ticks = []
     v = first
-    while v <= hi + 1e-12 * step:
+    # at most count + 1 ticks fit; the bound also ends a walk whose step
+    # stops moving it where the ulp doubles
+    while v <= hi + 1e-12 * step and len(ticks) <= count:
         ticks.append(round(v, 12))
         v += step
     return ticks or [lo]
@@ -102,8 +109,7 @@ def line_plot(series, title: str, path, xlabel: str = "t", ylabel: str = "") -> 
         color = _COLORS[i % len(_COLORS)]
         # sx of a flat x range is a scalar
         px = np.broadcast_to(sx(xs), xs.shape)
-        flat = np.column_stack([px, sy(ys)]).ravel().tolist()
-        pts = ("%.2f,%.2f " * len(xs) % tuple(flat))[:-1]
+        pts = join_cells(fixed2_cells(np.column_stack([px, sy(ys)])), ",", " ")[:-1]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         lx = _ML + iw - 110

@@ -5,6 +5,7 @@ scalar route (next_u64/uniform/symmetric) is the oracle for the lane draw
 
 import functools
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_successive_tables_equal_one_table(first, second, seed):
     assert parts.tobytes() == symmetric_tables([whole], first + second,
                                                [0.005])[0].tobytes()
     assert split._s == whole._s
+
+
+def test_draw_transient_does_not_grow_with_generators():
+    # the jump's gather and the in-place conversion go in slices, so the
+    # draw of 300 generators peaks within a quarter above the tables it
+    # returns; one gather over all their starts would peak near 2.5 times
+    gens = [Xoshiro256StarStar(seed) for seed in range(300)]
+    tracemalloc.start()
+    try:
+        table = symmetric_tables(gens, 6003, [0.005] * len(gens))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
 
 
 def test_noise_table_frozen_digest():

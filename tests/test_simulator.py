@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,22 @@ def test_csv_round_trip(tmp_path, bench_scenario):
     assert np.array_equal(got_x, traj.x[k])
     got_f = np.array([float(v) for v in row[-2:]])
     assert np.array_equal(got_f, traj.f[k])
+
+
+def test_csv_export_peaks_below_the_row_writer(tmp_path, bench_scenario):
+    # the bound is the peak (tracemalloc) of a writer that builds every
+    # row's text before it writes, on this 2,001-row run; export_csv
+    # formats a chunk of rows at a time to stay below it
+    traj = run(bench_scenario.with_(
+        noise=NoiseSpec(kind="uniform", halfwidth=0.005, seed=20260815)))
+    export_csv(traj, tmp_path / "warm.csv")   # forms y, s_true and f
+    tracemalloc.start()
+    try:
+        export_csv(traj, tmp_path / "out.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1e6
 
 
 def test_csv_keeps_negative_zero(tmp_path, bench_scenario):

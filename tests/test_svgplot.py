@@ -135,6 +135,14 @@ def test_non_finite_point_is_left_out(tmp_path, bad):
     assert np.all((xy[:, 1] >= _MT) & (xy[:, 1] <= _H - _MB))
 
 
+def test_step_below_half_an_ulp_ends(tmp_path):
+    # 0.125 / 5 added to 1e15 leaves it unchanged, so a walk by that step
+    # would never reach the top of the range
+    assert _ticks(1e15, 1e15 + 0.125) == [1e15]
+    line_plot([("a", [0.0, 1.0], [1e15, 1e15 + 0.125])], "p", tmp_path / "p.svg")
+    assert (tmp_path / "p.svg").read_text().rstrip().endswith("</svg>")
+
+
 def test_no_finite_point_is_an_error(tmp_path):
     with pytest.raises(ValueError, match="no finite point"):
         line_plot([("u", [0.0, 1.0], [np.nan, np.inf])], "plot", tmp_path / "x.svg")
