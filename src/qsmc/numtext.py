@@ -3,9 +3,9 @@
 `repr_cells` gives each value's `repr`: the shortest decimal that reads
 back to the same double, and of those the closest.  `fixed2_cells` gives
 `'%.2f' % v` and `count_cells` the digits of a non-negative integer.  A
-cell is a row of ASCII bytes (`WIDTH` of them, `FIXED2_WIDTH` for '%.2f')
-whose text is its non-NUL bytes in order; `join_cells` turns a table of
-cells into text.  Only whole-array numpy operations run per value.
+cell is a row of `WIDTH` ASCII bytes whose text is its non-NUL bytes in
+order; `join_cells` turns a table of cells into text.  Only whole-array
+numpy operations run per value.
 
 The shortest digits come from Schubfach (R. Giulietti, "The Schubfach way
 to render doubles", 2020), as in Java's `DoubleToDecimal`, with CPython's
@@ -15,13 +15,12 @@ power of ten g from a 617-entry table, and rounded to odd (`_rop`); the
 one multiple of ten, or else the closer of the two integers, inside it
 gives the digits.
 
-Every repr cell starts as the same 60-byte row of 4-byte words from one
-table: the value's digits twice, its exponent and the constant characters
-(see `WIDTH`).  A mask from a table built once in scalar Python from the
-format's rules, one per (sign, significant digits, decimal-point class),
-then keeps the bytes that the value's text is made of.  A '%.2f' cell is a
-32-byte row of the same kind whose point sits at a fixed place, as its
-digits are right-aligned (see `FIXED2_WIDTH`).
+All three formats write one row (see `WIDTH`): the digits once, with a
+'.' after the first `point` of them, the exponent and the constant
+characters.  A mask, one per (sign, kept digits, class), keeps the bytes
+of the text.  '%.2f' is the fixed form of the cents with the point before
+their last two digits; a count is its digits alone.  The tables, masks
+included, are built on first use by whole-array numpy arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ _MASK32 = _U(2 ** 32 - 1)
 _MASK63 = _U(2 ** 63 - 1)
 _FRACTION = _U(2 ** 52 - 1)
 _C_MIN = _U(2 ** 52)
+_ONE = np.float64(1.0).view(np.uint64)
 _Q_MIN = -1074
 _E_MIN, _E_MAX = -292, 324     # the powers 10^e of the g table
 _FIXED_MAX = 2.0 ** 53 / 100   # '%.2f' is exact below this magnitude
@@ -45,42 +45,30 @@ _POW10 = np.array([10 ** i for i in range(_DIGITS + 1)], dtype=np.uint64)
 _GROUP = _U(10 ** 4)
 # values per whole-array step: timed in process, 4,096 beat 2,048 (more
 # calls) and 16,384 (temporaries that the allocator maps afresh each call)
-_SLICE = 4096
+SLICE = 4096
 
-# The row of a cell, as bytes.  The value's 17 digits, left-aligned, are
-# written twice as a 20-digit number of five 4-digit words, so that digit i
-# sits at byte _FIRST + i and at byte _SECOND + i.  The last byte holds the
+# The row of a cell, as bytes, written as nine 4-byte words:
+#   0 '-'   1..3 '000'   4..23 digits   24 'e'   25..27 'inf'
+#   28..31 exponent: its sign and 2 or 3 digits   32..34 'nan'   35 separator
+# The digits are a 20-digit number: the value's digits, left-aligned to 17
+# places from byte 7, with their first `point` digits moved one byte left.
+# Byte _POINT + point, the '0' that this opens or, for point <= 0, one of
+# the '0's before the digits, becomes the '.'.  The last byte holds the
 # separator that join_cells writes.
-#   0 '-'   2 '0'   3 '.'   4..6 '000'   7..23 copy 1   24 '.'
-#   28..30 '000'   31..47 copy 2   48 'e'   49..51 'inf'
-#   52..55 exponent sign and 3 digits   56..58 'nan'   59 separator
-WIDTH = 60
-_MINUS, _ZERO, _LEAD_POINT, _ZEROS = 0, 2, 3, 4
-_FIRST, _POINT, _SECOND = 7, 24, 31
-_E, _INF, _EXP_SIGN, _NAN = 48, 49, 52, 56
+WIDTH = 36
+_POINT = 6
 
-# The row of a '%.2f' cell: 100 |v| rounded, right-aligned as 16 digits;
-# the last four come from a table of 8-byte words with the point inside.
-#   0 '-'   4..15 digits 0..11   16..17 digits 12, 13   18 '.'
-#   19..20 digits 14, 15   24..28 'inanf' (inf and nan)   31 separator
-FIXED2_WIDTH = 32
-_F2_DIGIT, _F2_POINT, _F2_INANF = 4, 18, 24
-
-# the word table: the 4 digits of 0..9999, the sign and 3 digits of the
-# exponents -400..400, then the words of row columns 0, 6, 12 and 14; the
-# class table covers decpt -400..400 as well
+# the word table: the 4 digits of 0..9999, then the exponents -400..400;
+# the class table covers decpt -400..400 as well
 _EXP_LO = -400
 _EXP_WORD = 10 ** 4 - _EXP_LO      # the word of exponent 0
-_CONST_WORD = 10 ** 4 - 2 * _EXP_LO + 1
-_CONST_COLUMNS = (0, 6, 12, 14)
+_CONST = np.frombuffer(b"-000einfnan\0", dtype=np.uint32)  # row columns 0, 6 and 8
 
-# decimal-point classes of a repr: the fixed form for decpt -3..16 (the
-# value is 0.d1d2... 10^decpt), the exponent form with a 2- or 3-digit
-# exponent, then zero, infinity and nan
+# classes of a text: the fixed form for decpt -3..16 (the value is
+# 0.d1d2... 10^decpt), the exponent form, zero, infinity, nan and a count
 _FIXED_LO, _FIXED_HI = -3, 16
-_EXP2 = _FIXED_HI - _FIXED_LO + 1
-_EXP3, _ZERO_CLASS, _INF_CLASS, _NAN_CLASS = range(_EXP2 + 1, _EXP2 + 5)
-_REPR_CLASSES = _NAN_CLASS + 1
+_EXP, _ZERO, _INF, _NAN, _COUNT = range(_FIXED_HI - _FIXED_LO + 1, _FIXED_HI - _FIXED_LO + 6)
+_CLASSES = _COUNT + 1
 
 
 def _flog10pow2(q):
@@ -177,128 +165,91 @@ def _digit_count(f):
     return np.searchsorted(_POW10[:_DIGITS], f, side="right")
 
 
-def _write_rows(t, cells, f, nd, exp_words=_EXP_WORD):
-    """Write into the (N, WIDTH) cells the row words of the integers
-    f < 10^17 of nd digits, with exponent words exp_words; return the
-    (5, N) 4-digit groups of f aligned to 17 digits."""
-    rows = cells.view(np.uint32)
-    x = f * _POW10[_DIGITS - nd]
+def _write_rows(t, cells, f, nd, point):
+    """Write into the (N, WIDTH) cells the rows, but for the exponent, of
+    the integers f < 10^17 of nd digits with a '.' after their first
+    `point` digits; return the (5, N) 4-digit groups of the 20 digits."""
+    x = f * _POW10.take(_DIGITS - nd)
+    # head m + tail becomes 10 head m + tail: a '0' opens after the head
+    m = _POW10.take(_DIGITS - point, mode="clip")
+    x += x // m * m * _U(9)
     groups = np.empty((5, len(f)), dtype=np.intp)
     for j in range(4, 0, -1):
         q = x // _GROUP
         groups[j] = x - q * _GROUP
         x = q
     groups[0] = x
-    for j in range(5):
-        rows[:, 1 + j] = rows[:, 7 + j] = t.words.take(groups[j])
-    for col, word in zip(_CONST_COLUMNS, t.words[_CONST_WORD:]):
-        rows[:, col] = word
-    rows[:, 13] = t.words.take(exp_words)
+    rows = cells.view(np.uint32)
+    rows[:, 1:6] = t.words[groups.T]
+    rows[:, [0, 6, 8]] = _CONST
+    cells.reshape(-1)[np.arange(_POINT, cells.size, WIDTH) + point] = ord(".")
     return groups
 
 
-def _each_slice(fill, values, width=WIDTH, dtype=np.float64):
-    """The (..., width) cells of values, filled `_SLICE` values at a time by
-    fill(tables, slice, its (n, width) cells), which returns the masks and
-    each value's key into them."""
+def _each_slice(fill, values, dtype=np.float64):
+    """The (..., WIDTH) cells of values, filled `SLICE` values at a time by
+    fill(tables, slice, its (n, WIDTH) cells), which returns each value's
+    sign, kept digits and class."""
     t = _tables()
     v = np.ascontiguousarray(values, dtype=dtype)
     flat = v.reshape(-1)
-    cells = np.empty((flat.size, width), dtype=np.uint8)
-    for lo in range(0, flat.size, _SLICE):
-        out = cells[lo:lo + _SLICE]
-        masks, key = fill(t, flat[lo:lo + _SLICE], out)
-        out &= masks.take(key, axis=0)
-    return cells.reshape(v.shape + (width,))
+    cells = np.empty((flat.size, WIDTH), dtype=np.uint8)
+    for lo in range(0, flat.size, SLICE):
+        out = cells[lo:lo + SLICE]
+        neg, n, cls = fill(t, flat[lo:lo + SLICE], out)
+        out &= t.masks.take((neg * (_DIGITS + 1) + n) * _CLASSES + cls, axis=0)
+    return cells.reshape(v.shape + (WIDTH,))
 
 
-def _mask(neg, body, width=WIDTH):
-    kept = ([_MINUS] if neg else []) + body + [width - 1]
-    assert kept == sorted(set(kept)), kept
-    mask = np.zeros(width, dtype=np.uint8)
-    mask[kept] = 0xFF
-    return mask
-
-
-def _first(lo, hi):
-    return list(range(_FIRST + lo, _FIRST + hi))
-
-
-def _second(lo, hi):
-    return list(range(_SECOND + lo, _SECOND + hi))
-
-
-def _repr_masks() -> np.ndarray:
-    """The masks of every repr, indexed [neg, n, class] with n significant
-    digits."""
-    table = np.zeros((2, _DIGITS + 1, _REPR_CLASSES, WIDTH), dtype=np.uint8)
-    for neg in (0, 1):
-        for n in range(1, _DIGITS + 1):
-            for decpt in range(_FIXED_LO, _FIXED_HI + 1):
-                if decpt <= 0:
-                    body = ([_ZERO, _LEAD_POINT] + list(range(_ZEROS, _ZEROS - decpt))
-                            + _first(0, n))
-                elif decpt >= n:
-                    # digit decpt is a '0' of the alignment
-                    body = _first(0, decpt) + [_POINT] + _second(decpt, decpt + 1)
-                else:
-                    body = _first(0, decpt) + [_POINT] + _second(decpt, n)
-                table[neg, n, decpt - _FIXED_LO] = _mask(neg, body)
-            mantissa = _first(0, 1) + ([_POINT] + _second(1, n) if n > 1 else [])
-            table[neg, n, _EXP2] = _mask(
-                neg, mantissa + [_E, _EXP_SIGN, _EXP_SIGN + 2, _EXP_SIGN + 3])
-            table[neg, n, _EXP3] = _mask(
-                neg, mantissa + [_E] + list(range(_EXP_SIGN, _EXP_SIGN + 4)))
-        table[neg, :, _ZERO_CLASS] = _mask(neg, [_ZERO, _LEAD_POINT, _ZEROS])
-        table[neg, :, _INF_CLASS] = _mask(neg, list(range(_INF, _INF + 3)))
-        table[neg, :, _NAN_CLASS] = _mask(0, list(range(_NAN, _NAN + 3)))  # unsigned
-    return table.reshape(-1, WIDTH)
-
-
-def _fixed2_masks() -> np.ndarray:
-    """The masks of every '%.2f' text, indexed [neg, nd, class] with nd >= 3
-    digits of 100 |v| and class finite, infinity or nan."""
-    def at(i):   # byte of digit i of 16
-        return _F2_DIGIT + i if i < 12 else _F2_POINT - 14 + i + (i >= 14)
-
-    table = np.zeros((2, _DIGITS + 1, 3, FIXED2_WIDTH), dtype=np.uint8)
-    for neg in (0, 1):
-        for nd in range(3, 17):
-            body = [at(i) for i in range(16 - nd, 14)] + [_F2_POINT, at(14), at(15)]
-            table[neg, nd, 0] = _mask(neg, body, FIXED2_WIDTH)
-        inanf = [_F2_INANF + i for i in range(5)]
-        table[neg, :, 1] = _mask(neg, [inanf[0], inanf[1], inanf[4]], FIXED2_WIDTH)
-        table[neg, :, 2] = _mask(0, inanf[1:4], FIXED2_WIDTH)
-    return table.reshape(-1, FIXED2_WIDTH)
+def _masks() -> np.ndarray:
+    """The masks of every text, indexed [neg, n, class] with n kept digits:
+    each keeps the bytes lo..hi of its digits, its class's constant bytes,
+    the sign of a negative value that is not a nan, and the separator."""
+    n = np.arange(_DIGITS + 1)[:, None]
+    decpt = np.arange(_FIXED_LO, _FIXED_HI + 1)
+    lo = np.full((_DIGITS + 1, _CLASSES), WIDTH)
+    hi = np.zeros_like(lo)
+    # '0.' and -decpt '0's before the digits, or the digits up to the point
+    # and at least one after it
+    lo[:, :_EXP] = _POINT - 1 + np.minimum(decpt, 1)
+    hi[:, :_EXP] = _POINT + np.maximum(n, decpt + 1)
+    # the first digit, then the point and the rest if there is a rest
+    lo[:, [_EXP, _COUNT]] = _POINT
+    hi[:, [_EXP]] = _POINT + n - (n == 1)
+    hi[:, [_COUNT]] = _POINT - 1 + n
+    const = np.zeros((_CLASSES, WIDTH), dtype=bool)
+    const[_EXP, [24, 28, 29, 30, 31]] = True
+    # a '0', then the '.' and the '0' after the stand-in 1's first digit
+    const[_ZERO, [1, _POINT + 1, _POINT + 2]] = True
+    const[_INF, 25:28] = const[_NAN, 32:35] = const[:, -1] = True
+    byte = np.arange(WIDTH)
+    keep = (lo[..., None] <= byte) & (byte <= hi[..., None]) | const
+    sign = (byte == 0) & (np.arange(_CLASSES) != _NAN)[:, None]
+    return (np.stack([keep, keep | sign]) * np.uint8(0xFF)).reshape(-1, WIDTH)
 
 
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The constant tables, built on first use and shared read-only: the
     words of the rows, the trailing zeros of each 4-digit word, the class
-    of each decpt, the g table and the masks of each format."""
-    groups = [f"{g:04d}" for g in range(10 ** 4)]
+    of each decpt, the g table and the masks."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    # the 4 digits of 0..9999, in order
+    chars = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+    decpt = np.arange(_EXP_LO, 1 - _EXP_LO)
+    # an exponent is its sign and 3 digits, or 2 and a NUL
+    exps = chars[np.abs(decpt)]
+    exps[:, 0] = np.where(decpt < 0, ord("-"), ord("+"))
+    two = np.abs(decpt) < 100
+    exps[two, 1:3], exps[two, 3] = exps[two, 2:], 0
     t = SimpleNamespace(
-        words=np.frombuffer(
-            ("".join(groups) + "".join(f"{e:+04d}" for e in range(_EXP_LO, 1 - _EXP_LO))
-             + "-\0" "0." ".\0\0\0" "einf" "nan\0").encode("ascii"), dtype=np.uint32),
-        # the 4 digits of 0..9999 with a point after the second, in 8 bytes
-        pointed=np.frombuffer("".join(g[:2] + "." + g[2:] + "\0\0\0" for g in groups)
-                              .encode("ascii"), dtype=np.uint64),
-        # the words of '%.2f' row columns 0, 6 and 7
-        fixed2_words=np.frombuffer(b"-\0\0\0inanf\0\0\0", dtype=np.uint32),
-        group_zeros=np.array([4] + [4 - len(g.rstrip("0")) for g in groups[1:]],
-                             dtype=np.intp),
-        decpt_class=np.array(
-            [d - _FIXED_LO if _FIXED_LO <= d <= _FIXED_HI else _EXP2 if abs(d - 1) < 100
-             else _EXP3 for d in range(_EXP_LO, 1 - _EXP_LO)], dtype=np.intp),
+        words=np.concatenate([chars, exps]).view(np.uint32).ravel(),
+        group_zeros=sum(np.arange(10 ** 4) % 10 ** i == 0 for i in range(1, 5)),
+        decpt_class=np.where((_FIXED_LO <= decpt) & (decpt <= _FIXED_HI), decpt - _FIXED_LO, _EXP),
         g=_g_table(),
-        repr_masks=_repr_masks(),
-        fixed2_masks=_fixed2_masks(),
-        count_masks=np.array([_mask(0, _first(0, nd)) for nd in range(_DIGITS + 1)]))
-    for table in [*vars(t).values(), *t.g]:
-        if isinstance(table, np.ndarray):
-            table.setflags(write=False)
+        masks=_masks())
+    for table in [t.words, t.group_zeros, t.decpt_class, t.masks, *t.g]:
+        table.setflags(write=False)
     return t
 
 
@@ -308,9 +259,6 @@ def _bits(flat):
     return (bits >> _U(63)).astype(np.intp), mag, (mag >> _U(52)).astype(np.intp)
 
 
-_ONE = np.float64(1.0).view(np.uint64)
-
-
 def _repr_slice(t, v, cells):
     neg, mag, bq = _bits(v)
     zero, special = mag == 0, bq == 2047
@@ -318,15 +266,20 @@ def _repr_slice(t, v, cells):
     f, k = _shortest(t, np.where(zero | special, _ONE, mag))
     nd = _digit_count(f)
     decpt = nd + k
-    groups = _write_rows(t, cells, f, nd, decpt + (_EXP_WORD - 1))
-    # the trailing zeros of the aligned digits, word by word from the last
-    zeros = t.group_zeros.take(groups[4])
-    for j in (3, 2, 1):
-        zeros += (zeros == 4 * (4 - j)) * t.group_zeros.take(groups[j])
     cls = t.decpt_class.take(decpt - _EXP_LO)
-    np.putmask(cls, zero, _ZERO_CLASS)
-    np.putmask(cls, special, np.where(mag & _FRACTION, _NAN_CLASS, _INF_CLASS))
-    return t.repr_masks, (neg * (_DIGITS + 1) + _DIGITS - zeros) * _REPR_CLASSES + cls
+    point = np.where(cls < _EXP, decpt, 1)
+    groups = _write_rows(t, cells, f, nd, point)
+    cells.view(np.uint32)[:, 7] = t.words.take(decpt + (_EXP_WORD - 1))
+    # the trailing zeros of the 20 digits, word by word from the last, less
+    # the '0' opened for the point if they reach it
+    group_zeros = t.group_zeros[groups]
+    zeros = group_zeros[4]
+    for j in (3, 2, 1, 0):
+        zeros += (zeros == 4 * (4 - j)) * group_zeros[j]
+    zeros -= zeros >= 18 - point
+    np.putmask(cls, zero, _ZERO)
+    np.putmask(cls, special, np.where(mag & _FRACTION, _NAN, _INF))
+    return neg, _DIGITS - zeros, cls
 
 
 def repr_cells(values) -> np.ndarray:
@@ -343,43 +296,35 @@ def _fixed2_slice(t, v, cells):
     # a finite value below the bound has v = c 2^q with q <= 0: cents are
     # 100 c shifted right by -q, rounded half to even
     cents = ((mag & _FRACTION) | ((bq > 0).astype(np.uint64) << _U(52))) * _U(100)
-    shift = np.clip(1075 - np.maximum(bq, 1), 0, 63).astype(np.uint64)
-    whole = cents >> shift
-    twice_rest = (cents - (whole << shift)) << _U(1)
-    half = _U(1) << shift
-    whole += (twice_rest > half) | ((twice_rest == half) & (whole & _U(1) == 1))
+    shift = np.clip(1075 - np.maximum(bq, 1), 1, 63).astype(np.uint64)
+    whole = (cents + ((_U(1) << shift) >> _U(1)) - _U(1) + ((cents >> shift) & _U(1))) >> shift
     whole *= finite
+    # the fixed form of the cents' digits, at least 3, with decpt nd - 2
     nd = np.maximum(_digit_count(whole), 3)
-    rows = cells.view(np.uint32)
-    x = whole // _GROUP
-    cells.view(np.uint64)[:, 2] = t.pointed.take(whole - x * _GROUP)
-    for col in (3, 2, 1):
-        q = x // _GROUP
-        rows[:, col] = t.words.take(x - q * _GROUP)
-        x = q
-    for col, word in zip((0, 6, 7), t.fixed2_words):
-        rows[:, col] = word
-    cls = np.where(finite, 0, np.where(mag & _FRACTION, 2, 1))
-    return t.fixed2_masks, (neg * (_DIGITS + 1) + nd) * 3 + cls
+    _write_rows(t, cells, whole, nd, nd - 2)
+    cls = np.where(finite, nd - 2 - _FIXED_LO, np.where(mag & _FRACTION, _NAN, _INF))
+    return neg, nd, cls
 
 
 def fixed2_cells(values) -> np.ndarray:
-    """The cells of `'%.2f' % v` for every value, as a (..., FIXED2_WIDTH)
-    uint8 array.  The exact binary value is rounded to cents, ties to even;
-    a finite value of magnitude 2^53 / 100 or more is a ValueError."""
-    return _each_slice(_fixed2_slice, values, FIXED2_WIDTH)
+    """The cells of `'%.2f' % v` for every value, as a (..., WIDTH) uint8
+    array.  The exact binary value is rounded to cents, ties to even; a
+    finite value of magnitude 2^53 / 100 or more is a ValueError."""
+    return _each_slice(_fixed2_slice, values)
 
 
 def _count_slice(t, k, cells):
+    if k.min() < 0 or k.max() >= 10 ** _DIGITS:
+        raise ValueError("count cells hold integers in [0, 10**17)")
     f = k.astype(np.uint64)
     nd = np.maximum(_digit_count(f), 1)
-    _write_rows(t, cells, f, nd)
-    return t.count_masks, nd
+    _write_rows(t, cells, f, nd, nd)
+    return 0, nd, _COUNT
 
 
 def count_cells(counts) -> np.ndarray:
-    """The cells of the decimal digits of every non-negative integer below
-    10^17, as a (..., WIDTH) uint8 array."""
+    """The cells of the decimal digits of every integer in [0, 10^17), as
+    a (..., WIDTH) uint8 array; any other count is a ValueError."""
     return _each_slice(_count_slice, counts, dtype=np.int64)
 
 

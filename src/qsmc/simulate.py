@@ -59,7 +59,7 @@ from .controllers import (WARMUP, Loop, check_alpha_beta, closed_loop,
                           contraction_alpha, law_taps, lifted_slices)
 from .discretization import _EDGE, DisturbanceSampler, discretize
 from .errors import ConfigError, DisturbanceRangeError, DivergenceError
-from .numtext import count_cells, join_cells, repr_cells
+from .numtext import SLICE, count_cells, join_cells, repr_cells
 from .plant import (ContinuousPlant, DisturbanceSignal, NoiseSpec,
                     check_finite, noise_tables, zero_signal)
 from .surface import build_surface
@@ -577,9 +577,6 @@ def _window_rows(t: np.ndarray, window) -> slice | None:
 # ---------------------------------------------------------------------------
 # trajectory export
 
-_CSV_ROWS = 256   # rows per formatting step of export_csv
-
-
 def csv_header(n: int, p: int, m: int) -> str:
     cols = (["k", "t"]
             + [f"x{i + 1}" for i in range(n)]
@@ -594,14 +591,16 @@ def csv_header(n: int, p: int, m: int) -> str:
 def export_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV: k, then every float column in repr form
     (the shortest string that reads back to the same double), formatted by
-    numtext `_CSV_ROWS` rows at a time, so the text in memory stays small."""
+    numtext as many rows at a time as fill one of its slices, so the text in
+    memory stays small."""
     n = traj.x.shape[1]
     p = traj.y.shape[1]
     m = traj.u.shape[1]
+    step = max(1, SLICE // (1 + n + p + 4 * m))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(csv_header(n, p, m) + "\n")
-        for lo in range(0, len(traj.k), _CSV_ROWS):
-            rows = slice(lo, lo + _CSV_ROWS)
+        for lo in range(0, len(traj.k), step):
+            rows = slice(lo, lo + step)
             values = np.hstack([traj.t[rows, None], traj.x[rows], traj.y[rows],
                                 traj.s[rows], traj.s_true[rows], traj.u[rows],
                                 traj.f[rows]])

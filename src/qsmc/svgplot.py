@@ -7,12 +7,14 @@ Each series' points come from the ticks' `sx`/`sy` pixel transform, applied
 to whole arrays, and `numtext.fixed2_cells`, which writes every coordinate
 as `'%.2f' %` would.
 A point with a NaN or infinite coordinate is left out of its polyline and
-of the axis ranges, so the rest of the plot still draws.
+of the axis ranges, so the rest of the plot still draws.  Widths are taken
+from scaled ends, so that every finite range maps to finite pixels.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,12 +23,20 @@ from .numtext import fixed2_cells, join_cells
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 880, 340
 _ML, _MR, _MT, _MB = 64, 16, 28, 40  # margins
+_BIG = sys.float_info.max
+_SCALE = 2.0 ** -11   # below 1 / (2 _W): a width times a pixel count stays finite
+
+
+def _width(lo, hi):
+    """(hi - lo) _SCALE, finite for any two finite doubles, and rounded as
+    hi - lo is where both ends are 0 or above 2^-1011 in magnitude"""
+    return hi * _SCALE - lo * _SCALE
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / count
+    raw = _width(lo, hi) / (count * _SCALE)
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -35,8 +45,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     ticks = []
     v = first
     # at most count + 1 ticks fit; the bound also ends a walk whose step
-    # stops moving it where the ulp doubles
-    while v <= hi + 1e-12 * step and len(ticks) <= count:
+    # stops moving it where the ulp doubles, and one past the largest double
+    while v <= min(hi + 1e-12 * step, _BIG) and len(ticks) <= count:
         ticks.append(round(v, 12))
         v += step
     return ticks or [lo]
@@ -63,20 +73,24 @@ def line_plot(series, title: str, path, xlabel: str = "t", ylabel: str = "") -> 
     ys_all = np.concatenate([s[2] for s in series])
     if not xs_all.size:
         raise ValueError("no finite point to plot")
-    x_lo, x_hi = xs_all.min(), xs_all.max()
-    y_lo, y_hi = ys_all.min(), ys_all.max()
+    # Python floats, which overflow to inf without a warning
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if y_hi == y_lo:
+        # 1 is below half an ulp of y: widen towards zero by a share of it
+        y_lo, y_hi = sorted((y_lo, y_lo - y_lo * 2.0 ** -40))
+    pad = 0.05 / _SCALE * _width(y_lo, y_hi)
+    y_lo, y_hi = max(y_lo - pad, -_BIG), min(y_hi + pad, _BIG)
     iw = _W - _ML - _MR
     ih = _H - _MT - _MB
 
     def sx(x):
-        return _ML + iw * (x - x_lo) / (x_hi - x_lo) if x_hi > x_lo else _ML
+        return _ML + iw * _width(x_lo, x) / _width(x_lo, x_hi) if x_hi > x_lo else _ML
 
     def sy(y):
-        return _MT + ih * (1.0 - (y - y_lo) / (y_hi - y_lo))
+        return _MT + ih * (1.0 - _width(y_lo, y) / _width(y_lo, y_hi))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -104,12 +118,14 @@ def line_plot(series, title: str, path, xlabel: str = "t", ylabel: str = "") -> 
     if ylabel:
         parts.append(f'<text x="14" y="{_MT + ih / 2:.0f}" text-anchor="middle" '
                      f'transform="rotate(-90 14 {_MT + ih / 2:.0f})">{_esc(ylabel)}</text>')
-    # series
+    # series; those with the same xs, as a run's are, share their x cells
+    x_of = x_cells = None
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        # sx of a flat x range is a scalar
-        px = np.broadcast_to(sx(xs), xs.shape)
-        pts = join_cells(fixed2_cells(np.column_stack([px, sy(ys)])), ",", " ")[:-1]
+        if not np.array_equal(xs, x_of):
+            # sx of a flat x range is a scalar
+            x_of, x_cells = xs, fixed2_cells(np.broadcast_to(sx(xs), xs.shape))
+        pts = join_cells(np.stack([x_cells, fixed2_cells(sy(ys))], axis=1), ",", " ")[:-1]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         lx = _ML + iw - 110

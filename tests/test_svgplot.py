@@ -1,4 +1,8 @@
 import hashlib
+import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from qsmc import NoiseSpec, run
 from qsmc import cli
 from qsmc.svgplot import (_COLORS, _H, _MB, _ML, _MR, _MT, _W, _esc, _fmt_num,
                           _ticks, line_plot)
+
+MAX = sys.float_info.max
 
 
 def svg_oracle(series, title, path, xlabel="t", ylabel=""):
@@ -141,6 +147,28 @@ def test_step_below_half_an_ulp_ends(tmp_path):
     assert _ticks(1e15, 1e15 + 0.125) == [1e15]
     line_plot([("a", [0.0, 1.0], [1e15, 1e15 + 0.125])], "p", tmp_path / "p.svg")
     assert (tmp_path / "p.svg").read_text().rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("xs, ys", [
+    # a flat series where y + 1.0 == y
+    ([0.0, 1.0], [2.0 ** 53, 2.0 ** 53]),
+    ([0.0, 1.0], [-1e300, -1e300]),
+    ([0.0, 1.0], [MAX, MAX]),
+    # ranges whose width overflows
+    ([0.0, 1.0], [-1e308, 1e308]),
+    ([0.0, 1.0], [-MAX, MAX]),
+    ([-MAX, MAX], [0.0, 1.0]),
+])
+def test_every_coordinate_is_finite(tmp_path, xs, ys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line_plot([("a", xs, ys)], "p", tmp_path / "p.svg")
+    text = (tmp_path / "p.svg").read_text()
+    assert "nan" not in text and "inf" not in text
+    points = text.split('<polyline points="')[1].split('"')[0]
+    coords = [float(c) for pair in points.split() for c in pair.split(",")]
+    coords += [float(c) for c in re.findall(r' [xy][12]?="([^"]+)"', text)]
+    assert len(coords) > 4 and all(math.isfinite(c) for c in coords)
 
 
 def test_no_finite_point_is_an_error(tmp_path):
