@@ -83,9 +83,18 @@ def _stem(sf: ScenarioFile) -> str:
     return os.path.splitext(os.path.basename(sf.path))[0]
 
 
+def _make_out_dir(out_dir: str) -> None:
+    """Create the output directory, or refuse a path that cannot be one."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror}") from None
+
+
 def _write_report(out_dir: str, name: str, text: str) -> None:
     """Write one report into the --out directory and say where."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -108,7 +117,7 @@ def cmd_run(args) -> int:
     sf = _apply_overrides(_resolve_scenario(args.scenario), args)
     traj = run(sf.scenario)
     out = sf.out_dir
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     stem = f"{_stem(sf)}_{sf.scenario.kind}"
     written = []
     if "csv" in sf.formats:
@@ -158,7 +167,6 @@ def cmd_verify(args) -> int:
     }
     # finite-difference diagnostics need a few samples inside one smooth
     # segment; prefer the segment where the disturbance actually moves
-    diag = None
     sig = sc.disturbance
     order = sorted(range(len(sig.segments)),
                    key=lambda i: (-sig.deriv_bound(i), i))
@@ -250,14 +258,15 @@ def cmd_benchmark(args) -> int:
                   for k in LAWS},
         "ranking_ok": rep.ranking_ok,
     }
-    sys.stdout.write(render_kv(report))
+    text = render_kv(report)
+    sys.stdout.write(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         for kind, brun in rep.runs.items():
             export_csv(brun.trajectory, os.path.join(args.out, f"benchmark_{kind}.csv"))
         with open(os.path.join(args.out, "benchmark_report.txt"), "w",
                   encoding="utf-8") as fh:
-            fh.write(render_kv(report))
+            fh.write(text)
         if args.plot:
             for kind, brun in rep.runs.items():
                 _emit_plots(brun.trajectory, args.out, f"benchmark_{kind}")

@@ -9,16 +9,15 @@ disturbance carried across one interval.  Alongside the exact pair we keep
 the O(T)-expansion matrices
 
     drift_rate      = (state_map - I) / T          (-> A as T -> 0)
-    drift_curvature = (state_map - I - T A) / T^2  (bounded as T -> 0)
     input_rate      = input_map / T                (-> B)
-    input_curvature = (input_map - T B) / T^2      (bounded)
+    input_curvature = (input_map - T B) / T^2      (bounded as T -> 0)
 
 which the control laws and the closed-loop analysis are written in terms of.
 
-d[k] is exact as well: every disturbance form is the output of a small
-linear exosystem, so the integral over a sample is one block matrix
-exponential (see DisturbanceSampler).  Adaptive quadrature, Simpson and RK4
-are independent routes kept in the tests as oracles.
+d[k] is exact as well: every disturbance segment is the output of a small
+linear exosystem (Segment.exosystem), so the integral over a sample is one
+block matrix exponential (see DisturbanceSampler).  Adaptive quadrature,
+Simpson and RK4 are independent routes kept in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, DisturbanceRangeError
-from .plant import ContinuousPlant, DisturbanceSignal
+from .plant import ContinuousPlant, DisturbanceSignal, Segment
 
 # split guard: a segment boundary closer than this (in seconds) to either end
 # of a sample interval is not split at; the sample is taken as lying wholly
@@ -44,7 +43,6 @@ class DiscretePlant:
     state_map: np.ndarray        # exp(A T)
     input_map: np.ndarray        # int_0^T exp(A tau) dtau B
     drift_rate: np.ndarray
-    drift_curvature: np.ndarray
     input_rate: np.ndarray
     input_curvature: np.ndarray
 
@@ -56,7 +54,7 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
     held-input integral in the top-right, both to machine precision; no
     quadrature is involved for the linear part.
     """
-    # the curvatures divide by T ** 2, which raises OverflowError past
+    # input_curvature divides by T ** 2, which raises OverflowError past
     # 1.3e154 and is 0 below 1.5e-162
     if not (T > 0 and T * T < math.inf):
         raise ConfigError(f"sampling period must be positive with a finite "
@@ -73,14 +71,11 @@ def discretize(plant: ContinuousPlant, T: float) -> DiscretePlant:
         raise ConfigError(f"exp(A T) overflows at T = {T}")
     state_map = e[:n, :n]
     input_map = e[:n, n:]
-    # subtract I first, then T A: limits cancellation for small T
-    sm_minus_i = state_map - np.eye(n)
     return DiscretePlant(
         T=T,
         state_map=state_map,
         input_map=input_map,
-        drift_rate=sm_minus_i / T,
-        drift_curvature=(sm_minus_i - T * plant.A) / T ** 2,
+        drift_rate=(state_map - np.eye(n)) / T,
         input_rate=input_map / T,
         input_curvature=(input_map - T * plant.B) / T ** 2,
     )
@@ -111,24 +106,21 @@ class DisturbanceSampler:
         self.plant = plant
         self.T = T
         self.sig = sig
-        self._starts = np.array([seg.t_start for seg in sig.segments])
-        self._exo = [_exosystem(seg.forms) for seg in sig.segments]
-        self._gain = [self._block(j, T) for j in range(len(self._exo))]
+        self._joins = [seg.t_start for seg in sig.segments[1:]]
+        self._gain = [self._block(seg, T) for seg in sig.segments]
 
-    def _block(self, j: int, h: float):
-        """[expm([[A, B E_j], [0, S_j]] h)]_12, or None for a zero segment."""
-        if self._exo[j] is None:
-            return None
-        S, E = self._exo[j]
+    def _block(self, seg: Segment, h: float):
+        """[expm([[A, B E], [0, S]] h)]_12 of the segment's exosystem, or
+        None for a segment without a state."""
+        S, E = seg.exosystem
         n, q = self.plant.n, S.shape[0]
+        if not q:
+            return None
         blk = np.zeros((n + q, n + q))
         blk[:n, :n] = self.plant.A
         blk[:n, n:] = self.plant.B @ E
         blk[n:, n:] = S
         return expm(blk * h)[:n, n:]
-
-    def _z(self, j: int, t: np.ndarray) -> np.ndarray:
-        return np.hstack([f.exo_z(t) for f in self.sig.segments[j].forms])
 
     def table(self, k0: int, k1: int) -> np.ndarray:
         """d[k0..k1) as the rows of a (k1 - k0, n) array."""
@@ -145,13 +137,13 @@ class DisturbanceSampler:
                 f"outside [0, {self.sig.t_end})")
         out = np.zeros((k1 - k0, self.plant.n))
         straddle = np.zeros(k1 - k0, dtype=bool)
-        for b in self._starts[1:]:
+        for b in self._joins:
             straddle |= (t1 - b > _EDGE) & (t1 - b < T - _EDGE)
-        seg = np.searchsorted(self._starts, t1 - 0.5 * T, side="right") - 1
-        for j, gain in enumerate(self._gain):
-            rows = np.flatnonzero((seg == j) & ~straddle)
+        owner = self.sig.owner(t1 - 0.5 * T)
+        for j, (seg, gain) in enumerate(zip(self.sig.segments, self._gain)):
+            rows = np.flatnonzero((owner == j) & ~straddle)
             if gain is not None and rows.size:
-                out[rows] = _apply(gain, self._z(j, t0[rows]))
+                out[rows] = _apply(gain, seg.state(t0[rows]))
         for i in np.flatnonzero(straddle):
             out[i] = self._split(t0[i], t1[i])
         return out
@@ -162,37 +154,20 @@ class DisturbanceSampler:
     def _split(self, t0: float, t1: float) -> np.ndarray:
         """d over [t0, t1), cut at the segment boundaries inside it."""
         T = self.T
-        cuts = [t0] + [b for b in self._starts[1:]
-                       if _EDGE < t1 - b < T - _EDGE] + [t1]
+        joins = [b for b in self._joins if _EDGE < t1 - b < T - _EDGE]
+        cuts = np.array([t0, *joins, t1])
+        owner = self.sig.owner(0.5 * (cuts[:-1] + cuts[1:]))
         total = np.zeros(self.plant.n)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            j = int(np.searchsorted(self._starts, 0.5 * (a + b), side="right")) - 1
-            gain = self._block(j, b - a)
+        for a, b, j in zip(cuts[:-1], cuts[1:], owner):
+            seg = self.sig.segments[j]
+            gain = self._block(seg, b - a)
             if gain is None:
                 continue
-            piece = _apply(gain, self._z(j, np.array([a])))[0]
+            piece = _apply(gain, seg.state(np.array([a])))[0]
             if b < t1:
                 piece = expm(self.plant.A * (t1 - b)) @ piece
             total += piece
         return total
-
-
-def _exosystem(forms):
-    """(S, E) of one segment: the forms' exo_S blocks down the diagonal of S
-    and row c of E the exo_E of channel c in its own columns; None when no
-    form has a state."""
-    sizes = [f.exo_S.shape[0] for f in forms]
-    q = sum(sizes)
-    if not q:
-        return None
-    S = np.zeros((q, q))
-    E = np.zeros((len(forms), q))
-    at = 0
-    for c, (f, size) in enumerate(zip(forms, sizes)):
-        S[at:at + size, at:at + size] = f.exo_S
-        E[c, at:at + size] = f.exo_E
-        at += size
-    return S, E
 
 
 def _apply(gain: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -75,17 +76,14 @@ class ContinuousPlant:
 #
 #     z' = exo_S z,   f = exo_E . z,   f' = exo_E exo_S . z,
 #
-# and exo_z(t) gives its state at an array of times as a (len(t), q) array;
-# the sampled disturbance d[k] and the derivative f' are computed exactly
-# from these.  Its closed-form value is the oracle the exosystem is tested
-# against, and sup_d1, the sup-norm of f', is global (amplitude-based),
-# hence valid on any sub-interval.
+# and exo_z(t) gives its state at an array of times as a (len(t), q) array.
+# A segment stacks its forms' exosystems (Segment.exosystem), and f, f' and
+# the sampled disturbance d[k] are all read from that; the closed forms live
+# in the tests as its oracle.  sup_d1, the sup-norm of f', is global
+# (amplitude-based), hence valid on any sub-interval.
 
 @dataclass(frozen=True)
 class ZeroForm:
-    def value(self, t: float) -> float:
-        return 0.0
-
     sup_d1 = 0.0
     exo_S = np.zeros((0, 0))
     exo_E = np.zeros(0)
@@ -108,9 +106,6 @@ class ConstForm:
 
     __post_init__ = _check_form
 
-    def value(self, t: float) -> float:
-        return self.level
-
     sup_d1 = 0.0
     exo_S = np.zeros((1, 1))
     exo_E = np.ones(1)
@@ -128,9 +123,6 @@ class SinForm:
     phase: float = 0.0
 
     __post_init__ = _check_form
-
-    def value(self, t: float) -> float:
-        return self.offset + self.amp * math.sin(self.omega * t + self.phase)
 
     @property
     def sup_d1(self) -> float:
@@ -158,9 +150,6 @@ class CosForm:
     omega: float
 
     __post_init__ = _check_form
-
-    def value(self, t: float) -> float:
-        return self.amp * math.cos(self.omega * t)
 
     @property
     def sup_d1(self) -> float:
@@ -190,8 +179,25 @@ class Segment:
             raise ConfigError(
                 f"segment [{self.t_start}, {self.t_end}) is empty")
 
-    def contains(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
+    @cached_property
+    def exosystem(self):
+        """(S, E) of the segment, z' = S z and f = E z: the forms' exo_S
+        blocks down the diagonal of S and row c of E the exo_E of channel c
+        in its own columns; (0, 0) and (m, 0) when no form has a state."""
+        sizes = [f.exo_S.shape[0] for f in self.forms]
+        q = sum(sizes)
+        S = np.zeros((q, q))
+        E = np.zeros((len(self.forms), q))
+        at = 0
+        for c, (f, size) in enumerate(zip(self.forms, sizes)):
+            S[at:at + size, at:at + size] = f.exo_S
+            E[c, at:at + size] = f.exo_E
+            at += size
+        return S, E
+
+    def state(self, t: np.ndarray) -> np.ndarray:
+        """z(t) of the exosystem at an array of times, (len(t), q)."""
+        return np.hstack([f.exo_z(t) for f in self.forms])
 
 
 @dataclass(frozen=True)
@@ -222,41 +228,36 @@ class DisturbanceSignal:
     def t_end(self) -> float:
         return self.segments[-1].t_end
 
-    def segment_index(self, t: float) -> int:
-        if t < 0.0 or t >= self.t_end:
+    def owner(self, t):
+        """Index of the segment [t_start, t_end) that holds t, for a number
+        or for each time of an array."""
+        t = np.asarray(t)
+        inside = (t >= 0.0) & (t < self.t_end)
+        if not inside.all():
             raise DisturbanceRangeError(
-                f"t = {t} outside defined range [0, {self.t_end})")
-        for i, seg in enumerate(self.segments):
-            if seg.contains(t):
-                return i
-        raise DisturbanceRangeError(f"t = {t} matched no segment")
+                f"t = {t[~inside][0]} outside defined range [0, {self.t_end})")
+        starts = np.array([seg.t_start for seg in self.segments])
+        return starts.searchsorted(t, side="right") - 1
 
     def value(self, t: float) -> np.ndarray:
-        seg = self.segments[self.segment_index(t)]
-        return np.array([f.value(t) for f in seg.forms])
+        return self.values([t])[0]
 
     def values(self, t) -> np.ndarray:
-        """value at every time of an array, as a (len(t), m) array; each
-        segment is evaluated in one call through its forms' exosystems."""
+        """f at every time of an array, as a (len(t), m) array; each
+        segment is evaluated in one call through its exosystem."""
         t = np.asarray(t, dtype=float)
-        outside = np.flatnonzero(~((t >= 0.0) & (t < self.t_end)))
-        if outside.size:
-            raise DisturbanceRangeError(
-                f"t = {t[outside[0]]} outside defined range [0, {self.t_end})")
-        starts = np.array([seg.t_start for seg in self.segments])
-        owner = np.searchsorted(starts, t, side="right") - 1
+        owner = self.owner(t)
         out = np.empty((len(t), self.m))
         for j, seg in enumerate(self.segments):
             rows = np.flatnonzero(owner == j)
-            for c, f in enumerate(seg.forms):
-                out[rows, c] = f.exo_z(t[rows]) @ f.exo_E
+            out[rows] = seg.state(t[rows]) @ seg.exosystem[1].T
         return out
 
     def derivative(self, t: float) -> np.ndarray:
-        """f'(t) of every channel, exo_E exo_S z(t) of its form's exosystem."""
-        seg = self.segments[self.segment_index(t)]
-        return np.array([(f.exo_z(np.array([t])) @ (f.exo_E @ f.exo_S))[0]
-                         for f in seg.forms])
+        """f'(t) of every channel, E S z(t) of its segment's exosystem."""
+        seg = self.segments[self.owner(t)]
+        S, E = seg.exosystem
+        return E @ S @ seg.state(np.array([t]))[0]
 
     def deriv_bound(self, idx: int) -> float:
         """sup of the euclidean norm of f' on segment idx (closed form)."""
@@ -314,19 +315,16 @@ class NoiseStream:
         self._gen = Xoshiro256StarStar(spec.seed)
 
     def sample(self, p: int) -> np.ndarray:
-        return self.table(1, p)[0]
-
-    def table(self, rows: int, p: int) -> np.ndarray:
-        """The next `rows` samples of p values as a (rows, p) array, in the
-        draw order of `rows` successive sample(p) calls; see noise_tables."""
-        return noise_tables([self], rows, p)[0]
+        """The next sample of p values."""
+        return noise_tables([self], 1, p)[0][0]
 
 
 def noise_tables(streams, rows: int, p: int) -> list:
-    """streams[i].table(rows, p) for every stream, as if taken one after
-    another: the uniform streams draw their rows * p values in one
-    lockstep lane draw (rng.symmetric_tables), bit-equal to as many scalar
-    symmetric calls; a noise-free stream gives zeros and draws nothing."""
+    """The next `rows` samples of p values of every stream, one (rows, p)
+    array each, in the draw order of `rows` successive sample(p) calls:
+    the uniform streams draw their rows * p values in one lockstep lane
+    draw (rng.symmetric_tables); a noise-free stream gives zeros and draws
+    nothing."""
     live = [st.spec.kind != "none" and st.spec.halfwidth != 0.0 for st in streams]
     drawn = iter(symmetric_tables(
         [st._gen for st, on in zip(streams, live) if on], rows * p,
@@ -344,22 +342,26 @@ def random_surface_map(gen: Xoshiro256StarStar, m: int, p: int) -> np.ndarray:
     return symmetric_tables([gen], m * p, [1.0])[0].reshape(m, p)
 
 
-def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815,
-                    tol: float = 1e-6):
+# invariant_zeros draws this many surfaces from this seed, and keeps the
+# eigenvalues that all their spectra share to within _ZERO_TOL
+_ZERO_DRAWS, _ZERO_SEED, _ZERO_TOL = 8, 20260815, 1e-6
+
+
+def invariant_zeros(plant: ContinuousPlant):
     """Transmission zeros of (A, B, C) via the reduced sliding dynamics.
 
     For any admissible surface map H the reduced-motion matrix carries the
     invariant zeros plus eigenvalues that move with H; intersecting the
     spectra over several random well-conditioned H draws isolates the zeros.
-    Deterministic for a fixed seed.
+    Deterministic: the draws come from a fixed seed.
     """
     from .surface import build_surface_raw  # local import: avoid cycle
 
-    gen = Xoshiro256StarStar(seed)
+    gen = Xoshiro256StarStar(_ZERO_SEED)
     m, p = plant.m, plant.p
     spectra = []
     attempts = 0
-    while len(spectra) < draws and attempts < 50 * draws:
+    while len(spectra) < _ZERO_DRAWS and attempts < 50 * _ZERO_DRAWS:
         attempts += 1
         H = random_surface_map(gen, m, p)
         try:
@@ -374,6 +376,6 @@ def invariant_zeros(plant: ContinuousPlant, draws: int = 8, seed: int = 20260815
         raise ConfigError("could not build enough valid random surfaces")
     common = list(spectra[0])
     for spec in spectra[1:]:
-        common = [z for z in common if np.min(np.abs(spec - z)) < tol]
+        common = [z for z in common if np.min(np.abs(spec - z)) < _ZERO_TOL]
     common.sort(key=lambda z: (z.real, z.imag))
-    return [complex(z) if abs(z.imag) > tol else float(z.real) for z in common]
+    return [complex(z) if abs(z.imag) > _ZERO_TOL else float(z.real) for z in common]

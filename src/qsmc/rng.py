@@ -3,20 +3,20 @@
 Measurement noise must be bit-reproducible across platforms and runs, so the
 generator is specified here rather than delegated to a library: xoshiro256**
 (Blackman & Vigna) seeded through splitmix64.  All arithmetic is on unsigned
-64-bit integers; doubles in [0, 1) are produced by taking the top 53 bits.
+64-bit integers; an output u becomes the draw (2 (u >> 11) 2^-53 - 1) h
+on [-h, h], from its top 53 bits.
 
-Two routes give the same bits.  `next_u64`/`uniform`/`symmetric` step one
-draw at a time on Python integers; they are the reference that the published
-test vectors pin.  `symmetric_tables` draws n values of each of G
-generators in lanes: the state transition is linear over GF(2), a 256 x 256
-bit matrix M, so the start of every 64-draw chunk follows from the
-generator's state by jumps (Blackman & Vigna, "Scrambled linear
-pseudorandom number generators", ACM TOMS 2021, jump functions).  The
-starts come from a doubling ladder of jumps M^(64 2^r), each a nibble table
-built once per process, applied to every start known so far, so G
-generators of `lanes` chunks take about log2(lanes) vectorized jumps.  All
-chunks of all generators then advance in lockstep on one (4, G lanes)
-uint64 array and are scrambled and converted as the scalar route does.
+`symmetric_tables` draws n values of each of G generators in lanes: the
+state transition is linear over GF(2), a 256 x 256 bit matrix M, so the
+start of every 64-draw chunk follows from the generator's state by jumps
+(Blackman & Vigna, "Scrambled linear pseudorandom number generators", ACM
+TOMS 2021, jump functions).  The starts come from a doubling ladder of
+jumps M^(64 2^r), each a nibble table built once per process, applied to
+every start known so far, so G generators of `lanes` chunks take about
+log2(lanes) vectorized jumps.  All chunks of all generators then advance in
+lockstep on one (4, G lanes) uint64 array and are scrambled and converted.
+The tests keep a one-draw-at-a-time route on Python integers, which the
+published test vectors pin, as the oracle of this one.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ def _splitmix64(state: int):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
 
 
 def _lane_rotl(x: np.ndarray, k: int) -> np.ndarray:
@@ -118,9 +114,8 @@ def _jump_ladder(r: int) -> np.ndarray:
 
 
 def symmetric_tables(gens, n: int, halfwidths) -> np.ndarray:
-    """The next n symmetric(halfwidths[g]) draws of every generator
-    gens[g] as one (G, n) array, bit for bit, leaving each stream where n
-    symmetric calls would.
+    """The next n draws on [-halfwidths[g], halfwidths[g]] of every
+    generator gens[g] as one (G, n) array, leaving each stream n steps on.
 
     Draw 64 j + i of a generator is output i of its lane j, whose start is
     64 j steps past the generator's state.  The starts come from a doubling
@@ -147,15 +142,15 @@ def symmetric_tables(gens, n: int, halfwidths) -> np.ndarray:
     # out[g, 64 j + i] is output i of lane j of generator g
     out = np.empty((G * lanes, _CHUNK), dtype=np.uint64)
     for i in range(steps):
-        # the ** scrambler, rotl(s1 * 5, 7) * 9, as in next_u64
+        # the ** scrambler, rotl(s1 * 5, 7) * 9
         out[:, i] = _lane_rotl(s[1] * np.uint64(5), 7) * np.uint64(9)
         _lane_step(s)
         if i + 1 == last:
             for gen, state in zip(gens, s[:, lanes - 1::lanes].T.tolist()):
                 gen._s = state
-    # top 53 bits to [0, 1), then to [-h, h], in place and in the scalar
-    # route's operation order; the conversion goes a slice of rows at a
-    # time, as copying onto itself makes a temporary of the copy's size
+    # top 53 bits to [0, 1), then to [-h, h] as (2 u - 1) h, in place; the
+    # conversion goes a slice of rows at a time, as copying onto itself
+    # makes a temporary of the copy's size
     out >>= np.uint64(11)
     draws = out.view(np.float64)
     for lo in range(0, len(out), _SLICE):
@@ -178,24 +173,3 @@ class Xoshiro256StarStar:
             s, w = _splitmix64(s)
             words.append(w)
         self._s = words
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        out = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return out
-
-    def uniform(self) -> float:
-        # top 53 bits -> [0, 1); every representable output is exact
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def symmetric(self, halfwidth: float) -> float:
-        """Uniform draw in [-halfwidth, halfwidth]."""
-        return (2.0 * self.uniform() - 1.0) * halfwidth

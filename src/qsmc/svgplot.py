@@ -25,6 +25,7 @@ _W, _H = 880, 340
 _ML, _MR, _MT, _MB = 64, 16, 28, 40  # margins
 _BIG = sys.float_info.max
 _SCALE = 2.0 ** -11   # below 1 / (2 _W): a width times a pixel count stays finite
+_STEPS = 5   # an axis's tick step is the first 1, 2, 5 x 10^j above range / _STEPS
 
 
 def _width(lo, hi):
@@ -33,10 +34,10 @@ def _width(lo, hi):
     return hi * _SCALE - lo * _SCALE
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    raw = _width(lo, hi) / (count * _SCALE)
+    raw = _width(lo, hi) / (_STEPS * _SCALE)
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -44,9 +45,9 @@ def _ticks(lo: float, hi: float, count: int = 5):
         return [lo]    # the step is below half an ulp of the ticks
     ticks = []
     v = first
-    # at most count + 1 ticks fit; the bound also ends a walk whose step
+    # at most _STEPS + 1 ticks fit; the bound also ends a walk whose step
     # stops moving it where the ulp doubles, and one past the largest double
-    while v <= min(hi + 1e-12 * step, _BIG) and len(ticks) <= count:
+    while v <= min(hi + 1e-12 * step, _BIG) and len(ticks) <= _STEPS:
         ticks.append(round(v, 12))
         v += step
     return ticks or [lo]

@@ -1,4 +1,5 @@
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 import qsmc.controllers
 import qsmc.simulate
 from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
-                  DisturbanceSignal, LawTaps, Segment, build_aug, build_surface,
-                  discretize, law_taps, load_aircraft_scenario, run)
+                  DisturbanceSignal, LawTaps, Segment, Xoshiro256StarStar,
+                  build_aug, build_surface, discretize, law_taps,
+                  load_aircraft_scenario, run)
 from qsmc.controllers import DEADBEAT, WARMUP, _eq_terms
+from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm, random_surface_map
 
 # shipped benchmark plant: lateral aircraft dynamics, 4 states, 2 inputs,
@@ -203,16 +206,91 @@ def random_plant(rng, gen):
     return plant, random_surface_map(gen, m, p)
 
 
+# --- closed forms and scalar draws: the oracles of the exosystem and lane routes
+#
+# The package reads f, f' and d[k] from each segment's exosystem and draws
+# noise in lockstep lanes.  The closed form of each form and the xoshiro256**
+# step taken one draw at a time on Python integers are independent routes
+# to the same numbers, kept here to hold those to.
+
+CLOSED_FORMS = {
+    ZeroForm: lambda f, t: 0.0,
+    ConstForm: lambda f, t: f.level,
+    SinForm: lambda f, t: f.offset + f.amp * math.sin(f.omega * t + f.phase),
+    CosForm: lambda f, t: f.amp * math.cos(f.omega * t),
+}
+
+
+def form_value(form, t):
+    """One form's value at time t, in closed form."""
+    return CLOSED_FORMS[type(form)](form, t)
+
+
+def segment_of(sig, t):
+    """Index of the segment [t_start, t_end) of sig that holds t, found by
+    walking the segments."""
+    if not 0.0 <= t < sig.t_end:
+        raise DisturbanceRangeError(f"t = {t} outside defined range [0, {sig.t_end})")
+    return next(i for i, seg in enumerate(sig.segments)
+                if seg.t_start <= t < seg.t_end)
+
+
+def signal_value(sig, t):
+    """f(t) as an (m,) array, from the closed forms of the segment that
+    holds t."""
+    return segment_value(sig, segment_of(sig, t), t)
+
+
 def segment_value(sig, idx, t):
-    """f at time t from the forms of segment idx, continued past the
+    """f at time t from the closed forms of segment idx, continued past the
     segment's ends, as an (m,) array; at an array of times, a (len(t), m)
     array.  What an integrator that must not see the jump at a join
     evaluates."""
     forms = sig.segments[idx].forms
     if np.ndim(t) == 0:
-        return np.array([f.value(t) for f in forms])
+        return np.array([form_value(f, t) for f in forms])
     t = np.asarray(t).tolist()
-    return np.array([list(map(f.value, t)) for f in forms], dtype=float).T
+    return np.array([[form_value(f, ti) for ti in t] for f in forms], dtype=float).T
+
+
+_MASK = (1 << 64) - 1
+
+
+def rotl(x, k):
+    """x rotated left by k bits, as a 64-bit word."""
+    return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+class ScalarXoshiro(Xoshiro256StarStar):
+    """xoshiro256** stepped one draw at a time on Python integers: the
+    reference route that the published test vectors pin, and the oracle of
+    rng.symmetric_tables."""
+
+    @classmethod
+    def from_state(cls, state):
+        gen = cls.__new__(cls)
+        gen._s = list(state)
+        return gen
+
+    def next_u64(self):
+        s0, s1, s2, s3 = self._s
+        out = (rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
+        t = (s1 << 17) & _MASK
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = [s0, s1, s2, rotl(s3, 45)]
+        return out
+
+    def uniform(self):
+        # top 53 bits -> [0, 1); every representable output is exact
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def symmetric(self, halfwidth):
+        """Uniform draw in [-halfwidth, halfwidth]."""
+        return (2.0 * self.uniform() - 1.0) * halfwidth
 
 
 def rk4_states(plant, sig, x0, u, t0, T, substeps=1, steps=1):

@@ -1,11 +1,12 @@
 """The stacked closed-loop recursion against a per-step oracle.
 
 `loop_oracle` is the simulator's former step loop: one scenario at a time,
-one ControllerState.step, p scalar Xoshiro256StarStar.symmetric draws and
-one DisturbanceSignal.value call per sample.  `run_batch` runs every law as
-its lifted closed-loop matrix for many runs at once, advances them as a
-blocked scan, draws noise as one table and fills the measured and logged
-columns after the loop; the two must agree to rounding.
+one ControllerState.step, p scalar xoshiro256** draws (conftest.ScalarXoshiro)
+and the closed-form disturbance (conftest.signal_value) per sample.
+`run_batch` runs every law as its lifted closed-loop matrix for many runs
+at once, advances them as a blocked scan, draws noise as one table and
+fills the measured and logged columns after the loop; the two must agree
+to rounding.
 """
 
 import math
@@ -23,11 +24,11 @@ from qsmc import (WARMUP, AssumptionViolation, ConfigError, ControllerState,
                   Xoshiro256StarStar, build_aug, build_surface,
                   charpoly, closed_loop, constant_signal, contraction_alpha,
                   discretize, law_taps, run, stability_over_T, zero_signal)
-from qsmc.plant import CosForm, NoiseStream, SinForm
+from qsmc.plant import CosForm, NoiseStream, SinForm, noise_tables
 from qsmc.simulate import _OVERFLOW, BLOCK, run_batch, run_batches
 
-from conftest import (FORMS, H_UNSTABLE, law_form, random_plant, rk4_states,
-                      variant_for_kind)
+from conftest import (FORMS, H_UNSTABLE, ScalarXoshiro, law_form, random_plant,
+                      rk4_states, signal_value, variant_for_kind)
 
 KINDS = ("eq", "m1", "m2", "mm1", "mm2")
 SEEDS = (5, 20260815)
@@ -38,7 +39,7 @@ def scalar_noise(spec, rows, p):
     order the simulator reads it (independent of the lane draw)."""
     if spec.kind == "none" or spec.halfwidth == 0.0:
         return np.zeros((rows, p))
-    gen = Xoshiro256StarStar(spec.seed)
+    gen = ScalarXoshiro(spec.seed)
     return np.array([[gen.symmetric(spec.halfwidth) for _ in range(p)]
                      for _ in range(rows)])
 
@@ -67,7 +68,7 @@ def loop_oracle(scenario):
         u = controller.step(s_meas, g_k=g_k)
         t = k * T if k * T < sig.t_end else np.nextafter(sig.t_end, 0)
         for key, value in (("x", x), ("u", u), ("y", y), ("s", s_meas),
-                           ("s_true", hc @ x), ("f", sig.value(t))):
+                           ("s_true", hc @ x), ("f", signal_value(sig, t))):
             rows[key].append(value)
         if k < steps:
             x = disc.state_map @ x + disc.input_map @ u + dk[k]
@@ -128,7 +129,7 @@ def test_identical_batches_bit_equal(bench_scenario):
 ])
 def test_noise_table_matches_successive_samples(spec):
     ref = scalar_noise(spec, 57, 3)
-    table = NoiseStream(spec).table(57, 3)
+    table, = noise_tables([NoiseStream(spec)], 57, 3)
     stream = NoiseStream(spec)
     rows = np.array([stream.sample(3) for _ in range(57)])
     assert table.shape == (57, 3)
@@ -186,7 +187,7 @@ def test_batch_rejects_empty():
 def test_values_match_scalar_value(bench_scenario):
     sig = bench_scenario.disturbance
     t = np.arange(bench_scenario.steps + 1) * bench_scenario.T
-    scalar = np.array([sig.value(ti) for ti in t])
+    scalar = np.array([signal_value(sig, ti) for ti in t])
     np.testing.assert_array_max_ulp(sig.values(t), scalar, maxulp=2)
 
 
@@ -228,7 +229,7 @@ def test_formed_columns_equal_their_definitions(bench_scenario):
     t = np.arange(steps + 1) * base.T
     f = _MOVING.values(np.minimum(t, np.nextafter(_MOVING.t_end, 0)))
     for sc, traj in zip(batch, trajs):
-        v = sc.noise.stream().table(steps + 1, base.plant.p)
+        v, = noise_tables([sc.noise.stream()], steps + 1, base.plant.p)
         for name, want in (("y", traj.x @ C.T + v), ("s_true", traj.x @ hc.T), ("f", f)):
             got = getattr(traj, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
@@ -348,7 +349,7 @@ def _wide_recursion(sc, form):
     law, warm = ([M.astype(np.longdouble) for M in (loop.A, loop.B_d, loop.B_v)]
                  for loop in (closed_loop(design, taps), closed_loop(design)))
     dk = DisturbanceSampler(plant, sc.T, sc.disturbance).table(0, sc.steps + 1)
-    v = sc.noise.stream().table(sc.steps + 1, plant.p)
+    v, = noise_tables([sc.noise.stream()], sc.steps + 1, plant.p)
     n, m = plant.n, plant.m
     psi = np.zeros(n + 4 * m, dtype=np.longdouble)
     psi[:n] = sc.x0

@@ -19,7 +19,7 @@ from qsmc import (ConfigError, ContinuousPlant, DisturbanceSampler,
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
-from conftest import T_BENCH, rk4_states, segment_value
+from conftest import T_BENCH, form_value, rk4_states, segment_of, segment_value
 
 
 def _pieces(sig, T, k):
@@ -32,7 +32,7 @@ def _pieces(sig, T, k):
             cuts.append(t1 - b)
     cuts = sorted(set(cuts))
     seg_end = np.nextafter(sig.t_end, 0)
-    return [(lo, hi, sig.segment_index(min(t1 - 0.5 * (lo + hi), seg_end)))
+    return [(lo, hi, segment_of(sig, min(t1 - 0.5 * (lo + hi), seg_end)))
             for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
@@ -94,7 +94,6 @@ def test_double_integrator_closed_form(double_integrator):
     assert np.allclose(d.input_map, [[0.5], [1.0]], atol=1e-14)
     # A is nilpotent: the expansion terminates, both rates are exact
     assert np.allclose(d.drift_rate, double_integrator.A, atol=1e-14)
-    assert np.allclose(d.drift_curvature, 0.0, atol=1e-14)
     assert np.allclose(d.input_curvature, [[0.5], [0.0]], atol=1e-14)
 
 
@@ -124,16 +123,9 @@ def test_semigroup_property(bench_plant):
 
 
 def test_expansion_matrices_bounded(bench_plant):
-    # drift_curvature -> A^2/2 and input_curvature -> A B / 2 as T -> 0
-    a_norm = np.linalg.norm(bench_plant.A, 2)
-    for T in (0.01, 0.001, 1e-4):
-        d = discretize(bench_plant, T)
-        bound = 0.5 * a_norm ** 2 * np.exp(a_norm * T)
-        assert np.linalg.norm(d.drift_curvature, 2) <= bound * (1 + 1e-9)
+    # input_curvature -> A B / 2 as T -> 0
     d = discretize(bench_plant, 1e-5)
-    lim_a = bench_plant.A @ bench_plant.A / 2
     lim_b = bench_plant.A @ bench_plant.B / 2
-    assert np.linalg.norm(d.drift_curvature - lim_a) <= 1e-3 * np.linalg.norm(lim_a)
     assert np.linalg.norm(d.input_curvature - lim_b) <= 1e-3 * np.linalg.norm(lim_b)
 
 
@@ -205,16 +197,18 @@ def test_boundary_straddling_interval(bench_plant, bench_signal):
 def test_exosystem_blocks_match_block_diag():
     # the slicing build of a segment's (S, E) against scipy's block_diag
     from scipy.linalg import block_diag
-    from qsmc.discretization import _exosystem
     cases = [(SinForm(1.0, 1.0, 0.5, 0.0), CosForm(0.5, 1.0)),
              (ZeroForm(), ConstForm(-0.5)),
-             (CosForm(2.0, 3.0), ZeroForm(), SinForm(0.1, 0.2, 0.3, 0.4))]
+             (CosForm(2.0, 3.0), ZeroForm(), SinForm(0.1, 0.2, 0.3, 0.4)),
+             (ZeroForm(), ZeroForm())]
     for forms in cases:
-        S, E = _exosystem(forms)
-        assert np.array_equal(S, block_diag(*(f.exo_S for f in forms)))
-        assert np.array_equal(E, block_diag(*(np.reshape(f.exo_E, (1, -1))
-                                              for f in forms)))
-    assert _exosystem((ZeroForm(), ZeroForm())) is None
+        S, E = Segment(0.0, np.inf, forms).exosystem
+        want_S = block_diag(*(f.exo_S for f in forms))
+        want_E = block_diag(*(np.reshape(f.exo_E, (1, -1)) for f in forms))
+        assert S.shape == want_S.shape and np.array_equal(S, want_S)
+        assert E.shape == want_E.shape and np.array_equal(E, want_E)
+    S, E = Segment(0.0, np.inf, (ZeroForm(), ZeroForm())).exosystem
+    assert S.shape == (0, 0) and E.shape == (2, 0)
 
 
 def test_sampler_determinism(bench_plant, bench_signal):
@@ -297,7 +291,7 @@ def test_exact_dk_differential(case, window):
         assert sampler.at(k).tobytes() == part[k - k0].tobytes() \
             == table[k].tobytes()
     # a constant disturbance is a held input
-    levels = np.array([f.value(0.0) for f in sig.segments[0].forms])
+    levels = np.array([form_value(f, 0.0) for f in sig.segments[0].forms])
     const = DisturbanceSampler(plant, T, constant_signal(levels)).table(0, K)
     held = discretize(plant, T).input_map @ levels
     assert np.allclose(const, held, rtol=1e-12, atol=1e-12 * np.max(np.abs(held)))
@@ -319,7 +313,6 @@ class _Ramp:
     sup_d1 = 1.0
     exo_S = np.array([[0.0, 1.0], [0.0, 0.0]])
     exo_E = np.array([1.0, 0.0])
-    def value(self, t): return t
     def exo_z(self, t): return np.column_stack((t, np.ones_like(t)))
     def spec(self): return "ramp"
 

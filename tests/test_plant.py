@@ -8,7 +8,8 @@ from qsmc import (ConfigError, ContinuousPlant, DisturbanceSignal, NoiseSpec,
 from qsmc.errors import DisturbanceRangeError
 from qsmc.plant import ConstForm, CosForm, SinForm, ZeroForm
 
-from conftest import A_BENCH, B_BENCH, C_BENCH, segment_value
+from conftest import (A_BENCH, B_BENCH, C_BENCH, form_value, segment_of,
+                      segment_value)
 
 
 def test_plant_dimensions(bench_plant):
@@ -26,22 +27,27 @@ def test_plant_shape_checks():
 
 # --- disturbance forms -----------------------------------------------------
 
+def _alone(form):
+    """form as the one channel of a signal over [0, inf)."""
+    return DisturbanceSignal([Segment(0.0, np.inf, (form,))])
+
+
 def _deriv(form, t):
-    """f'(t) of one form, read from its exosystem as a one-channel signal."""
-    return DisturbanceSignal([Segment(0.0, np.inf, (form,))]).derivative(t)[0]
+    """f'(t) of one form, read from its exosystem."""
+    return _alone(form).derivative(t)[0]
 
 
 def test_form_values_and_derivatives():
     t = 1.7
     sin = SinForm(offset=1.0, amp=2.0, omega=0.5, phase=0.3)
-    assert sin.value(t) == pytest.approx(1.0 + 2.0 * np.sin(0.5 * t + 0.3))
+    assert _alone(sin).value(t)[0] == pytest.approx(1.0 + 2.0 * np.sin(0.5 * t + 0.3))
     assert _deriv(sin, t) == pytest.approx(1.0 * np.cos(0.5 * t + 0.3))
     cos = CosForm(0.5, 2.0)
-    assert cos.value(t) == pytest.approx(0.5 * np.cos(2.0 * t))
+    assert _alone(cos).value(t)[0] == pytest.approx(0.5 * np.cos(2.0 * t))
     assert _deriv(cos, t) == pytest.approx(-1.0 * np.sin(2.0 * t))
-    assert ConstForm(-3.0).value(t) == -3.0
+    assert _alone(ConstForm(-3.0)).value(t)[0] == -3.0
     assert _deriv(ConstForm(-3.0), t) == 0.0
-    assert ZeroForm().value(t) == 0.0
+    assert _alone(ZeroForm()).value(t)[0] == 0.0
     assert _deriv(ZeroForm(), t) == 0.0
 
 
@@ -58,7 +64,7 @@ def test_form_derivative_matches_finite_difference():
     for form in (SinForm(1.0, 1.0, 0.5), CosForm(0.5, 1.0),
                  SinForm(0.0, 2.0, 3.0, 0.7)):
         for t in (0.0, 0.4, 2.9, 11.0):
-            fd = (form.value(t + h) - form.value(t - h)) / (2 * h)
+            fd = (form_value(form, t + h) - form_value(form, t - h)) / (2 * h)
             assert _deriv(form, t) == pytest.approx(fd, abs=1e-6)
 
 
@@ -89,11 +95,13 @@ def test_signal_is_continuous_at_joins(bench_signal):
 
 
 def test_signal_range_error(bench_signal):
-    with pytest.raises(DisturbanceRangeError):
-        bench_signal.value(-0.5)
     finite = DisturbanceSignal([Segment(0.0, 1.0, (ZeroForm(),))])
-    with pytest.raises(DisturbanceRangeError):
-        finite.value(1.0)
+    for sig, t, text in ((bench_signal, -0.5, "t = -0.5 outside defined range [0, inf)"),
+                         (finite, 1.0, "t = 1.0 outside defined range [0, 1.0)")):
+        for read in (sig.value, sig.derivative):
+            with pytest.raises(DisturbanceRangeError) as err:
+                read(t)
+            assert str(err.value) == text
 
 
 def test_signal_requires_contiguity():
@@ -114,10 +122,18 @@ def test_signal_requires_uniform_channel_count():
         ])
 
 
-def test_segment_index_and_boundaries(bench_signal):
-    assert bench_signal.segment_index(0.0) == 0
-    assert bench_signal.segment_index(10.0) == 1
-    assert bench_signal.segment_index(100.0) == 2
+def test_owner_and_boundaries(bench_signal):
+    # half-open segments: a join belongs to the segment it starts
+    t3 = 5.0 * np.pi
+    for t, idx in ((0.0, 0), (10.0, 1), (t3, 2), (100.0, 2)):
+        assert bench_signal.owner(t) == idx
+    times = np.array([0.0, 9.99, 10.0, np.nextafter(t3, 0), t3, 1e6])
+    assert bench_signal.owner(times).tolist() == [0, 0, 1, 1, 2, 2]
+    assert bench_signal.owner(times).tolist() == [segment_of(bench_signal, t)
+                                                  for t in times]
+    for bad in (-0.5, np.array([1.0, -1e-9])):
+        with pytest.raises(DisturbanceRangeError, match="outside defined range"):
+            bench_signal.owner(bad)
     inner = bench_signal.boundaries_within(9.5, 16.0)
     assert np.allclose(inner, [10.0, 5.0 * np.pi])
     assert bench_signal.boundaries_within(0.0, 9.0) == []

@@ -13,8 +13,6 @@ import qsmc.cli
 SRC = Path(qsmc.cli.__file__).resolve().parent
 
 TRACER = "tracer-pinned: perfbench/tracer.py wraps it by name (ROADMAP item 2)"
-SCALAR_VALUE = "scalar helper of the tracer-pinned DisturbanceSignal.value"
-RNG_ORACLE = "scalar xoshiro256** route, the oracle the published test vectors pin"
 ERROR = "error constructor"
 DERIV = "form derivative, used by acceptance criterion 7"
 CLAIM = "paper-claim check awaiting a verify key (ROADMAP item 3)"
@@ -26,18 +24,7 @@ ALLOWED = {
     "discretization.DisturbanceSampler.at": TRACER,
     "experiments.shared_sampler": TRACER,
     "plant.NoiseStream.sample": TRACER,
-    "plant.NoiseStream.table": TRACER + "; NoiseStream.sample's route",
     "plant.DisturbanceSignal.value": TRACER,
-    "plant.DisturbanceSignal.segment_index": SCALAR_VALUE,
-    "plant.Segment.contains": SCALAR_VALUE,
-    "plant.ZeroForm.value": SCALAR_VALUE,
-    "plant.ConstForm.value": SCALAR_VALUE,
-    "plant.SinForm.value": SCALAR_VALUE,
-    "plant.CosForm.value": SCALAR_VALUE,
-    "rng._rotl": RNG_ORACLE,
-    "rng.Xoshiro256StarStar.next_u64": RNG_ORACLE,
-    "rng.Xoshiro256StarStar.uniform": RNG_ORACLE,
-    "rng.Xoshiro256StarStar.symmetric": RNG_ORACLE,
     "errors.ConfigError.__init__": ERROR,
     "errors.DivergenceError.__init__": ERROR,
     "simulate.Trajectory.u_peak": READOUT,

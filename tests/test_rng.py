@@ -1,7 +1,8 @@
 """Generator vectors are frozen from hand computation of the reference
-algorithms (64-bit splitmix seeding, xoshiro256** output scrambler).  The
-scalar route (next_u64/uniform/symmetric) is the oracle for the lane draw
-(symmetric_tables) and its jump ladder."""
+algorithms (64-bit splitmix seeding, xoshiro256** output scrambler).  They
+pin both the lane draw (symmetric_tables) and the scalar route
+(conftest.ScalarXoshiro), which is the oracle of the lane draw and of its
+jump ladder."""
 
 import functools
 import hashlib
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsmc.plant import NoiseSpec, NoiseStream
-from qsmc.rng import (Xoshiro256StarStar, _jump, _jump_ladder, _rotl,
-                      _splitmix64, symmetric_tables)
+from qsmc.plant import NoiseSpec, NoiseStream, noise_tables
+from qsmc.rng import (Xoshiro256StarStar, _jump, _jump_ladder, _splitmix64,
+                      symmetric_tables)
+
+from conftest import ScalarXoshiro, rotl
 
 
 def test_splitmix64_first_output():
@@ -34,20 +37,33 @@ def test_splitmix64_stream_distinct():
 
 
 def test_rotl_wraps():
-    assert _rotl(1, 1) == 2
-    assert _rotl(1 << 63, 1) == 1
-    assert _rotl(0x0123456789ABCDEF, 0) == 0x0123456789ABCDEF
+    assert rotl(1, 1) == 2
+    assert rotl(1 << 63, 1) == 1
+    assert rotl(0x0123456789ABCDEF, 0) == 0x0123456789ABCDEF
 
 
 def test_starstar_scrambler_from_unit_state():
     # with state (1, 2, 3, 4) the first three outputs follow by hand:
     # rotl(2*5,7)*9 = 11520; after one update s1 becomes 0 -> output 0;
     # third state has s1 = 2^17 + ... giving 1509978240
-    gen = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
-    gen._s = [1, 2, 3, 4]
+    gen = ScalarXoshiro.from_state([1, 2, 3, 4])
     assert gen.next_u64() == 11520
     assert gen.next_u64() == 0
     assert gen.next_u64() == 1509978240
+
+
+def test_lane_draw_from_unit_state():
+    # the same three outputs, drawn in lanes at halfwidth 1: each is
+    # 2 (u >> 11) 2^-53 - 1, and the stream ends where three steps leave it
+    gen = ScalarXoshiro.from_state([1, 2, 3, 4])
+    table = symmetric_tables([gen], 3, [1.0])[0]
+    assert table.tolist() == [-0.9999999999999989, -1.0, -0.9999999998362878]
+    assert table.tolist() == [2 * (u >> 11) * 2.0 ** -53 - 1
+                              for u in (11520, 0, 1509978240)]
+    scalar = ScalarXoshiro.from_state([1, 2, 3, 4])
+    for _ in range(3):
+        scalar.next_u64()
+    assert gen._s == scalar._s
 
 
 def test_seeded_state_never_all_zero():
@@ -57,7 +73,7 @@ def test_seeded_state_never_all_zero():
 
 
 def test_uniform_range_and_resolution():
-    gen = Xoshiro256StarStar(20260815)
+    gen = ScalarXoshiro(20260815)
     vals = np.array([gen.uniform() for _ in range(20000)])
     assert np.all(vals >= 0.0) and np.all(vals < 1.0)
     # top-53-bit conversion: every value is a multiple of 2^-53
@@ -67,7 +83,7 @@ def test_uniform_range_and_resolution():
 
 
 def test_symmetric_halfwidth():
-    gen = Xoshiro256StarStar(7)
+    gen = ScalarXoshiro(7)
     vals = np.array([gen.symmetric(0.005) for _ in range(5000)])
     assert np.all(np.abs(vals) <= 0.005)
     assert abs(vals.mean()) < 3e-4
@@ -75,20 +91,20 @@ def test_symmetric_halfwidth():
 
 
 def test_determinism_across_instances():
-    a = Xoshiro256StarStar(424242)
-    b = Xoshiro256StarStar(424242)
+    a = ScalarXoshiro(424242)
+    b = ScalarXoshiro(424242)
     assert [a.next_u64() for _ in range(64)] == [b.next_u64() for _ in range(64)]
 
 
 def test_seed_sensitivity():
-    a = Xoshiro256StarStar(1)
-    b = Xoshiro256StarStar(2)
+    a = ScalarXoshiro(1)
+    b = ScalarXoshiro(2)
     assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99991])
 def test_u64_in_range(seed):
-    gen = Xoshiro256StarStar(seed)
+    gen = ScalarXoshiro(seed)
     for _ in range(256):
         v = gen.next_u64()
         assert 0 <= v < 2**64
@@ -110,7 +126,7 @@ SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)
 @example(n=128, seed=20260815, halfwidth=0.005)
 @example(n=129, seed=2 ** 64 - 1, halfwidth=2.5)
 def test_lane_draw_matches_scalar_draws(n, seed, halfwidth):
-    lanes, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    lanes, scalar = ScalarXoshiro(seed), ScalarXoshiro(seed)
     table = symmetric_tables([lanes], n, [halfwidth])[0]
     ref = np.array([scalar.symmetric(halfwidth) for _ in range(n)])
     assert table.dtype == np.float64 and table.shape == (n,)
@@ -147,7 +163,7 @@ def test_draw_transient_does_not_grow_with_generators():
 
 def test_noise_table_frozen_digest():
     # SHA-256 of the table as drawn by the scalar route before the lane draw
-    table = NoiseStream(NoiseSpec("uniform", 0.005, 20260815)).table(2001, 3)
+    table, = noise_tables([NoiseStream(NoiseSpec("uniform", 0.005, 20260815))], 2001, 3)
     assert hashlib.sha256(table.tobytes()).hexdigest() == (
         "a38100dd353c05946db6025c759faa1b7bdfb7a85a79b401ca8ca31415f38087")
 
@@ -173,7 +189,7 @@ HALFWIDTHS = (0.005, 2.5, 1.0, 1e-3, 0.75, 3.0, 0.125, 0.005, 42.0, 0.5)
 def scalar_prefix(seed, halfwidth):
     """The first max(LOCKSTEP_N) symmetric draws of a seed, one scalar call
     at a time, and the stream state after each n of LOCKSTEP_N."""
-    gen = Xoshiro256StarStar(seed)
+    gen = ScalarXoshiro(seed)
     draws, states = [], {0: list(gen._s)}
     for i in range(max(LOCKSTEP_N)):
         draws.append(gen.symmetric(halfwidth))
@@ -210,8 +226,7 @@ STATES = st.lists(st.integers(0, 2 ** 64 - 1), min_size=4, max_size=4).filter(an
 
 
 def scalar_steps(state, steps):
-    gen = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
-    gen._s = list(state)
+    gen = ScalarXoshiro.from_state(state)
     for _ in range(steps):
         gen.next_u64()
     return gen._s

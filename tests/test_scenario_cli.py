@@ -860,3 +860,36 @@ def test_every_bad_option_ends_in_a_named_exit(argv):
 @given(bad_key())
 def test_every_bad_key_ends_in_a_named_exit(case):
     _named_exit(*case)
+
+
+# --- an output directory that cannot be made ---------------------------------------
+# --out names an existing regular file, or a path beneath one: every command
+# exits 2 on one stderr line that names the path, and the file is left as it was.
+
+OUT_COMMANDS = (("run", "aircraft"), ("verify", "aircraft"),
+                ("sweep", "aircraft", "--ladder", "0.02,0.01,0.005"), ("benchmark",))
+
+
+def _assert_refused_out_dir(res, out, taken):
+    assert res.returncode == 2, res
+    named = [ln for ln in res.stderr.splitlines() if ln.startswith(EXIT_LEADS[2])]
+    assert len(named) == 1 and str(out) in named[0], res.stderr
+    assert taken.read_text(encoding="utf-8") == "taken\n"
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[a[0] for a in OUT_COMMANDS])
+def test_unwritable_out_dir_exit_2(tmp_path, argv, beneath):
+    taken = tmp_path / "taken"
+    taken.write_text("taken\n", encoding="utf-8")
+    out = taken / "x" if beneath else taken
+    _assert_refused_out_dir(cli(*argv, "--out", str(out)), out, taken)
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+def test_unwritable_scenario_outputs_directory_exit_2(tmp_path, beneath):
+    taken = tmp_path / "taken"
+    taken.write_text("taken\n", encoding="utf-8")
+    out = taken / "x" if beneath else taken
+    path, _ = _edited_copy(tmp_path, (("directory = out", f"directory = {out}"),))
+    _assert_refused_out_dir(cli("run", str(path), "--horizon", "0.5"), out, taken)
