@@ -38,13 +38,13 @@ x_bound are one reduction each, the bounds over the window's rows only.
 A trajectory forms y, s_true and the disturbance column f only when they
 are read (Trajectory).
 
-The scan (_blocked_scan) has two levels.  A block's response from a zero
-start is a fixed linear map of its inputs, so each law's block ends are
-one product of its v and d rows with gains formed once per law; the d
-part is shared by every batch.  The block-start states then follow a
-recursion of the same form with A_cl^L in place of A_cl, which a long
-batch advances as a blocked scan of its own.  Every power of A_cl is
-formed in long double and rounded once.
+In the scan (_blocked_scan) a block's response from a zero start is a
+fixed linear map of its inputs, so each law's block ends are one product
+of its v and d rows with gains formed once per law; the d part is shared
+by every batch.  The block-start states follow a recursion of the same
+form with A_cl^L in place of A_cl, which one doubling prefix scan solves
+(Kogge and Stone, IEEE Trans. Computers C-22(8), 1973).  Every power of
+A_cl is formed in long double and rounded once.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ _OVERFLOW = 1e12
 MAX_STEPS = 10 ** 6
 
 # samples per block of the blocked scan; the last block is padded with up
-# to BLOCK - 1 samples.  A batch takes BLOCK + steps/BLOCK Python
-# iterations, or 3 BLOCK + steps/BLOCK^2 once the carry runs over more
-# than 2 BLOCK blocks and takes a second level
+# to BLOCK - 1 samples.  After its stepped samples a batch takes
+# ceil(log2 blocks) passes of the carry and BLOCK of the fill
 BLOCK = 16
 
 # samples every batch steps one at a time before the scan: the longest
@@ -265,7 +264,7 @@ class _Law:
     (_law): its Loop, its B_d d[k] rows and the parts of its blocked scan."""
     loop: Loop
     dd: np.ndarray       # B_d d[k]: the warm-up loop's own rows unless eq
-    carry: tuple         # A^L, and A^(L L) when the carry takes two levels
+    carry: list          # A^(L 2^s) per pass of the carry, while they fit
     gain_v: np.ndarray   # (L p, N): a block's v rows, flattened, times
                          # gain_v are the v part of its end from zero
     end_d: np.ndarray    # (blocks - 1, N): the d part of every block end
@@ -299,7 +298,7 @@ class _Stack:
     dd: np.ndarray       # the B_d d[k] rows, shared or stacked
     gain_v: np.ndarray   # (R, L p, N)
     end_d: np.ndarray    # (blocks - 1, N), or stacked
-    carry: list          # each carry power, stacked
+    carry: list          # each carry power every law has, stacked
 
 
 def _law_key(sc: Scenario) -> tuple:
@@ -358,7 +357,7 @@ def run_batches(batches):
     d_rows = dk[stepped:stepped + max(blocks - 1, 0) * BLOCK]
     warm = closed_loop(design)
     warm_dd = dk @ warm.B_d.T
-    laws = {key: _law(loop, dk, warm_dd, d_rows, blocks > 2 * BLOCK)
+    laws = {key: _law(loop, dk, warm_dd, d_rows, blocks)
             for key, loop in loops.items()}
     specs = list(dict.fromkeys(sc.noise for sc in runs))
     noise = dict(zip(specs, noise_tables([spec.stream() for spec in specs],
@@ -480,15 +479,17 @@ def _shared_or_stacked(arrays):
 
 
 def _law(loop: Loop, dk: np.ndarray, warm_dd: np.ndarray, d_rows: np.ndarray,
-         second: bool) -> _Law:
-    """One law's _Law, with A^(L L) if second: dk is the d table, warm_dd
-    its rows through the warm-up loop, which every law but eq shares, and
-    d_rows the d rows of the scan's blocks but the last.
+         blocks: int) -> _Law:
+    """One law's _Law for a scan of `blocks` blocks: dk is the d table,
+    warm_dd its rows through the warm-up loop, which every law but eq
+    shares, and d_rows the d rows of the scan's blocks but the last.
 
     A high-gain law makes A strongly non-normal, and a power formed by
     double products carries errors of eps |A| |A^(j-1)|, far above
-    eps |A^j|; the powers and gains are therefore formed in numpy's long
-    double (80-bit extended on x86-64) and rounded once."""
+    eps |A^j|; the gains and the carry's powers A^(L 2^s), 2^s < blocks,
+    are therefore formed in numpy's long double (80-bit extended on x86-64)
+    and rounded once.  The powers stop at the first that does not fit a
+    double, whose inf would turn a zero state into nan."""
     L, N = BLOCK, len(loop.A)
     A = loop.A.astype(np.longdouble)
     p = loop.B_v.shape[1]
@@ -500,49 +501,46 @@ def _law(loop: Loop, dk: np.ndarray, warm_dd: np.ndarray, d_rows: np.ndarray,
     gain_v, gain_d = (stacked[:, cols].reshape(-1, N)
                       for cols in (slice(None, p), slice(p, None)))
     end_d = d_rows.reshape(-1, len(gain_d)) @ gain_d
-    power = np.linalg.matrix_power(A, L)
-    carry = (power,) + ((np.linalg.matrix_power(power, L),) if second else ())
+    carry, power = [], np.linalg.matrix_power(A, L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 ** len(carry) < blocks and np.isfinite(rounded := power.astype(float)).all():
+            carry.append(rounded)
+            power = power @ power
     # only the eq law's g[k] term changes B_d
     dd = warm_dd if loop.taps.K_g is None else dk @ loop.B_d.T
-    return _Law(loop, dd, tuple(c.astype(float) for c in carry), gain_v, end_d)
+    return _Law(loop, dd, carry, gain_v, end_d)
 
 
-def _blocked_scan(A, psi, blocks, carry, end=None):
+def _blocked_scan(A, psi, blocks, carry, end):
     """Advance psi[j+1] = A psi[j] + (row j+1 as given) over `blocks`
     blocks of BLOCK samples, in place; psi is (R, blocks BLOCK + 1, N) with
-    row 0 the start state, carry holds A^BLOCK (then A^(BLOCK BLOCK)) and
-    end, when given, the responses of the first blocks - 1 blocks at their
-    last sample from a zero start.
+    row 0 the start state, carry holds the powers A^(BLOCK 2^s) (_law) and
+    end the responses of the first blocks - 1 blocks at their last sample
+    from a zero start.
 
-    A chunked linear scan, each pass vectorized over all blocks: without
-    end, step every block from zero through its drives to get its end;
-    carry the block-start states c_b, c_(b+1) = A^L c_b + end_b; then step
-    every block from c_b through its drives again, writing each sample
-    over its drive.  The carry is itself such a recursion, with A^L for A:
-    given a second power, it is scanned the same way, blocks of L blocks,
-    and otherwise looped one product per block.  Within a block the
-    recursion is stepped as written; only the given ends and the carry use
-    powers of A (see _law for how they are formed)."""
+    The block starts follow c_b = A^L c_(b-1) + end_(b-1).  With c_0 in row
+    0 and end_(b-1) in row b, pass s adds A^(L k) times the row k = 2^s
+    above to every row from k on, the product formed before the add; after
+    the passes with k < blocks, row b holds c_b.  A power missing from the
+    carry is applied as repeated products of the largest one there.  Then
+    every block is stepped from c_b through its drives, writing each sample
+    over its drive; only the given ends and the carry use powers of A."""
     R, _, N = A.shape
     L = BLOCK
     drives = psi[:, 1:].reshape(R, blocks, L, N, copy=False)
     A_t = A.transpose(0, 2, 1)
-    if end is None:
-        end = drives[:, :-1, 0].copy()
-        for j in range(1, L):
-            end = end @ A_t
-            end += drives[:, :-1, j]
-    # row b of start is c_b, first written as end_(b-1)
-    outer = -(-(blocks - 1) // L)
-    start = np.zeros((R, outer * L + 1, N))
-    start[:, 0] = psi[:, 0]
-    start[:, 1:blocks] = end
-    if len(carry) > 1:
-        _blocked_scan(carry[0], start, outer, carry[1:])
-    else:
-        for b in range(1, blocks):
-            start[:, b] += (carry[0] @ start[:, b - 1, :, None])[:, :, 0]
-    prev = start[:, :blocks]
+    start = np.concatenate([psi[:, :1], end], axis=1)
+    # (P^T, samples P spans): A, then A^(L 2^s) for each power of the carry
+    spans = [(A_t, 1)] + [(P.transpose(0, 2, 1), L << s) for s, P in enumerate(carry)]
+    k = 1
+    while k < blocks:
+        P_t, span = spans[min(k.bit_length(), len(spans) - 1)]
+        term = start[:, :-k]
+        for _ in range(L * k // span):
+            term = term @ P_t
+        start[:, k:] += term
+        k *= 2
+    prev = start
     for j in range(L):
         drives[:, :, j] += prev @ A_t
         prev = drives[:, :, j]

@@ -146,8 +146,47 @@ def test_batch_divergence_names_first_bad_run(bench_scenario):
         run_batch(batch)
     assert err.value.step == 1246
     assert err.value.run == 1
-    assert err.value.norm > 1e12
+    assert err.value.norm == pytest.approx(1010668840166.409, rel=1e-12)
     assert "in run 1" in str(err.value)
+
+
+# surfaces of the aircraft plant whose loops are unstable, found by a seeded
+# search: np.random.default_rng(seed).standard_normal((2, 3)) rounded to two
+# decimals, for seeds 762, 1641 and 11939
+_GROWING = [
+    ("m2", [[-0.85, -0.37, -1.99], [-1.21, -0.53, 0.31]], 2.936),
+    ("mm1", [[-1.65, -0.41, -0.87], [-1.33, -0.33, -0.17]], 8.274),
+    ("mm1", [[-0.14, -0.18, -1.48], [-0.71, -0.91, 0.84]], 36.84),
+]
+
+
+@pytest.mark.parametrize("kind, H, rho", _GROWING)
+def test_zero_state_stays_zero_on_unstable_loops(bench_scenario, kind, H, rho):
+    # from a zero state with no drive the exact run is zero, however fast
+    # the loop grows: past rho_cl of about 2 the carry's widest power no
+    # longer fits a double, and inf times a zero state would be nan
+    sc = bench_scenario.with_(kind=kind, H=np.array(H), x0=np.zeros(4),
+                              disturbance=zero_signal(2), noise=NoiseSpec())
+    traj = run(sc)
+    assert traj.summary["rho_cl"] == pytest.approx(rho, rel=1e-3)
+    assert traj.x.shape == (sc.steps + 1, 4)
+    for key in ("x", "s", "u"):
+        assert not np.any(getattr(traj, key)), key
+
+
+def test_stable_run_beside_a_carry_that_overflows(bench_scenario):
+    # the m2 loop's A^(16 64) does not fit a double, so its batch takes the
+    # carry's last pass as two products with A^(16 32), also for the stable
+    # eq run (rho_cl 0.998) beside it
+    kind, H, _ = _GROWING[0]
+    base = bench_scenario.with_(H=np.array(H), disturbance=zero_signal(2))
+    eq = base.with_(kind="eq")
+    grows, traj = run_batch([base.with_(kind=kind, x0=np.zeros(4)), eq])
+    assert not np.any(grows.x)
+    assert traj.summary["rho_cl"] < 1.0
+    design = build_surface(base.plant, discretize(base.plant, base.T), base.H)
+    taps = law_taps(design, contraction_alpha(eq.T, eq.alpha, eq.beta), "eq")
+    _assert_matches_oracles(eq, "recursive", closed_loop(design, taps).A, traj)
 
 
 def test_batch_divergence_carries_diverging_runs_radius(bench_scenario):
@@ -209,11 +248,13 @@ _MOVING = DisturbanceSignal([Segment(0.0, math.inf, (SinForm(0.5, 1.0, 3.0, 0.2)
 
 
 def _assert_matches_oracle(sc, traj, tol=1e-12):
+    """Hold traj to loop_oracle within tol; returns the oracle's columns."""
     ref = loop_oracle(sc)
     tag = (sc.kind, sc.steps)
     for key in ("x", "u", "s", "s_true", "y"):
         assert np.max(np.abs(getattr(traj, key) - ref[key])) <= tol, (key,) + tag
     assert not np.any(traj.u[:WARMUP[sc.kind]]), tag
+    return ref
 
 
 def test_formed_columns_equal_their_definitions(bench_scenario):
@@ -242,11 +283,17 @@ def test_formed_columns_equal_their_definitions(bench_scenario):
         assert not getattr(trajs[0], name).flags.writeable
 
 
-@pytest.mark.parametrize("samples", [1, 2, 3, BLOCK + 1, BLOCK + 2, BLOCK + 3,
-                                     5 * BLOCK + 7, 2 * BLOCK * BLOCK + 5])
+# sample counts whose scan has 2^s and 2^s + 1 blocks after the stepped
+# samples, s = 0..6: the carry's pass of stride 2^s is the last one a scan
+# of 2^s + 1 blocks takes and one past what a scan of 2^s blocks takes
+_CARRY_EDGES = [max(WARMUP.values()) + BLOCK * 2 ** s + extra
+                for s in range(7) for extra in (0, 1)]
+
+
+@pytest.mark.parametrize("samples", sorted({1, 2, 3, BLOCK + 1, BLOCK + 2, BLOCK + 3,
+                                            5 * BLOCK + 7, 2 * BLOCK * BLOCK + 5,
+                                            *_CARRY_EDGES}))
 def test_batch_block_edges(bench_scenario, samples):
-    # 2 BLOCK^2 + 5 samples leave 33 blocks after the stepped ones, so the
-    # carry takes its second level
     base = bench_scenario.with_(horizon=(samples - 0.5) * bench_scenario.T,
                                 disturbance=_MOVING)
     assert base.steps + 1 == samples
@@ -255,9 +302,12 @@ def test_batch_block_edges(bench_scenario, samples):
     # laws whose warm-up is one sample long: the batch still steps the
     # longest warm-up of any law, so its blocks sit where the mixed batch's do
     short = [base.with_(kind=kind, noise=_noise(7)) for kind in ("eq", "mm1")]
+    design = build_surface(base.plant, discretize(base.plant, base.T), base.H)
     for batch in (mixed, short):
         for sc, traj in zip(batch, run_batch(batch)):
-            _assert_matches_oracle(sc, traj)
+            ref = _assert_matches_oracle(sc, traj)
+            taps = law_taps(design, contraction_alpha(sc.T, sc.alpha, sc.beta), sc.kind)
+            _assert_matches_wide(sc, "recursive", closed_loop(design, taps).A, traj, ref)
 
 
 def test_eq_input_reads_last_disturbance_sample(bench_scenario):
@@ -281,13 +331,13 @@ def _first_bad(x):
 @pytest.mark.parametrize("period, offset", [(BLOCK, 1), (BLOCK, BLOCK),
                                             (BLOCK, BLOCK // 2),
                                             (BLOCK * BLOCK, BLOCK)],
-                         ids=["first", "last", "inside", "second_level"])
+                         ids=["first", "last", "inside", "start_16c_plus_1"])
 def test_batch_divergence_on_block_edges(bench_scenario, period, offset):
     # every batch steps the longest warm-up W alone, so the scan's blocks
-    # hold x[k] for k = W + b BLOCK + (1..BLOCK); the carry's own blocks
-    # of BLOCK block-start states x[W + b BLOCK] open at b = c BLOCK + 1.
-    # Scale x0 so the first state past the guard is a block's first, last
-    # or a middle sample, or the state that opens a second-level block
+    # hold x[k] for k = W + b BLOCK + (1..BLOCK), and the carry gives the
+    # block-start states x[W + b BLOCK].  Scale x0 so the first state past
+    # the guard is a block's first, last or a middle sample, or the start
+    # of block b = 16 c + 1
     stepped = max(WARMUP.values())
     unstable = bench_scenario.with_(kind="mm1", H=H_UNSTABLE,
                                     disturbance=zero_signal(2))
@@ -389,24 +439,38 @@ def test_batch_matches_oracle_on_random_plants(seed):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @example(seed=1333)
-def test_two_level_scan_matches_oracles_on_random_plants(seed):
-    # 2 BLOCK^2 to 6 BLOCK^2 samples: from 2 BLOCK^2 + 3 on, the scan has
-    # more than 2 BLOCK blocks and its carry takes the second level
+def test_long_scan_matches_oracles_on_random_plants(seed):
+    # 2 BLOCK^2 to 6 BLOCK^2 samples: 32 to 96 blocks, so the carry takes
+    # five to seven passes
     _assert_matches_oracles(*_random_loop(
         seed, samples=(2 * BLOCK * BLOCK, 6 * BLOCK * BLOCK + 1)))
 
 
-def _assert_matches_oracles(sc, form, A_cl):
+def _assert_matches_oracles(sc, form, A_cl, traj=None):
+    """Hold traj, by default sc's lone run, to loop_oracle within
+    _ORACLE_UNITS and to _wide_recursion within _WIDE_UNITS units."""
     with law_form(form):
-        traj = run_batch([sc])[0]
+        if traj is None:
+            traj = run_batch([sc])[0]
         ref = loop_oracle(sc)
-    unit = _rounding_unit(A_cl, max(1.0, *(np.max(np.abs(ref[key]))
-                                           for key in ("x", "u", "s"))))
+    unit = _unit(A_cl, ref)
     for key in ("x", "u", "s", "s_true", "y"):
         assert np.max(np.abs(getattr(traj, key) - ref[key])) <= _ORACLE_UNITS * unit, key
+    _assert_matches_wide(sc, form, A_cl, traj, ref)
+
+
+def _unit(A_cl, ref):
+    """_rounding_unit on the scale of the oracle's x, u and s columns."""
+    return _rounding_unit(A_cl, max(1.0, *(np.max(np.abs(ref[key]))
+                                           for key in ("x", "u", "s"))))
+
+
+def _assert_matches_wide(sc, form, A_cl, traj, ref):
+    """Hold traj's x and u to _wide_recursion within _WIDE_UNITS units."""
+    unit = _unit(A_cl, ref)
     x, u = _wide_recursion(sc, form)
-    assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit
-    assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit
+    assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit, (sc.kind, sc.steps)
+    assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit, (sc.kind, sc.steps)
 
 
 def _rk4_bound(plant, T, steps, lam, F, X, U):
