@@ -154,11 +154,9 @@ class StabilityRow:
     T: float
     alpha: float
     cond: float           # condition number of the sampled coupling (s_gain_cond)
-    # distance of the mm1 (aug1) and mm2 (aug2) spectra from their clusters
-    cluster_dist_aug1: float
-    cluster_dist_aug2: float
-    # same distances over the well-conditioned clusters only (references
-    # away from the defective zero group)
+    # distance of the mm1 (aug1) and mm2 (aug2) spectra from their
+    # well-conditioned clusters (references away from the defective zero
+    # group)
     conditioned_dist_aug1: float
     conditioned_dist_aug2: float
     # spectral radius of the simulated closed loop (controllers.Loop.rho)
@@ -192,23 +190,22 @@ class StabilityReport:
         return all(r.certified for r in self.rows)
 
 
-def _cluster_distances(loop: Loop, design: SurfaceDesign, alpha: float):
+def _conditioned_distance(loop: Loop, design: SurfaceDesign, alpha: float) -> float:
     """Hausdorff-style distance from loop.eigvals to the analytic reference
-    eig(xi_step) union {alpha x m} union {0 x rest}.  Second value restricts
-    to eigenvalues matched to nonzero references: the zero group is
-    defective, so its perturbation order is structurally lower."""
+    eig(xi_step) union {alpha x m} union {0 x rest}, over the eigenvalues
+    matched to nonzero references only: the zero group is defective, so
+    its perturbation order is structurally lower and its distance is
+    rounding noise of the eigensolver."""
     m = design.s_gain.shape[0]
     xi = np.linalg.eigvals(design.xi_step)
     ref = np.concatenate([xi, np.full(m, alpha + 0j),
                           np.zeros(len(loop.A) - len(xi) - m, dtype=complex)])
-    d_all = d_cond = 0.0
+    d_cond = 0.0
     for lam in loop.eigvals:
         j = int(np.argmin(np.abs(lam - ref)))
-        d = float(abs(lam - ref[j]))
-        d_all = max(d_all, d)
         if abs(ref[j]) > 1e-9:
-            d_cond = max(d_cond, d)
-    return d_all, d_cond
+            d_cond = max(d_cond, float(abs(lam - ref[j])))
+    return d_cond
 
 
 def stability_over_T(plant, H, T_list, beta) -> StabilityReport:
@@ -224,12 +221,10 @@ def stability_over_T(plant, H, T_list, beta) -> StabilityReport:
         alpha = contraction_alpha(T, beta=beta)
         loops = {kind: closed_loop(design, law_taps(design, alpha, kind))
                  for kind in LAWS}
-        dist1, cdist1 = _cluster_distances(loops["mm1"], design, alpha)
-        dist2, cdist2 = _cluster_distances(loops["mm2"], design, alpha)
         rows.append(StabilityRow(
             T=T, alpha=alpha, cond=design.s_gain_cond,
-            cluster_dist_aug1=dist1, cluster_dist_aug2=dist2,
-            conditioned_dist_aug1=cdist1, conditioned_dist_aug2=cdist2,
+            conditioned_dist_aug1=_conditioned_distance(loops["mm1"], design, alpha),
+            conditioned_dist_aug2=_conditioned_distance(loops["mm2"], design, alpha),
             rho_cl={kind: loop.rho for kind, loop in loops.items()},
             coupling=design.drift_from_s))
     certified = [r.T for r in rows if r.certified]

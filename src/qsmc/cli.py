@@ -83,8 +83,11 @@ def _stem(sf: ScenarioFile) -> str:
     return os.path.splitext(os.path.basename(sf.path))[0]
 
 
-def _make_out_dir(out_dir: str) -> None:
-    """Create the output directory, or refuse a path that cannot be one."""
+def _make_out_dir(out_dir: str | None) -> None:
+    """Create the output directory, if one is given, or refuse a path that
+    cannot be one; each command makes it before it prints anything."""
+    if not out_dir:
+        return
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -94,7 +97,6 @@ def _make_out_dir(out_dir: str) -> None:
 
 def _write_report(out_dir: str, name: str, text: str) -> None:
     """Write one report into the --out directory and say where."""
-    _make_out_dir(out_dir)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -159,8 +161,8 @@ def cmd_verify(args) -> int:
         },
         "stability": [{"T": r.T, "alpha": r.alpha, "rho_aug1": r.rho_aug1,
                        "rho_aug2": r.rho_aug2,
-                       "cluster_dist_aug1": r.cluster_dist_aug1,
-                       "cluster_dist_aug2": r.cluster_dist_aug2,
+                       "conditioned_dist_aug1": r.conditioned_dist_aug1,
+                       "conditioned_dist_aug2": r.conditioned_dist_aug2,
                        "rho_cl": r.rho_cl}
                       for r in stab.rows],
         "largest_certified_T": stab.largest_certified,
@@ -191,9 +193,10 @@ def cmd_verify(args) -> int:
     ok = spec1.ok() and spec2.ok() and stab.all_certified
     report["certified"] = ok
     text = render_kv(report)
+    # like every exit of 2-4, a failed verify writes no --out directory
+    _make_out_dir(args.out if ok else None)
     sys.stdout.write(text)
     if not ok:
-        # like every exit of 2-4, a failed verify writes no --out directory
         raise AssumptionViolation("verification failed; see report above")
     if args.out:
         _write_report(args.out, f"{_stem(sf)}_verify.txt", text)
@@ -230,6 +233,7 @@ def cmd_sweep(args) -> int:
                and band[0] <= rep.slope <= band[1])
     report["in_band"] = in_band if band is not None else "n/a"
     text = render_kv(report)
+    _make_out_dir(args.out)
     sys.stdout.write(text)
     if args.out:
         _write_report(args.out, f"{_stem(sf)}_sweep_{rep.metric}.txt", text)
@@ -259,9 +263,9 @@ def cmd_benchmark(args) -> int:
         "ranking_ok": rep.ranking_ok,
     }
     text = render_kv(report)
+    _make_out_dir(args.out)
     sys.stdout.write(text)
     if args.out:
-        _make_out_dir(args.out)
         for kind, brun in rep.runs.items():
             export_csv(brun.trajectory, os.path.join(args.out, f"benchmark_{kind}.csv"))
         with open(os.path.join(args.out, "benchmark_report.txt"), "w",

@@ -307,7 +307,8 @@ def test_batch_block_edges(bench_scenario, samples):
         for sc, traj in zip(batch, run_batch(batch)):
             ref = _assert_matches_oracle(sc, traj)
             taps = law_taps(design, contraction_alpha(sc.T, sc.alpha, sc.beta), sc.kind)
-            _assert_matches_wide(sc, "recursive", closed_loop(design, taps).A, traj, ref)
+            unit = _unit(closed_loop(design, taps).A, ref)
+            _assert_matches_wide(sc, "recursive", traj, unit)
 
 
 def test_eq_input_reads_last_disturbance_sample(bench_scenario):
@@ -456,7 +457,7 @@ def _assert_matches_oracles(sc, form, A_cl, traj=None):
     unit = _unit(A_cl, ref)
     for key in ("x", "u", "s", "s_true", "y"):
         assert np.max(np.abs(getattr(traj, key) - ref[key])) <= _ORACLE_UNITS * unit, key
-    _assert_matches_wide(sc, form, A_cl, traj, ref)
+    _assert_matches_wide(sc, form, traj, unit)
 
 
 def _unit(A_cl, ref):
@@ -465,9 +466,8 @@ def _unit(A_cl, ref):
                                            for key in ("x", "u", "s"))))
 
 
-def _assert_matches_wide(sc, form, A_cl, traj, ref):
+def _assert_matches_wide(sc, form, traj, unit):
     """Hold traj's x and u to _wide_recursion within _WIDE_UNITS units."""
-    unit = _unit(A_cl, ref)
     x, u = _wide_recursion(sc, form)
     assert np.max(np.abs(traj.x - x)) <= _WIDE_UNITS * unit, (sc.kind, sc.steps)
     assert np.max(np.abs(traj.u - u)) <= _WIDE_UNITS * unit, (sc.kind, sc.steps)

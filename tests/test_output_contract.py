@@ -24,7 +24,9 @@ reference with
 
     PYTHONPATH=src python tests/test_output_contract.py [path]
 
-and names the keys that moved, by how much and why.
+and names the keys that moved, by how much and why.  The two verify
+commands are also held to the reference under another OpenBLAS kernel, in
+a subprocess, where the installed OpenBLAS lets OPENBLAS_CORETYPE pick one.
 """
 
 from __future__ import annotations
@@ -33,16 +35,20 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qsmc.cli
 from qsmc.report import parse_kv
 
-REFERENCE = Path(__file__).parent / "data" / "output_contract.json"
+HERE = Path(__file__).parent
+REFERENCE = HERE / "data" / "output_contract.json"
 RTOL = 1e-11
 ATOL = 1e-12
 
@@ -164,6 +170,41 @@ def test_commands_repeat_their_output_and_keep_the_reference():
     moved = {ident: _moved(_record(first[ident]), reference[ident])
              for ident, _ in COMMANDS}
     assert not any(moved.values()), {i: m for i, m in moved.items() if m}
+
+
+# verify's spectral figures come from LAPACK eigensolves, whose last bits
+# follow the BLAS kernel's order of summation; Sandybridge is a kernel other
+# than the one OpenBLAS picks on an AVX2 or AVX-512 host
+_KERNEL_COMMANDS = ("verify", "verify-T")
+_KERNEL = "Sandybridge"
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy runs an OpenBLAS built with DYNAMIC_ARCH, the build
+    whose kernel OPENBLAS_CORETYPE picks when it loads."""
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
+
+
+@pytest.mark.skipif(not _dynamic_openblas(),
+                    reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+def test_verify_keeps_the_reference_on_another_blas_kernel(tmp_path):
+    # both commands in one subprocess, since the kernel is chosen at load
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    code = ("import json, sys; from pathlib import Path; import test_output_contract as c; "
+            "print(json.dumps({i: c._record(c._run(a.split(), Path(sys.argv[1]) / i)) "
+            "for i, a in c.COMMANDS if i in sys.argv[2:]}))")
+    path = [str(HERE.parent / "src"), str(HERE), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=_KERNEL,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path), *_KERNEL_COMMANDS],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    moved = {ident: _moved(got[ident], reference[ident]) for ident in _KERNEL_COMMANDS}
+    assert not any(moved.values()), moved
 
 
 def write_reference(path: Path = REFERENCE) -> None:

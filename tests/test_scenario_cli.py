@@ -872,6 +872,7 @@ OUT_COMMANDS = (("run", "aircraft"), ("verify", "aircraft"),
 
 def _assert_refused_out_dir(res, out, taken):
     assert res.returncode == 2, res
+    assert res.stdout == ""
     named = [ln for ln in res.stderr.splitlines() if ln.startswith(EXIT_LEADS[2])]
     assert len(named) == 1 and str(out) in named[0], res.stderr
     assert taken.read_text(encoding="utf-8") == "taken\n"
